@@ -16,8 +16,9 @@ linalg
 channel
     Seeded channel/noise sampling and radio configuration.
 aircomp
-    Analog aggregation chain (encode / superimpose / forward / decode) and
-    the closed-form per-user MSE with its Monte Carlo twin.
+    The analog aggregation chain (one batched function, from parameters to
+    received symbols) and the closed-form per-user MSE with its Monte Carlo
+    twin.
 pam
     Penalized alternating optimization of the relay matrix plus the
     closed-form receive update and the min-max transmit update; identity
@@ -36,16 +37,10 @@ from .aircomp import (
     SystemDims,
     analytic_mse,
     compute_eta,
-    decode,
-    downlink_receive,
-    encode,
     global_target,
     monte_carlo_mse,
     mse_bracket_terms,
-    pack_symbols,
-    server_forward,
-    unpack_symbols,
-    uplink_superimpose,
+    over_the_air,
 )
 from .channel import (
     ChannelRealization,
@@ -68,14 +63,12 @@ from .flsim import (
     QuadraticTask,
     RoundRecord,
     bound_weight,
-    curvature,
     local_gd,
     make_logistic_task,
     make_quadratic_task,
     run_experiment,
     run_round,
     theorem1_bound,
-    transmit,
     transmit_batch,
 )
 from .linalg import (
@@ -84,7 +77,6 @@ from .linalg import (
     SingularMatrixError,
     StructuredGram,
     dense_solve,
-    kron,
     mat_of_vector,
     phase_project,
     structured_solve,
@@ -137,17 +129,12 @@ __all__ = [
     "bound_weight",
     "build_workspace",
     "compute_eta",
-    "curvature",
     "db_to_linear",
     "dbm_to_watts",
-    "decode",
     "dense_solve",
     "derive_seed",
-    "downlink_receive",
-    "encode",
     "global_target",
     "inner_pam",
-    "kron",
     "local_gd",
     "main",
     "make_logistic_task",
@@ -156,7 +143,7 @@ __all__ = [
     "monte_carlo_mse",
     "mse_bracket_terms",
     "objective_minmax",
-    "pack_symbols",
+    "over_the_air",
     "parse_config",
     "penalized_objective",
     "phase_project",
@@ -166,19 +153,15 @@ __all__ = [
     "run_round",
     "sample_awgn",
     "sample_channels",
-    "server_forward",
     "structured_solve",
     "substream",
     "theorem1_bound",
-    "transmit",
     "transmit_batch",
-    "unpack_symbols",
     "update_f",
     "update_r",
     "update_t",
     "update_u",
     "update_z",
-    "uplink_superimpose",
     "vec_of_matrix",
     "__version__",
 ]

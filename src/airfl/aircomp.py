@@ -8,9 +8,11 @@ square matrix F (unit-modulus entries when produced by the optimizer) and
 rebroadcasts with amplitude sqrt(power_scaling); each user equalizes with a
 scalar receive coefficient and unpacks.
 
-``analytic_mse`` is the closed-form per-user MSE of that chain against the
-weighted aggregate of the transmitted parameters; ``monte_carlo_mse`` is the
-simulation twin used to validate it.
+``over_the_air`` is the one implementation of that chain, from parameters
+to received symbols; the training loop and the Monte Carlo check both run
+it.  ``analytic_mse`` is the closed-form per-user MSE of the chain against
+the weighted aggregate of the transmitted parameters; ``monte_carlo_mse``
+is the simulation twin used to validate it.
 """
 
 from __future__ import annotations
@@ -27,16 +29,10 @@ __all__ = [
     "SystemDims",
     "analytic_mse",
     "compute_eta",
-    "decode",
-    "downlink_receive",
-    "encode",
     "global_target",
     "monte_carlo_mse",
     "mse_bracket_terms",
-    "pack_symbols",
-    "server_forward",
-    "unpack_symbols",
-    "uplink_superimpose",
+    "over_the_air",
 ]
 
 
@@ -103,80 +99,49 @@ def compute_eta(x_all):
     return EncodeState(eta=eta, eta_per_user=per_user)
 
 
-def pack_symbols(x):
-    """Pack a real even-length vector into complex symbols (pairs -> re + j*im)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size % 2:
-        raise ValueError(f"expected an even-length 1-D vector, got shape {x.shape}")
-    return x[0::2] + 1j * x[1::2]
-
-
-def unpack_symbols(s):
-    """Inverse of :func:`pack_symbols`: interleave real and imaginary parts."""
-    s = np.asarray(s, dtype=complex)
-    out = np.empty(2 * s.size, dtype=float)
-    out[0::2] = s.real
-    out[1::2] = s.imag
-    return out
-
-
-def encode(x, t, eta):
-    """Encode one user's parameters into transmit symbols: t/sqrt(2 eta) * pack(x)."""
-    if not eta > 0:
-        raise ValueError("eta must be strictly positive")
-    return (t / np.sqrt(2.0 * eta)) * pack_symbols(x)
-
-
-def decode(y, r, eta):
-    """Equalize and unpack received symbols back to a real parameter vector."""
-    if not eta > 0:
-        raise ValueError("eta must be strictly positive")
-    return np.sqrt(2.0 * eta) * unpack_symbols(r * np.asarray(y, dtype=complex))
-
-
-def uplink_superimpose(s_all, chan, noise):
-    """Superimposed uplink at the relay: sum_k h_k s_k^T + noise  (N x S)."""
-    s_all = np.asarray(s_all, dtype=complex)
-    noise = np.asarray(noise, dtype=complex)
-    if s_all.ndim != 2 or s_all.shape[0] != chan.n_users:
-        raise ValueError("s_all must be (n_users, n_symbols)")
-    expected = (chan.n_antennas, s_all.shape[1])
-    if noise.shape != expected:
-        raise ValueError(f"noise must have shape {expected}, got {noise.shape}")
-    return np.einsum("kn,ks->ns", chan.uplink, s_all) + noise
-
-
-def server_forward(f_matrix, received, power_scaling):
-    """Relay processing: sqrt(power_scaling) * F @ received."""
-    f_matrix = np.asarray(f_matrix, dtype=complex)
-    received = np.asarray(received, dtype=complex)
-    if not power_scaling > 0:
-        raise ValueError("power_scaling must be strictly positive")
-    if f_matrix.ndim != 2 or f_matrix.shape[0] != f_matrix.shape[1]:
-        raise ValueError("forwarding matrix must be square")
-    if received.shape[0] != f_matrix.shape[1]:
-        raise ValueError("received rows must match forwarding matrix size")
-    return np.sqrt(power_scaling) * (f_matrix @ received)
-
-
-def downlink_receive(forwarded, g, noise):
-    """User-side observation: g^H @ forwarded + noise  (length S)."""
-    forwarded = np.asarray(forwarded, dtype=complex)
-    g = np.asarray(g, dtype=complex).reshape(-1)
-    noise = np.asarray(noise, dtype=complex)
-    if forwarded.shape[0] != g.size:
-        raise ValueError("forwarded rows must match channel length")
-    if noise.shape != (forwarded.shape[1],):
-        raise ValueError("noise must have one entry per symbol")
-    return g.conj() @ forwarded + noise
-
-
 def global_target(x_all, weights):
-    """Weighted aggregate the protocol is trying to deliver: sum_k alpha_k x_k."""
-    x = np.asarray(x_all, dtype=float)
-    if x.shape[0] != weights.alpha.size:
-        raise ValueError("x_all rows must match number of weights")
-    return weights.alpha @ x
+    """Weighted aggregate the protocol is trying to deliver: sum_k alpha_k x_k.
+
+    ``x_all`` is (K, M) or a batch (..., K, M); the sum runs over the user axis.
+    """
+    x = np.asarray(x_all)
+    if x.ndim < 2 or x.shape[-2] != weights.alpha.size:
+        raise ValueError("x_all must have one row per weight along its user axis")
+    return np.einsum("k,...km->...m", weights.alpha, x)
+
+
+def over_the_air(x_batch, f_matrix, t_all, chan, power_scaling, eta, relay_noise, user_noise):
+    """Symbols every user receives from one pass of the analog chain, batched.
+
+    ``x_batch`` is (R, K, M) real.  Each user packs its parameters pairwise
+    into S = M/2 complex symbols and scales them by t_k / sqrt(2 eta); the
+    uplinks superimpose at the relay, which adds ``relay_noise`` (R, N, S)
+    and forwards sqrt(power_scaling) * F times its observation; user k
+    observes g_k^H of the broadcast plus ``user_noise`` (R, K, S).  ``eta``
+    is a scalar or one value per batch entry.  Returns the (R, K, S)
+    received symbols; equalization and unpacking are left to the caller.
+    """
+    x_batch = np.asarray(x_batch, dtype=float)
+    if x_batch.ndim != 3 or x_batch.shape[1] != chan.n_users or x_batch.shape[2] % 2:
+        raise ValueError(
+            f"x_batch must be (replays, {chan.n_users}, even model_dim), got {x_batch.shape}"
+        )
+    replays, k_users, model_dim = x_batch.shape
+    n_symbols = model_dim // 2
+    if relay_noise.shape != (replays, chan.n_antennas, n_symbols):
+        raise ValueError(f"relay_noise must be {(replays, chan.n_antennas, n_symbols)}")
+    if user_noise.shape != (replays, k_users, n_symbols):
+        raise ValueError(f"user_noise must be {(replays, k_users, n_symbols)}")
+    root = np.sqrt(2.0 * np.asarray(eta, dtype=float)).reshape(-1, 1, 1)
+    t_all = np.asarray(t_all, dtype=complex).reshape(-1)
+    # Each stage rebinds ``signal`` so the previous stage's array is freed;
+    # at Monte Carlo sizes every stage is a (draws, N or K, S) array.
+    signal = (t_all[None, :, None] / root) * (x_batch[..., 0::2] + 1j * x_batch[..., 1::2])
+    signal = np.einsum("rks,kn->rns", signal, chan.uplink) + relay_noise
+    signal = np.sqrt(power_scaling) * np.einsum(
+        "nm,rms->rns", np.asarray(f_matrix, dtype=complex), signal
+    )
+    return np.einsum("kn,rns->rks", chan.downlink.conj(), signal) + user_noise
 
 
 def _effective_gains(f_matrix, chan):
@@ -217,33 +182,14 @@ def analytic_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols):
     return 2.0 * eta * int(n_symbols) * mse_bracket_terms(f_matrix, r_all, t_all, chan, weights, cfg)
 
 
-def _ensemble_sq_errors(f_matrix, r_all, t_all, chan, weights, cfg, eta, x_draws, relay_noise, user_noise):
-    """Squared aggregation error for a batch of parameter/noise draws.
-
-    ``x_draws`` is (draws, K, M) real; ``relay_noise`` (draws, N, S);
-    ``user_noise`` (draws, K, S).  Returns (draws, K) squared errors
-    ||decoded_k - target||^2, exploiting that pairwise packing is an isometry.
-    """
-    f_matrix = np.asarray(f_matrix, dtype=complex)
-    r_all = np.asarray(r_all, dtype=complex).reshape(-1)
-    t_all = np.asarray(t_all, dtype=complex).reshape(-1)
-    packed = x_draws[..., 0::2] + 1j * x_draws[..., 1::2]
-    target = np.einsum("j,djs->ds", weights.alpha, packed)
-    symbols = (t_all / np.sqrt(2.0 * eta))[None, :, None] * packed
-    at_relay = np.einsum("dks,kn->dns", symbols, chan.uplink) + relay_noise
-    forwarded = np.sqrt(cfg.power_scaling) * np.einsum("nm,dms->dns", f_matrix, at_relay)
-    observed = np.einsum("kn,dns->dks", chan.downlink.conj(), forwarded) + user_noise
-    err = np.sqrt(2.0 * eta) * r_all[None, :, None] * observed - target[:, None, :]
-    return np.sum(np.abs(err) ** 2, axis=2)
-
-
 def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, draws, seed):
     """Simulation estimate of the per-user MSE and its standard error.
 
     Draws synthetic parameter vectors with i.i.d. zero-mean Gaussian entries
     of variance ``eta`` (matching the second-moment model the closed form
-    assumes), runs the full encode/superimpose/forward/receive/decode chain,
-    and averages ||decoded_k - target||^2.
+    assumes), runs them through :func:`over_the_air` with its own noise
+    draws, equalizes, and averages ||decoded_k - target||^2 (pairwise
+    packing is an isometry, so the error is taken on the symbols).
 
     Returns
     -------
@@ -270,9 +216,13 @@ def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, 
         rng_user.standard_normal((draws, k_users, n_symbols))
         + 1j * rng_user.standard_normal((draws, k_users, n_symbols))
     )
-    sq = _ensemble_sq_errors(
-        f_matrix, r_all, t_all, chan, weights, cfg, eta, x_draws, relay_noise, user_noise
+    target = global_target(x_draws[..., 0::2] + 1j * x_draws[..., 1::2], weights)
+    received = over_the_air(
+        x_draws, f_matrix, t_all, chan, cfg.power_scaling, eta, relay_noise, user_noise
     )
+    r_all = np.asarray(r_all, dtype=complex).reshape(-1)
+    err = np.sqrt(2.0 * eta) * r_all[None, :, None] * received - target[:, None, :]
+    sq = np.sum(np.abs(err) ** 2, axis=2)
     mean = sq.mean(axis=0)
     stderr = sq.std(axis=0, ddof=1) / np.sqrt(draws)
     return mean, stderr

@@ -141,6 +141,12 @@ def _coerce(value, kind, path, allow_none=False):
     raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
 
 
+def _at_least(value, minimum, path):
+    if value < minimum:
+        raise ConfigError(f"{path}: must be at least {minimum}")
+    return value
+
+
 def _scalar_or_list(value, path, allow_none=False):
     if value is None:
         if allow_none:
@@ -218,8 +224,6 @@ def parse_config(source):
             "t_solver_tol",
             "init_strategy",
             "seed",
-            "u_block",
-            "u_ridge",
             "rho_growth",
         ],
         "pam",
@@ -235,8 +239,6 @@ def parse_config(source):
                 pam_raw.get("init_strategy", "random-phase"), str, "pam.init_strategy"
             ),
             seed=_coerce(pam_raw.get("seed", 0), int, "pam.seed"),
-            u_block=_coerce(pam_raw.get("u_block", "independent"), str, "pam.u_block"),
-            u_ridge=_coerce(pam_raw.get("u_ridge", "matched"), str, "pam.u_ridge"),
             rho_growth=_coerce(pam_raw.get("rho_growth", 1.0), float, "pam.rho_growth"),
         )
     except ValueError as exc:
@@ -284,19 +286,17 @@ def parse_config(source):
     )
     if task.kind not in ("quadratic", "logistic"):
         raise ConfigError(f"task.kind: unknown task kind {task.kind!r}")
+    for key in ("dim", "samples_per_user", "rows_per_sample"):
+        _at_least(getattr(task, key), 1, f"task.{key}")
 
-    rounds = _coerce(data.get("rounds", 15), int, "rounds")
-    if rounds < 1:
-        raise ConfigError("rounds: must be at least 1")
+    rounds = _at_least(_coerce(data.get("rounds", 15), int, "rounds"), 1, "rounds")
     seeds_raw = data.get("seeds", [0])
     if isinstance(seeds_raw, int) and not isinstance(seeds_raw, bool):
         seeds_raw = [seeds_raw]
     if not isinstance(seeds_raw, list) or not seeds_raw:
         raise ConfigError("seeds: expected an integer or nonempty list of integers")
     seeds = tuple(_coerce(s, int, f"seeds[{i}]") for i, s in enumerate(seeds_raw))
-    replays = _coerce(data.get("replays", 1), int, "replays")
-    if replays < 1:
-        raise ConfigError("replays: must be at least 1")
+    replays = _at_least(_coerce(data.get("replays", 1), int, "replays"), 1, "replays")
     mode = _coerce(data.get("mode", "both"), str, "mode")
     if mode not in ("pam", "baseline", "both"):
         raise ConfigError(f"mode: expected 'pam', 'baseline' or 'both', got {mode!r}")
@@ -338,8 +338,6 @@ def resolved_config(cfg):
             "t_solver_tol": cfg.pam.t_solver_tol,
             "init_strategy": cfg.pam.init_strategy,
             "seed": cfg.pam.seed,
-            "u_block": cfg.pam.u_block,
-            "u_ridge": cfg.pam.u_ridge,
             "rho_growth": cfg.pam.rho_growth,
         },
         "train": {
@@ -433,11 +431,11 @@ def _cmd_optimize(cfg, args):
 
 
 def _cmd_simulate(cfg, args):
+    rounds = _at_least(cfg.rounds if args.rounds is None else args.rounds, 1, "--rounds")
+    replays = _at_least(cfg.replays if args.replays is None else args.replays, 1, "--replays")
     out_dir = args.out or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     seeds = cfg.seeds if args.seed is None else (args.seed,)
-    rounds = args.rounds or cfg.rounds
-    replays = args.replays or cfg.replays
     modes = _modes(cfg, args.mode)
     task = cfg.task.build(cfg.radio.n_users)
     report = run_experiment(
@@ -511,11 +509,11 @@ def _cmd_simulate(cfg, args):
 
 
 def _cmd_mse_check(cfg, args):
+    draws = _at_least(args.draws, 2, "--draws")
+    n_instances = _at_least(args.instances, 1, "--instances")
     out_dir = args.out or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     seed = cfg.seeds[0] if args.seed is None else args.seed
-    draws = args.draws
-    n_instances = args.instances
     radio = cfg.radio
     n_symbols = max(1, cfg.task.dim // 2)
     rows = []

@@ -19,18 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .aircomp import (
-    AggregationWeights,
-    analytic_mse,
-    compute_eta,
-    decode,
-    downlink_receive,
-    encode,
-    global_target,
-    mse_bracket_terms,
-    server_forward,
-    uplink_superimpose,
-)
+from .aircomp import AggregationWeights, global_target, mse_bracket_terms, over_the_air
 from .channel import derive_seed, sample_awgn, sample_channels
 from .linalg import dense_solve
 from .pam import PamConfig, baseline_optimize, run_pam
@@ -45,14 +34,12 @@ __all__ = [
     "QuadraticTask",
     "RoundRecord",
     "bound_weight",
-    "curvature",
     "local_gd",
     "make_logistic_task",
     "make_quadratic_task",
     "run_experiment",
     "run_round",
     "theorem1_bound",
-    "transmit",
     "transmit_batch",
 ]
 
@@ -353,24 +340,12 @@ def make_logistic_task(n_users=3, dim=10, samples_per_user=40, l2=0.1, seed=0):
     return LogisticTask(feats, labels, l2=l2)
 
 
-def curvature(task):
-    """Strong-convexity / smoothness constants of a task (errors if absent)."""
-    return task.curvature()
-
-
-def local_gd(task, k, x, step_size, n_steps):
-    """Plain local gradient descent on user k's average loss."""
+def local_gd(task, k, x_batch, step_size, n_steps):
+    """Plain local gradient descent on user k's average loss, for a batch (R, M)."""
     if not step_size > 0:
         raise ValueError("step_size must be strictly positive")
     if int(n_steps) < 1:
         raise ValueError("n_steps must be at least 1")
-    x = np.asarray(x, dtype=float).copy()
-    for _ in range(int(n_steps)):
-        x -= step_size * task.local_gradient(k, x)
-    return x
-
-
-def _local_gd_batch(task, k, x_batch, step_size, n_steps):
     x_batch = np.asarray(x_batch, dtype=float).copy()
     for _ in range(int(n_steps)):
         x_batch -= step_size * task.local_gradient_batch(k, x_batch)
@@ -417,68 +392,36 @@ def theorem1_bound(max_mse_history, n_users, smoothness, strong_convexity, total
     return float(weights @ history)
 
 
-def transmit(x_all, f_matrix, r_all, t_all, chan, radio, eta, seed, round_index):
-    """One over-the-air aggregation pass; returns decoded vectors (K, M)."""
-    x_all = np.asarray(x_all, dtype=float)
-    k_users, model_dim = x_all.shape
-    n_symbols = model_dim // 2
-    symbols = np.stack([encode(x_all[k], t_all[k], eta) for k in range(k_users)])
-    relay_noise = sample_awgn(
-        (chan.n_antennas, n_symbols), radio.noise_power_server, seed, ("round", int(round_index), "relay")
-    )
-    at_relay = uplink_superimpose(symbols, chan, relay_noise)
-    forwarded = server_forward(f_matrix, at_relay, radio.power_scaling)
-    decoded = np.empty_like(x_all)
-    for k in range(k_users):
-        user_noise = sample_awgn(
-            (n_symbols,),
-            radio.noise_power_user[k],
-            seed,
-            ("round", int(round_index), "user", k),
-        )
-        observed = downlink_receive(forwarded, chan.downlink[k], user_noise)
-        decoded[k] = decode(observed, r_all[k], eta)
-    return decoded
-
-
 def transmit_batch(x_batch, f_matrix, r_all, t_all, chan, radio, eta_batch, seed, round_index):
-    """Vectorized :func:`transmit` over noise replays: (R, K, M) -> (R, K, M).
+    """One over-the-air aggregation pass per noise replay: (R, K, M) -> decoded (R, K, M).
 
-    Uses the same noise substream labels as :func:`transmit`, so a batch of
-    size one reproduces the single-shot path draw-for-draw.
+    Relay noise is drawn under the substream label ("round", i, "relay") and
+    user k's under ("round", i, "user", k): noise is keyed by seed and round,
+    never by mode, so paired pam/baseline runs see the same draws.
     """
     x_batch = np.asarray(x_batch, dtype=float)
     replays, k_users, model_dim = x_batch.shape
     n_symbols = model_dim // 2
     eta_batch = np.asarray(eta_batch, dtype=float).reshape(replays)
-    t_all = np.asarray(t_all, dtype=complex).reshape(-1)
-    r_all = np.asarray(r_all, dtype=complex).reshape(-1)
-    packed = x_batch[..., 0::2] + 1j * x_batch[..., 1::2]
-    scale = t_all[None, :, None] / np.sqrt(2.0 * eta_batch)[:, None, None]
-    symbols = scale * packed
+    label = ("round", int(round_index))
     relay_noise = sample_awgn(
-        (replays, chan.n_antennas, n_symbols),
-        radio.noise_power_server,
-        seed,
-        ("round", int(round_index), "relay"),
+        (replays, chan.n_antennas, n_symbols), radio.noise_power_server, seed, label + ("relay",)
     )
-    at_relay = np.einsum("rks,kn->rns", symbols, chan.uplink) + relay_noise
-    forwarded = np.sqrt(radio.power_scaling) * np.einsum(
-        "nm,rms->rns", np.asarray(f_matrix, dtype=complex), at_relay
+    user_noise = np.stack(
+        [
+            sample_awgn((replays, n_symbols), radio.noise_power_user[k], seed, label + ("user", k))
+            for k in range(k_users)
+        ],
+        axis=1,
     )
+    received = over_the_air(
+        x_batch, f_matrix, t_all, chan, radio.power_scaling, eta_batch, relay_noise, user_noise
+    )
+    r_all = np.asarray(r_all, dtype=complex).reshape(-1)
+    equalized = np.sqrt(2.0 * eta_batch)[:, None, None] * (r_all[None, :, None] * received)
     decoded = np.empty_like(x_batch)
-    root = np.sqrt(2.0 * eta_batch)[:, None]
-    for k in range(k_users):
-        user_noise = sample_awgn(
-            (replays, n_symbols),
-            radio.noise_power_user[k],
-            seed,
-            ("round", int(round_index), "user", k),
-        )
-        observed = np.einsum("n,rns->rs", chan.downlink[k].conj(), forwarded) + user_noise
-        equalized = root * (r_all[k] * observed)
-        decoded[:, k, 0::2] = equalized.real
-        decoded[:, k, 1::2] = equalized.imag
+    decoded[..., 0::2] = equalized.real
+    decoded[..., 1::2] = equalized.imag
     return decoded
 
 
@@ -506,6 +449,42 @@ def _solve_round(mode, chan, weights, radio, pam_cfg, seed, round_index):
     raise ValueError(f"unknown mode {mode!r} (expected 'pam' or 'baseline')")
 
 
+def _round_step(
+    x_batch, task, weights, chan, radio, solution, step, local_updates, seed, round_index
+):
+    """One round for R noise replays of every user's parameters (R, K, M).
+
+    Runs the local steps, then sends the result over the air with the
+    round's optimized link.  Returns the decoded parameters (R, K, M), the
+    weighted aggregate of the locally updated parameters (R, M) and the
+    closed-form per-user MSE (R, K) at each replay's power normalization.
+    """
+    x_batch = np.stack(
+        [local_gd(task, k, x_batch[:, k, :], step, local_updates) for k in range(task.n_users)],
+        axis=1,
+    )
+    eta_batch = np.mean(np.sum(x_batch * x_batch, axis=2), axis=1) / task.dim
+    if np.any(eta_batch <= 0):
+        raise ValueError("all-zero parameters in some replay; cannot encode")
+    target = global_target(x_batch, weights)
+    bracket = mse_bracket_terms(
+        solution.f_matrix, solution.r_all, solution.t_all, chan, weights, radio
+    )
+    mse = 2.0 * eta_batch[:, None] * (task.dim // 2) * bracket[None, :]
+    decoded = transmit_batch(
+        x_batch,
+        solution.f_matrix,
+        solution.r_all,
+        solution.t_all,
+        chan,
+        radio,
+        eta_batch,
+        seed,
+        round_index,
+    )
+    return decoded, target, mse
+
+
 def run_round(
     x_all,
     task,
@@ -522,32 +501,25 @@ def run_round(
 ):
     """Advance one federated round; returns (next parameters, record).
 
+    This is the single-replay case of the round :func:`run_experiment` runs.
     ``solution`` may carry a pre-optimized link (e.g. shared across noise
     replays); otherwise the round's beamforming problem is solved here.
     """
-    step = train_cfg.resolve_step(task)
-    x_local = np.stack(
-        [local_gd(task, k, x_all[k], step, train_cfg.local_updates) for k in range(task.n_users)]
-    )
-    enc = compute_eta(x_local)
-    target = global_target(x_local, weights)
     if solution is None:
         solution = _solve_round(mode, chan, weights, radio, pam_cfg, seed, round_index)
-    n_symbols = task.dim // 2
-    mse = analytic_mse(
-        solution.f_matrix, solution.r_all, solution.t_all, chan, weights, radio, enc.eta, n_symbols
-    )
-    decoded = transmit(
-        x_local,
-        solution.f_matrix,
-        solution.r_all,
-        solution.t_all,
+    decoded, target, mse = _round_step(
+        np.asarray(x_all, dtype=float)[None],
+        task,
+        weights,
         chan,
         radio,
-        enc.eta,
+        solution,
+        train_cfg.resolve_step(task),
+        train_cfg.local_updates,
         seed,
         round_index,
     )
+    decoded, target, mse = decoded[0], target[0], mse[0]
     loss = task.global_loss(target)
     if lambda_star is None:
         lambda_star = task.optimum()[1]
@@ -559,7 +531,7 @@ def run_round(
         mse=mse,
         max_mse=float(np.max(mse)),
         objective=solution.objective,
-        decoded_loss=np.array([task.global_loss(decoded[k]) for k in range(task.n_users)]),
+        decoded_loss=task.global_loss_batch(decoded),
         realized_sq_error=np.sum((decoded - target[None, :]) ** 2, axis=1),
     )
     return decoded, record
@@ -639,7 +611,6 @@ def run_experiment(
     except ValueError:
         consts = None
     total = float(task.dataset_sizes.sum())
-    n_symbols = task.dim // 2
     trajectories = {}
     for seed in seeds:
         seed = int(seed)
@@ -659,19 +630,19 @@ def run_experiment(
             bound_ok = np.zeros(rounds, dtype=bool)
             mse_history = np.empty((replays, rounds))
             for i in range(rounds):
-                for k in range(task.n_users):
-                    x_batch[:, k, :] = _local_gd_batch(
-                        task, k, x_batch[:, k, :], step, train_cfg.local_updates
-                    )
-                eta_batch = np.mean(np.sum(x_batch * x_batch, axis=2), axis=1) / task.dim
-                if np.any(eta_batch <= 0):
-                    raise ValueError("all-zero parameters in some replay; cannot encode")
-                target = np.einsum("k,rkm->rm", weights.alpha, x_batch)
                 sol = solutions[i]
-                bracket = mse_bracket_terms(
-                    sol.f_matrix, sol.r_all, sol.t_all, channels[i], weights, radio
+                x_batch, target, mse_rk = _round_step(
+                    x_batch,
+                    task,
+                    weights,
+                    channels[i],
+                    radio,
+                    sol,
+                    step,
+                    train_cfg.local_updates,
+                    seed,
+                    i,
                 )
-                mse_rk = 2.0 * eta_batch[:, None] * n_symbols * bracket[None, :]
                 mse_history[:, i] = np.max(mse_rk, axis=1)
                 losses = task.global_loss_batch(target)
                 loss[i] = losses.mean()
@@ -694,17 +665,6 @@ def run_experiment(
                     bound[i] = per_replay_bound.mean()
                 else:
                     bound[i] = np.nan
-                x_batch = transmit_batch(
-                    x_batch,
-                    sol.f_matrix,
-                    sol.r_all,
-                    sol.t_all,
-                    channels[i],
-                    radio,
-                    eta_batch,
-                    seed,
-                    i,
-                )
                 for k in range(task.n_users):
                     decoded_gap[i, k] = task.global_loss_batch(x_batch[:, k, :]).mean() - lambda_star
                 if consts is not None:

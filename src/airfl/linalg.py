@@ -23,7 +23,6 @@ __all__ = [
     "SingularMatrixError",
     "StructuredGram",
     "dense_solve",
-    "kron",
     "mat_of_vector",
     "phase_project",
     "structured_solve",
@@ -76,15 +75,6 @@ def mat_of_vector(v, rows, cols):
     if rows < 0 or cols < 0 or rows * cols != v.size:
         raise ValueError(f"cannot reshape length-{v.size} vector to ({rows}, {cols})")
     return v.reshape((rows, cols), order="F")
-
-
-def kron(a, b):
-    """Kronecker product of two matrices (thin wrapper, fixed 2-D contract)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects two 2-D arrays")
-    return np.kron(a, b)
 
 
 def dense_solve(m, rhs):

@@ -44,8 +44,6 @@ __all__ = [
 ]
 
 _INIT_STRATEGIES = ("random-phase", "all-ones")
-_U_BLOCKS = ("exact", "independent")
-_U_RIDGES = ("matched", "full")
 
 
 @dataclass
@@ -56,26 +54,12 @@ class PamConfig:
     it geometrically after every outer cycle (1.0 keeps it constant, which is
     the default).
 
-    ``u_block`` selects how the per-user copies are updated inside the inner
-    loop.  ``"independent"`` (default) takes the regularized least-squares
-    step for every user simultaneously — the exact minimizer of the sum of
-    the per-user costs plus their proximal terms.  This is the step that
-    actually drives the relay matrix toward good worst-user objectives; on
-    unit-scale instances it also decreases the worst-user merit every cycle,
-    though in regimes with very uneven per-user scales the merit may rise
-    transiently while the outer objective keeps improving.  ``"exact"``
-    instead minimizes the worst-user merit exactly one copy at a time
-    (clipping each user's cost at the current worst of the others), which
-    makes the recorded merit non-increasing unconditionally — at the price of
-    much slower progress, because every non-worst copy collapses onto the
-    consensus vector.
-
-    ``u_ridge`` controls the ridge in the independent step: ``"matched"``
-    (default) uses rho/K in both the system matrix and the right-hand side so
-    the step exactly minimizes its per-user subproblem; ``"full"`` keeps the
-    unscaled rho in the matrix (a variant retained for comparison; it is no
-    longer the exact subproblem minimizer and requires
-    ``u_block="independent"``).
+    Inside the inner loop every user's copy takes the regularized
+    least-squares step simultaneously (see :func:`update_u`): the exact
+    minimizer of the sum of the per-user costs plus their proximal terms.
+    On unit-scale instances it also decreases the worst-user merit every
+    cycle; in regimes with very uneven per-user scales the merit may rise
+    transiently while the outer objective keeps improving.
     """
 
     rho: float = 1.0
@@ -85,8 +69,6 @@ class PamConfig:
     t_solver_tol: float = 1e-12
     init_strategy: str = "random-phase"
     seed: int = 0
-    u_block: str = "independent"
-    u_ridge: str = "matched"
     rho_growth: float = 1.0
 
     def __post_init__(self):
@@ -103,12 +85,6 @@ class PamConfig:
             raise ValueError("t_solver_tol must be nonnegative")
         if self.init_strategy not in _INIT_STRATEGIES:
             raise ValueError(f"init_strategy must be one of {_INIT_STRATEGIES}")
-        if self.u_block not in _U_BLOCKS:
-            raise ValueError(f"u_block must be one of {_U_BLOCKS}")
-        if self.u_ridge not in _U_RIDGES:
-            raise ValueError(f"u_ridge must be one of {_U_RIDGES}")
-        if self.u_block == "exact" and self.u_ridge == "full":
-            raise ValueError('u_ridge="full" requires u_block="independent"')
         if not self.rho_growth > 0:
             raise ValueError("rho_growth must be strictly positive")
         self.seed = int(self.seed)
@@ -273,42 +249,23 @@ def build_workspace(r_all, t_all, chan, weights, cfg):
     )
 
 
-def _solve_user_copy(workspace, k, weight, prox, f):
-    """Minimizer of weight * data_cost_k(u) + prox * ||u - f||^2 for one user."""
-    root = np.sqrt(weight)
-    gram = StructuredGram(
-        dim=workspace.dim,
-        rank_one=root * workspace.rank_one[k].T,
-        kron_scale=float(weight * workspace.kron_scale[k]),
-        kron_vector=workspace.downlink[k],
-        ridge=prox,
-    )
-    rhs = weight * (workspace.alpha @ workspace.rank_one[k]) + prox * f
-    return structured_solve(gram, rhs)
-
-
-def update_u(workspace, f, rho, ridge="matched"):
+def update_u(workspace, f, rho):
     """Per-user regularized least-squares step of the inner loop.
 
     Solves, for each user k,
         (sum_j a_{k,j} a_{k,j}^H + G_k + (rho/K) I) u_k
             = sum_j alpha_j a_{k,j} + (rho/K) f
-    via the structured solver.  With ``ridge="full"`` the system matrix uses
-    rho instead of rho/K (the right-hand side keeps rho/K), a variant kept
-    for comparison that is no longer the exact minimizer of the per-user
-    subproblem.
+    via the structured solver; u_k exactly minimizes user k's data cost
+    plus its share (rho/K) ||u_k - f||^2 of the consensus penalty.
     """
     if not rho > 0:
         raise ValueError("rho must be strictly positive")
-    if ridge not in _U_RIDGES:
-        raise ValueError(f"ridge must be one of {_U_RIDGES}")
     k_users = workspace.n_users
     dim = workspace.dim
     f = np.asarray(f, dtype=complex).reshape(-1)
     if f.size != dim:
         raise ValueError(f"f must have length {dim}")
-    rhs_ridge = rho / k_users
-    matrix_ridge = rho if ridge == "full" else rho / k_users
+    ridge = rho / k_users
     u_all = np.empty((k_users, dim), dtype=complex)
     for k in range(k_users):
         gram = StructuredGram(
@@ -316,9 +273,9 @@ def update_u(workspace, f, rho, ridge="matched"):
             rank_one=workspace.rank_one[k].T,
             kron_scale=float(workspace.kron_scale[k]),
             kron_vector=workspace.downlink[k],
-            ridge=matrix_ridge,
+            ridge=ridge,
         )
-        rhs = workspace.alpha @ workspace.rank_one[k] + rhs_ridge * f
+        rhs = workspace.alpha @ workspace.rank_one[k] + ridge * f
         u_all[k] = structured_solve(gram, rhs)
     return u_all
 
@@ -337,94 +294,16 @@ def update_z(f):
     return phase_project(f)
 
 
-def _data_term_single(workspace, k, u):
-    """Data cost of user k at the copy u: fit error plus relay-noise quadratic."""
-    n = workspace.downlink.shape[1]
-    fit = workspace.rank_one[k].conj() @ u - workspace.alpha
-    u_mat = u.reshape((n, n), order="F")
-    quad = workspace.kron_scale[k] * np.sum(np.abs(workspace.downlink[k].conj() @ u_mat) ** 2)
-    return float(np.sum(np.abs(fit) ** 2) + quad)
-
-
 def _data_terms(workspace, u_all):
     """Per-user data cost: sum_j |a_{k,j}^H u_k - alpha_j|^2 + u_k^H G_k u_k."""
-    return np.array([_data_term_single(workspace, k, u_all[k]) for k in range(workspace.n_users)])
-
-
-def _exact_u_sweep(workspace, u_all, f, rho):
-    """Exact sequential block minimization of the worst-user merit over the copies.
-
-    For one copy with the others held fixed the merit reduces to
-        max(data_cost_k(u), ceiling) + (rho/K) ||u - f||^2,
-    where the ceiling is the worst data cost among the other users.  The
-    unconstrained prox solution handles the case where user k stays the worst;
-    u = f handles the case where its cost at the prox center is already below
-    the ceiling; otherwise the minimizer sits on the level set
-    data_cost_k(u) = ceiling and is found by a safeguarded root search on the
-    scalarization weight.  The incumbent copy is always kept as a fallback
-    candidate, so a sweep can never increase the merit.
-    """
-    k_users = workspace.n_users
-    prox = rho / k_users
-    u_all = np.array(u_all, dtype=complex)
-    data = _data_terms(workspace, u_all)
-    for k in range(k_users):
-        ceiling = -np.inf
-        if k_users > 1:
-            ceiling = float(np.max(np.delete(data, k)))
-        u_plain = _solve_user_copy(workspace, k, 1.0, prox, f)
-        j_plain = _data_term_single(workspace, k, u_plain)
-        j_center = _data_term_single(workspace, k, f)
-        candidates = [
-            (u_plain, j_plain),
-            (f, j_center),
-            (u_all[k].copy(), data[k]),
-        ]
-        if j_plain < ceiling < j_center:
-            root = _level_set_copy(workspace, k, prox, f, ceiling, j_center, j_plain)
-            if root is not None:
-                candidates.append(root)
-        best_u, best_j, best_val = None, None, np.inf
-        for u_cand, j_cand in candidates:
-            value = max(j_cand, ceiling) + prox * float(np.sum(np.abs(u_cand - f) ** 2))
-            if value < best_val:
-                best_u, best_j, best_val = u_cand, j_cand, value
-        u_all[k] = best_u
-        data[k] = best_j
-    return u_all
-
-
-def _level_set_copy(workspace, k, prox, f, ceiling, j_at_zero, j_at_one, max_iters=60):
-    """Copy with data cost pinned to the ceiling, via an Illinois root search.
-
-    Parametrize u(w) as the minimizer of w * data_cost_k + prox * ||u - f||^2;
-    the data cost is continuous and non-increasing in w, above the ceiling at
-    w=0 and below it at w=1, so a damped regula falsi on
-    data_cost_k(u(w)) - ceiling brackets the level set.
-    """
-    lo, phi_lo = 0.0, j_at_zero - ceiling
-    hi, phi_hi = 1.0, j_at_one - ceiling
-    best = None
-    tol = 1e-11 * max(1.0, abs(ceiling))
-    for _ in range(max_iters):
-        denom = phi_hi - phi_lo
-        if denom == 0.0 or hi - lo < 1e-14:
-            break
-        w = hi - phi_hi * (hi - lo) / denom
-        if not lo < w < hi:
-            w = 0.5 * (lo + hi)
-        u_w = _solve_user_copy(workspace, k, w, prox, f)
-        phi = _data_term_single(workspace, k, u_w) - ceiling
-        best = (u_w, phi + ceiling)
-        if abs(phi) <= tol:
-            break
-        if phi > 0:
-            lo, phi_lo = w, phi
-            phi_hi *= 0.5
-        else:
-            hi, phi_hi = w, phi
-            phi_lo *= 0.5
-    return best
+    n = workspace.downlink.shape[1]
+    data = np.empty(workspace.n_users)
+    for k in range(workspace.n_users):
+        fit = workspace.rank_one[k].conj() @ u_all[k] - workspace.alpha
+        u_mat = u_all[k].reshape((n, n), order="F")
+        quad = workspace.kron_scale[k] * np.sum(np.abs(workspace.downlink[k].conj() @ u_mat) ** 2)
+        data[k] = float(np.sum(np.abs(fit) ** 2) + quad)
+    return data
 
 
 def penalized_objective(u_all, f, z, workspace, rho):
@@ -438,22 +317,14 @@ def penalized_objective(u_all, f, z, workspace, rho):
     return float(np.max(data) + rho * (spread + tether))
 
 
-def inner_pam(workspace, f_matrix_init, rho, m_inner, u_block="independent", u_ridge="matched"):
+def inner_pam(workspace, f_matrix_init, rho, m_inner):
     """Penalized alternating minimization for the relay matrix.
 
     Starts every block variable at vec(F_init) and cycles
-    copies -> consensus -> projection, recording the merit after each full
-    cycle.  The default ``u_block="independent"`` performs the simultaneous
-    per-user least-squares step; with ``u_block="exact"`` every block step is
-    an exact minimizer of the worst-user merit, making the recorded
-    trajectory non-increasing unconditionally (see ``PamConfig`` for the
-    tradeoff).  Returns the unit-modulus matrix recovered from the final
-    projection, the merit trajectory, and the final state.
+    copies (:func:`update_u`) -> consensus -> projection, recording the
+    merit after each full cycle.  Returns the unit-modulus matrix recovered
+    from the final projection, the merit trajectory, and the final state.
     """
-    if u_block not in _U_BLOCKS:
-        raise ValueError(f"u_block must be one of {_U_BLOCKS}")
-    if u_block == "exact" and u_ridge == "full":
-        raise ValueError('u_ridge="full" requires u_block="independent"')
     f_matrix_init = np.asarray(f_matrix_init, dtype=complex)
     n = f_matrix_init.shape[0]
     if f_matrix_init.shape != (n, n) or n * n != workspace.dim:
@@ -463,10 +334,7 @@ def inner_pam(workspace, f_matrix_init, rho, m_inner, u_block="independent", u_r
     u_all = np.tile(f, (workspace.n_users, 1))
     trajectory = np.empty(int(m_inner))
     for cycle in range(int(m_inner)):
-        if u_block == "exact":
-            u_all = _exact_u_sweep(workspace, u_all, f, rho)
-        else:
-            u_all = update_u(workspace, f, rho, ridge=u_ridge)
+        u_all = update_u(workspace, f, rho)
         f = update_f(u_all, z)
         z = update_z(f)
         trajectory[cycle] = penalized_objective(u_all, f, z, workspace, rho)
@@ -566,14 +434,7 @@ def run_pam(chan, weights, cfg, pam_cfg=None):
     f_init = _initial_matrix(chan.n_antennas, pam_cfg)
 
     def relay_block(workspace, f_matrix, rho):
-        f_new, trajectory, _ = inner_pam(
-            workspace,
-            f_matrix,
-            rho,
-            pam_cfg.m_inner,
-            u_block=pam_cfg.u_block,
-            u_ridge=pam_cfg.u_ridge,
-        )
+        f_new, trajectory, _ = inner_pam(workspace, f_matrix, rho, pam_cfg.m_inner)
         return f_new, trajectory
 
     return _alternating_run("pam", f_init, relay_block, chan, weights, cfg, pam_cfg)

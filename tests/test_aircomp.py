@@ -8,18 +8,13 @@ from airfl.aircomp import (
     SystemDims,
     analytic_mse,
     compute_eta,
-    decode,
-    downlink_receive,
-    encode,
     global_target,
     monte_carlo_mse,
     mse_bracket_terms,
-    pack_symbols,
-    server_forward,
-    unpack_symbols,
-    uplink_superimpose,
+    over_the_air,
 )
 from airfl.channel import ChannelRealization, RadioConfig, sample_channels, substream
+from airfl.flsim import transmit_batch
 from airfl.pam import update_r
 
 
@@ -36,6 +31,37 @@ def _perfect_link():
         uplink=np.ones((1, 1), dtype=complex), downlink=np.ones((1, 1), dtype=complex)
     )
     return cfg, chan
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _receive(x_batch, chan, f_matrix=None, t_all=None, power_scaling=1.0, eta=0.5,
+             relay_noise=None, user_noise=None):
+    """Run the chain; F, t and the noises default to identity, ones and zeros.
+
+    The default eta = 0.5 makes the encoding scale t / sqrt(2 eta) exactly t.
+    """
+    x_batch = np.asarray(x_batch, dtype=float)
+    replays, k_users, model_dim = x_batch.shape
+    n_symbols = model_dim // 2
+    if f_matrix is None:
+        f_matrix = np.eye(chan.n_antennas, dtype=complex)
+    if t_all is None:
+        t_all = np.ones(k_users, dtype=complex)
+    if relay_noise is None:
+        relay_noise = np.zeros((replays, chan.n_antennas, n_symbols), dtype=complex)
+    if user_noise is None:
+        user_noise = np.zeros((replays, k_users, n_symbols), dtype=complex)
+    return over_the_air(
+        x_batch, f_matrix, t_all, chan, power_scaling, eta, relay_noise, user_noise
+    )
+
+
+def _relay_view(rng, n):
+    """K = N users whose downlinks are the unit vectors: user k observes antenna k."""
+    return ChannelRealization(uplink=_complex(rng, (n, n)), downlink=np.eye(n, dtype=complex))
 
 
 def _random_state(rng, n, k, pathloss_db=0.0, noise_server=0.01, noise_user=0.02):
@@ -103,86 +129,110 @@ class TestEta:
 
 class TestEncodeDecode:
     def test_pack_unpack_round_trip(self):
+        # eta = 0.5 and unit gains: decoding must return x bit for bit.
+        cfg, chan = _perfect_link()
         rng = substream(22, "pack")
-        x = rng.standard_normal(12)
-        np.testing.assert_array_equal(unpack_symbols(pack_symbols(x)), x)
+        x = rng.standard_normal((1, 1, 12))
+        out = transmit_batch(
+            x, np.eye(1, dtype=complex), np.ones(1, dtype=complex), np.ones(1, dtype=complex),
+            chan, cfg, np.array([0.5]), seed=0, round_index=0,
+        )
+        np.testing.assert_array_equal(out, x)
 
     def test_encode_example(self):
-        s = encode(np.array([1.0, 0.0]), 1.0 + 0.0j, 0.5)
-        np.testing.assert_allclose(s, [1.0 + 0.0j])
+        _, chan = _perfect_link()
+        s = _receive(np.array([[[1.0, 0.0]]]), chan)
+        np.testing.assert_allclose(s, [[[1.0 + 0.0j]]])
 
     def test_zero_transmit_coefficient(self):
-        s = encode(np.array([1.0, 2.0, 3.0, 4.0]), 0.0j, 1.0)
-        np.testing.assert_array_equal(s, np.zeros(2, dtype=complex))
+        _, chan = _perfect_link()
+        x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
+        s = _receive(x, chan, t_all=np.zeros(1, dtype=complex), eta=1.0)
+        np.testing.assert_array_equal(s, np.zeros((1, 1, 2), dtype=complex))
 
     def test_norm_identity(self):
+        _, chan = _perfect_link()
         rng = substream(23, "encode-norm")
         for _ in range(10):
             x = rng.standard_normal(8)
             t = complex(rng.standard_normal(), rng.standard_normal())
             eta = float(rng.uniform(0.2, 3.0))
-            s = encode(x, t, eta)
+            s = _receive(x[None, None], chan, t_all=np.array([t]), eta=eta)
             lhs = np.sum(np.abs(s) ** 2)
             rhs = (abs(t) ** 2 / (2 * eta)) * np.sum(x**2)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_odd_length_rejected(self):
+        _, chan = _perfect_link()
         with pytest.raises(ValueError):
-            encode(np.ones(5), 1.0 + 0.0j, 1.0)
+            over_the_air(
+                np.ones((1, 1, 5)), np.eye(1), np.ones(1), chan, 1.0, 1.0,
+                np.zeros((1, 1, 2)), np.zeros((1, 1, 2)),
+            )
 
     def test_decode_zero_coefficient(self):
-        out = decode(np.ones(3, dtype=complex), 0.0j, 1.0)
-        np.testing.assert_array_equal(out, np.zeros(6))
+        cfg, chan = _perfect_link()
+        out = transmit_batch(
+            np.ones((1, 1, 6)), np.eye(1, dtype=complex), np.zeros(1, dtype=complex),
+            np.ones(1, dtype=complex), chan, cfg, np.array([1.0]), seed=0, round_index=0,
+        )
+        np.testing.assert_array_equal(out, np.zeros((1, 1, 6)))
 
     def test_decode_componentwise_oracle(self):
+        # Noise-free link: decoding equalizes by r, rescales by sqrt(2 eta)
+        # and interleaves real and imaginary parts.
+        cfg, chan = _perfect_link()
         rng = substream(24, "decode-oracle")
-        y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        x = rng.standard_normal((1, 1, 8))
         r = complex(rng.standard_normal(), rng.standard_normal())
+        t = complex(rng.standard_normal(), rng.standard_normal())
         eta = 1.7
-        out = decode(y, r, eta)
-        scaled = r * y
+        out = transmit_batch(
+            x, np.eye(1, dtype=complex), np.array([r]), np.array([t]), chan, cfg,
+            np.array([eta]), seed=0, round_index=0,
+        )
+        scaled = r * _receive(x, chan, t_all=np.array([t]), eta=eta)[0, 0]
         expected = np.sqrt(2 * eta) * np.column_stack([scaled.real, scaled.imag]).ravel()
-        np.testing.assert_allclose(out, expected, rtol=1e-12)
+        np.testing.assert_allclose(out[0, 0], expected, rtol=1e-12)
 
     def test_perfect_round_trip(self):
+        cfg, chan = _perfect_link()
         x = np.array([0.3, -1.2, 2.5, 0.0, -0.7, 1.1])
         eta = compute_eta(x[None, :]).eta
-        s = encode(x, 1.0 + 0.0j, eta)
-        np.testing.assert_allclose(decode(s, 1.0 + 0.0j, eta), x, atol=1e-14)
+        out = transmit_batch(
+            x[None, None], np.eye(1, dtype=complex), np.ones(1, dtype=complex),
+            np.ones(1, dtype=complex), chan, cfg, np.array([eta]), seed=0, round_index=0,
+        )
+        np.testing.assert_allclose(out[0, 0], x, atol=1e-14)
 
 
 class TestChainOperations:
     def test_uplink_single_user_identity(self):
-        s = np.array([[1.0 + 2.0j, -1.0j]])
-        chan = ChannelRealization(
-            uplink=np.ones((1, 1), dtype=complex), downlink=np.ones((1, 1), dtype=complex)
-        )
-        out = uplink_superimpose(s, chan, np.zeros((1, 2), dtype=complex))
-        np.testing.assert_array_equal(out, s)
+        _, chan = _perfect_link()
+        out = _receive(np.array([[[1.0, 2.0, 0.0, -1.0]]]), chan)
+        np.testing.assert_array_equal(out, [[[1.0 + 2.0j, -1.0j]]])
 
     def test_uplink_zero_signal_returns_noise(self):
         rng = substream(25, "uplink-noise")
-        noise = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        chan = ChannelRealization(
-            uplink=rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
-            downlink=rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
-        )
-        out = uplink_superimpose(np.zeros((2, 4), dtype=complex), chan, noise)
+        chan = _relay_view(rng, 3)
+        noise = _complex(rng, (2, 3, 4))
+        out = _receive(np.zeros((2, 3, 8)), chan, relay_noise=noise)
         np.testing.assert_array_equal(out, noise)
 
     def test_uplink_loop_oracle(self):
         rng = substream(26, "uplink-oracle")
-        s = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        h = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        g = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        noise = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-        chan = ChannelRealization(uplink=h, downlink=g)
-        out = uplink_superimpose(s, chan, noise)
+        chan = _relay_view(rng, 4)
+        x = rng.standard_normal((2, 4, 10))
+        t = _complex(rng, 4)
+        noise = _complex(rng, (2, 4, 5))
+        out = _receive(x, chan, t_all=t, relay_noise=noise)
         expected = noise.copy()
-        for k in range(3):
-            for n in range(4):
-                for m in range(5):
-                    expected[n, m] += h[k, n] * s[k, m]
+        for r in range(2):
+            for k in range(4):
+                for n in range(4):
+                    for m in range(5):
+                        symbol = t[k] * complex(x[r, k, 2 * m], x[r, k, 2 * m + 1])
+                        expected[r, n, m] += chan.uplink[k, n] * symbol
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_uplink_dimension_mismatch(self):
@@ -190,33 +240,42 @@ class TestChainOperations:
             uplink=np.ones((2, 3), dtype=complex), downlink=np.ones((2, 3), dtype=complex)
         )
         with pytest.raises(ValueError):
-            uplink_superimpose(np.zeros((3, 4), dtype=complex), chan, np.zeros((3, 4), dtype=complex))
+            _receive(np.zeros((1, 3, 4)), chan)
+        with pytest.raises(ValueError):
+            _receive(np.zeros((1, 2, 4)), chan, relay_noise=np.zeros((3, 2), dtype=complex))
 
     def test_forward_identity_and_gain(self):
         rng = substream(27, "forward")
-        r_mat = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        np.testing.assert_array_equal(server_forward(np.eye(3, dtype=complex), r_mat, 1.0), r_mat)
+        chan = _relay_view(rng, 3)
+        r_mat = _complex(rng, (1, 3, 4))
+        x = np.zeros((1, 3, 8))
+        np.testing.assert_array_equal(_receive(x, chan, relay_noise=r_mat), r_mat)
         np.testing.assert_allclose(
-            server_forward(np.eye(3, dtype=complex), r_mat, 4.0), 2.0 * r_mat, rtol=1e-15
+            _receive(x, chan, power_scaling=4.0, relay_noise=r_mat), 2.0 * r_mat, rtol=1e-15
         )
-        f = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        np.testing.assert_allclose(server_forward(f, r_mat, 1.0), f @ r_mat, rtol=1e-12)
+        f = _complex(rng, (3, 3))
+        np.testing.assert_allclose(
+            _receive(x, chan, f_matrix=f, relay_noise=r_mat), f @ r_mat, rtol=1e-12
+        )
 
     def test_downlink_loop_oracle(self):
         rng = substream(28, "downlink-oracle")
-        fwd = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-        g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        noise = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        out = downlink_receive(fwd, g, noise)
+        chan = ChannelRealization(uplink=_complex(rng, (3, 4)), downlink=_complex(rng, (3, 4)))
+        fwd = _complex(rng, (1, 4, 5))
+        noise = _complex(rng, (1, 3, 5))
+        out = _receive(np.zeros((1, 3, 10)), chan, relay_noise=fwd, user_noise=noise)
         expected = noise.copy()
-        for m in range(5):
-            for n in range(4):
-                expected[m] += np.conj(g[n]) * fwd[n, m]
+        for k in range(3):
+            for m in range(5):
+                for n in range(4):
+                    expected[0, k, m] += np.conj(chan.downlink[k, n]) * fwd[0, n, m]
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_downlink_noise_only(self):
-        noise = np.array([1.0 + 1.0j, -2.0j])
-        out = downlink_receive(np.zeros((3, 2), dtype=complex), np.ones(3, dtype=complex), noise)
+        rng = substream(29, "downlink-noise")
+        chan = ChannelRealization(uplink=_complex(rng, (2, 3)), downlink=_complex(rng, (2, 3)))
+        noise = np.array([[[1.0 + 1.0j, -2.0j], [0.5, 3.0 + 0.0j]]])
+        out = _receive(np.zeros((1, 2, 4)), chan, user_noise=noise)
         np.testing.assert_array_equal(out, noise)
 
     def test_global_target(self):
@@ -229,6 +288,8 @@ class TestChainOperations:
         )
         w = AggregationWeights(np.array([1.0, 3.0]))
         np.testing.assert_allclose(global_target(x, w), 0.25 * x[0] + 0.75 * x[1])
+        batch = np.stack([x, 2.0 * x, -x])
+        np.testing.assert_allclose(global_target(batch, w), [global_target(b, w) for b in batch])
 
 
 class TestAnalyticMse:

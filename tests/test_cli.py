@@ -149,6 +149,31 @@ class TestExitCodes:
         assert "disagree" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "overrides, argv, message",
+        [
+            ({}, ["mse-check", "--draws", "1"], "--draws: must be at least 2"),
+            ({}, ["mse-check", "--instances", "0"], "--instances: must be at least 1"),
+            ({}, ["simulate", "--rounds", "-3"], "--rounds: must be at least 1"),
+            ({}, ["simulate", "--rounds", "0"], "--rounds: must be at least 1"),
+            ({}, ["simulate", "--replays", "0"], "--replays: must be at least 1"),
+            ({"task": {"dim": 0}}, ["optimize"], "task.dim: must be at least 1"),
+            ({"task": {"samples_per_user": 0}}, ["optimize"], "task.samples_per_user"),
+            ({"task": {"rows_per_sample": 0}}, ["simulate"], "task.rows_per_sample"),
+            ({"pam": {"u_block": "exact"}}, ["optimize"], "pam.u_block: unknown key"),
+            ({"pam": {"u_ridge": "full"}}, ["optimize"], "pam.u_ridge: unknown key"),
+        ],
+    )
+    def test_bad_inputs_are_config_errors(self, tmp_path, capsys, overrides, argv, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_tiny_config(**overrides)))
+        out = tmp_path / "out"
+        code = main(["--config", str(path)] + argv + ["--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSubcommands:
     def _write(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"

@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 
 from airfl.aircomp import AggregationWeights, analytic_mse, compute_eta
-from airfl.channel import ChannelRealization, RadioConfig, sample_channels, substream
+from airfl.channel import ChannelRealization, RadioConfig, sample_awgn, sample_channels, substream
 from airfl.flsim import (
     BoundAssumptionWarning,
     LocalTrainConfig,
     LogisticTask,
     QuadraticTask,
     bound_weight,
-    curvature,
     local_gd,
     make_logistic_task,
     make_quadratic_task,
     run_experiment,
     run_round,
     theorem1_bound,
-    transmit,
     transmit_batch,
 )
 from airfl.pam import PamConfig, update_r
@@ -49,7 +47,7 @@ class TestLocalTrainConfig:
     def test_canonical_step(self):
         # step = total_samples / (K * smoothness)
         task = make_quadratic_task(n_users=2, dim=4, samples_per_user=10, seed=0)
-        consts = curvature(task)
+        consts = task.curvature()
         step = LocalTrainConfig().resolve_step(task)
         assert step == pytest.approx(20.0 / (2.0 * consts.smoothness), rel=1e-12)
 
@@ -62,16 +60,16 @@ class TestLocalGd:
     def test_unit_curvature_one_step(self):
         task = _scalar_task()
         for x0 in (-5.0, 0.0, 17.0):
-            out = local_gd(task, 0, np.array([x0, 0.0]), step_size=1.0, n_steps=1)
-            np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-14)
+            out = local_gd(task, 0, np.array([[x0, 0.0]]), step_size=1.0, n_steps=1)
+            np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-14)
 
     def test_fixed_point_at_local_optimum(self):
         task = make_quadratic_task(n_users=2, dim=4, samples_per_user=8, seed=1)
         # local optimum of user 0: solve its own normal equations
         h = task._hess_sum[0]
         x_star = np.linalg.solve(h, task._lin_sum[0])
-        out = local_gd(task, 0, x_star, step_size=0.5, n_steps=3)
-        np.testing.assert_allclose(out, x_star, atol=1e-10)
+        out = local_gd(task, 0, np.stack([x_star, x_star]), step_size=0.5, n_steps=3)
+        np.testing.assert_allclose(out, [x_star, x_star], atol=1e-10)
 
     def test_gradient_matches_finite_differences(self):
         rng = substream(70, "gd-fd")
@@ -91,9 +89,9 @@ class TestLocalGd:
     def test_step_validation(self):
         task = _scalar_task()
         with pytest.raises(ValueError):
-            local_gd(task, 0, np.zeros(2), step_size=0.0, n_steps=1)
+            local_gd(task, 0, np.zeros((1, 2)), step_size=0.0, n_steps=1)
         with pytest.raises(ValueError):
-            local_gd(task, 0, np.zeros(2), step_size=0.1, n_steps=0)
+            local_gd(task, 0, np.zeros((1, 2)), step_size=0.1, n_steps=0)
 
 
 class TestCurvature:
@@ -101,7 +99,7 @@ class TestCurvature:
         # each user holds one sample with identity feature rows
         feats = [np.eye(2)[None, :, :] for _ in range(3)]
         tgts = [np.zeros((1, 2)) for _ in range(3)]
-        consts = curvature(QuadraticTask(feats, tgts))
+        consts = QuadraticTask(feats, tgts).curvature()
         assert consts.strong_convexity == pytest.approx(1.0, rel=1e-12)
         assert consts.smoothness == pytest.approx(1.0, rel=1e-12)
 
@@ -109,7 +107,7 @@ class TestCurvature:
         # per-user Hessian diag(1, 4) from a single sample
         feats = [np.diag([1.0, 2.0])[None, :, :] for _ in range(2)]
         tgts = [np.zeros((1, 2)) for _ in range(2)]
-        consts = curvature(QuadraticTask(feats, tgts))
+        consts = QuadraticTask(feats, tgts).curvature()
         assert consts.strong_convexity == pytest.approx(1.0, rel=1e-12)
         assert consts.smoothness == pytest.approx(4.0, rel=1e-12)
 
@@ -117,7 +115,7 @@ class TestCurvature:
         task = make_quadratic_task(
             n_users=3, dim=6, samples_per_user=9, whiten=False, seed=5
         )
-        consts = curvature(task)
+        consts = task.curvature()
         total = task.dataset_sizes.sum()
         global_hess = sum(
             np.einsum("npi,npj->ij", blk, blk) for blk in task.features
@@ -134,7 +132,7 @@ class TestCurvature:
     def test_degenerate_task_rejected(self):
         # padded coordinate has zero curvature
         with pytest.raises(ValueError):
-            curvature(QuadraticTask([np.ones((2, 1, 3))], [np.ones((2, 1))]))
+            QuadraticTask([np.ones((2, 1, 3))], [np.ones((2, 1))]).curvature()
 
 
 class TestBoundWeight:
@@ -194,7 +192,7 @@ class TestTheorem1Bound:
 class TestTasks:
     def test_whitened_global_hessian_is_identity(self):
         task = make_quadratic_task(n_users=3, dim=8, samples_per_user=20, seed=7)
-        consts = curvature(task)
+        consts = task.curvature()
         assert consts.strong_convexity == pytest.approx(1.0, rel=1e-8)
         np.testing.assert_allclose(task._global_hess, np.eye(8), atol=1e-10)
 
@@ -262,13 +260,15 @@ class TestTransmit:
         rng = substream(74, "tx-perfect")
         x = rng.standard_normal((1, 6))
         eta = compute_eta(x).eta
-        out = transmit(
-            x, np.eye(1, dtype=complex), np.ones(1, dtype=complex),
-            np.ones(1, dtype=complex), chan, radio, eta, seed=0, round_index=0,
+        out = transmit_batch(
+            x[None], np.eye(1, dtype=complex), np.ones(1, dtype=complex),
+            np.ones(1, dtype=complex), chan, radio, np.array([eta]), seed=0, round_index=0,
         )
-        np.testing.assert_allclose(out, x, atol=1e-14)
+        np.testing.assert_allclose(out[0], x, atol=1e-14)
 
     def test_batch_of_one_matches_single(self):
+        # A batch of one equals a per-stage, per-user loop that draws its
+        # noise under the documented substream labels.
         radio = RadioConfig(
             n_antennas=3, n_users=2, pathloss_db=0.0,
             noise_power_server=0.01, noise_power_user=0.02,
@@ -280,7 +280,17 @@ class TestTransmit:
         f = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 3)))
         r = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         t = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        single = transmit(x, f, r, t, chan, radio, eta, seed=42, round_index=3)
+        at_relay = sample_awgn((1, 3, 4), 0.01, 42, ("round", 3, "relay"))[0]
+        for k in range(2):
+            symbols = t[k] / np.sqrt(2 * eta) * (x[k, 0::2] + 1j * x[k, 1::2])
+            at_relay = at_relay + np.outer(chan.uplink[k], symbols)
+        forwarded = f @ at_relay
+        single = np.empty_like(x)
+        for k in range(2):
+            noise = sample_awgn((1, 4), 0.02, 42, ("round", 3, "user", k))[0]
+            equalized = np.sqrt(2 * eta) * r[k] * (chan.downlink[k].conj() @ forwarded + noise)
+            single[k, 0::2] = equalized.real
+            single[k, 1::2] = equalized.imag
         batch = transmit_batch(
             x[None], f, r, t, chan, radio, np.array([eta]), seed=42, round_index=3
         )

@@ -11,7 +11,6 @@ from airfl.linalg import (
     SingularMatrixError,
     StructuredGram,
     dense_solve,
-    kron,
     mat_of_vector,
     phase_project,
     structured_solve,
@@ -56,35 +55,9 @@ class TestVecMat:
             b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             lhs = vec_of_matrix(a @ x @ b.T)
-            rhs = kron(b, a) @ vec_of_matrix(x)
+            rhs = np.kron(b, a) @ vec_of_matrix(x)
             err = np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)
             assert err <= 1e-12
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_scalar_block(self):
-        out = kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[2.0]]))
-        np.testing.assert_array_equal(out, [[0.0, 2.0], [2.0, 0.0]])
-
-    def test_elementwise_oracle(self):
-        rng = substream(13, "kron-oracle")
-        a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        out = kron(a, b)
-        assert out.shape == (6, 6)
-        for i in range(3):
-            for j in range(2):
-                for p in range(2):
-                    for q in range(3):
-                        expected = a[i, j] * b[p, q]
-                        assert abs(out[i * 2 + p, j * 3 + q] - expected) <= 1e-15 * abs(expected)
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            kron(np.ones(3), np.eye(2))
 
 
 class TestDenseSolve:

@@ -33,10 +33,7 @@ cli
 
 from .aircomp import (
     AggregationWeights,
-    EncodeState,
-    SystemDims,
     analytic_mse,
-    compute_eta,
     global_target,
     monte_carlo_mse,
     mse_bracket_terms,
@@ -75,6 +72,7 @@ from .linalg import (
     IllConditionedError,
     NumericError,
     SingularMatrixError,
+    StructuredFactor,
     StructuredGram,
     dense_solve,
     mat_of_vector,
@@ -107,7 +105,6 @@ __all__ = [
     "ChannelRealization",
     "ConfigError",
     "CurvatureConstants",
-    "EncodeState",
     "ExperimentConfig",
     "ExperimentReport",
     "IllConditionedError",
@@ -122,13 +119,12 @@ __all__ = [
     "RoundRecord",
     "SingularMatrixError",
     "Solution",
+    "StructuredFactor",
     "StructuredGram",
-    "SystemDims",
     "analytic_mse",
     "baseline_optimize",
     "bound_weight",
     "build_workspace",
-    "compute_eta",
     "db_to_linear",
     "dbm_to_watts",
     "dense_solve",

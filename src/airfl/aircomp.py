@@ -25,37 +25,12 @@ from .channel import substream
 
 __all__ = [
     "AggregationWeights",
-    "EncodeState",
-    "SystemDims",
     "analytic_mse",
-    "compute_eta",
     "global_target",
     "monte_carlo_mse",
     "mse_bracket_terms",
     "over_the_air",
 ]
-
-
-@dataclass
-class SystemDims:
-    """Problem sizes: model dimension M (even), antennas N, users K."""
-
-    model_dim: int
-    n_antennas: int
-    n_users: int
-
-    def __post_init__(self):
-        self.model_dim = int(self.model_dim)
-        self.n_antennas = int(self.n_antennas)
-        self.n_users = int(self.n_users)
-        if self.model_dim < 2 or self.model_dim % 2:
-            raise ValueError(f"model_dim must be even and >= 2, got {self.model_dim}")
-        if self.n_antennas < 1 or self.n_users < 1:
-            raise ValueError("n_antennas and n_users must be at least 1")
-
-    @property
-    def n_symbols(self):
-        return self.model_dim // 2
 
 
 @dataclass
@@ -77,26 +52,6 @@ class AggregationWeights:
     @property
     def total(self):
         return float(self.dataset_sizes.sum())
-
-
-@dataclass
-class EncodeState:
-    """Power-normalization state: per-user second moments and their mean."""
-
-    eta: float
-    eta_per_user: np.ndarray
-
-
-def compute_eta(x_all):
-    """Mean per-entry second moment across users: eta = mean_k ||x_k||^2 / M."""
-    x = np.asarray(x_all, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError("x_all must be a (n_users, model_dim) array")
-    per_user = np.sum(x * x, axis=1) / x.shape[1]
-    eta = float(per_user.mean())
-    if eta == 0.0:
-        raise ValueError("all-zero parameters: eta would be zero")
-    return EncodeState(eta=eta, eta_per_user=per_user)
 
 
 def global_target(x_all, weights):

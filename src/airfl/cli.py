@@ -433,11 +433,18 @@ def _cmd_optimize(cfg, args):
 def _cmd_simulate(cfg, args):
     rounds = _at_least(cfg.rounds if args.rounds is None else args.rounds, 1, "--rounds")
     replays = _at_least(cfg.replays if args.replays is None else args.replays, 1, "--replays")
+    task = cfg.task.build(cfg.radio.n_users)
+    try:
+        cfg.train.resolve_step(task)
+    except ValueError as exc:
+        reason = f"task.dim {cfg.task.dim} is odd and its padded coordinate carries no data" if task.padded else exc
+        raise ConfigError(
+            f"train.step_size: null needs a strongly convex task, but {reason}; set train.step_size"
+        ) from exc
     out_dir = args.out or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     seeds = cfg.seeds if args.seed is None else (args.seed,)
     modes = _modes(cfg, args.mode)
-    task = cfg.task.build(cfg.radio.n_users)
     report = run_experiment(
         task,
         cfg.radio,

@@ -1,6 +1,6 @@
 """Complex linear-algebra primitives used throughout the package.
 
-The interesting piece here is :func:`structured_solve`: the relay
+The interesting piece here is :class:`StructuredFactor`: the relay
 subproblem produces Hermitian systems of the form
 
     (sum_j a_j a_j^H  +  c * I_N kron (g g^H)  +  ridge * I) x = rhs
@@ -8,7 +8,12 @@ subproblem produces Hermitian systems of the form
 on vectors of length N^2.  Materializing that matrix costs O(N^4) memory,
 so the solver applies the inverse directly: Sherman-Morrison on each of
 the N diagonal blocks (the Kronecker-plus-ridge part is block diagonal
-with identical N x N blocks), then a rank-K Woodbury correction.
+with identical N x N blocks), then a rank-K Woodbury correction.  The
+factor does the right-hand-side-free part once for a stack of such
+systems: the block inverse applied to the rank-one columns, the K x K
+capacitance matrices and their condition check.  Each solve then costs one
+batched block-inverse pass, one batched K x K solve and one batched
+product.  :func:`structured_solve` is the one-system, one-solve case.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ __all__ = [
     "IllConditionedError",
     "NumericError",
     "SingularMatrixError",
+    "StructuredFactor",
     "StructuredGram",
     "dense_solve",
     "mat_of_vector",
@@ -189,34 +195,111 @@ class StructuredGram:
         return m
 
 
-def _apply_base_inverse(gram, x):
-    """Apply the inverse of ``c * I kron (g g^H) + ridge * I`` to x.
+class StructuredFactor:
+    """Factored inverses of a stack of :class:`StructuredGram` operators.
 
-    Block-diagonal structure: each of the N diagonal blocks is the same
-    ``ridge * I_N + c g g^H``, inverted by Sherman-Morrison in O(N) per block.
-    ``x`` may be a vector or a (dim, m) stack of columns.
+    The grams must share ``dim`` and their number of rank-one columns k.
+    Building the factor applies each gram's base inverse B^-1 (the
+    Kronecker-plus-ridge part) to its rank-one columns A, forms each k x k
+    Woodbury capacitance ``I + A^H B^-1 A`` and checks its condition number,
+    raising :class:`IllConditionedError` above ``CONDITION_LIMIT``.  Every
+    later :meth:`solve` reuses that work, so many right-hand sides per gram
+    cost one base-inverse pass each plus a k x k solve.
+
+    Parameters
+    ----------
+    grams : sequence of StructuredGram
     """
-    if gram.kron_scale == 0:
-        return x / gram.ridge
-    g = gram.kron_vector
-    n = g.size
-    single = x.ndim == 1
-    cols = x.reshape((gram.dim, -1))
-    stacked = cols.reshape((n, n, cols.shape[1]), order="F")
-    denom = gram.ridge + gram.kron_scale * np.real(g.conj() @ g)
-    proj = np.einsum("i,ijl->jl", g.conj(), stacked)
-    corrected = (stacked - (gram.kron_scale / denom) * g[:, None, None] * proj[None, :, :])
-    out = corrected.reshape((gram.dim, cols.shape[1]), order="F") / gram.ridge
-    return out[:, 0] if single else out
+
+    def __init__(self, grams):
+        self.grams = list(grams)
+        if not self.grams:
+            raise ValueError("a factor needs at least one gram")
+        self.dim = self.grams[0].dim
+        k = self.grams[0].n_rank_one
+        if any(gram.dim != self.dim or gram.n_rank_one != k for gram in self.grams):
+            raise ValueError("grams in one factor must share dim and the number of rank-one columns")
+        batch = len(self.grams)
+        self.ridge = np.array([gram.ridge for gram in self.grams])
+        self.kron = np.array([gram.kron_scale > 0 for gram in self.grams])
+        if np.any(self.kron):
+            n = round(self.dim**0.5)
+            self.kron_vector = np.zeros((batch, n), dtype=complex)
+            # Sherman-Morrison weight c / (ridge + c ||g||^2) of each gram's
+            # identical N x N diagonal blocks ridge * I + c g g^H.
+            self.kron_weight = np.zeros(batch)
+            for b, gram in enumerate(self.grams):
+                if self.kron[b]:
+                    g = gram.kron_vector
+                    self.kron_vector[b] = g
+                    self.kron_weight[b] = gram.kron_scale / (gram.ridge + gram.kron_scale * np.real(g.conj() @ g))
+        self.capacitance = None
+        if k == 0:
+            return
+        # B^-1 A is held transposed, (batch, k, dim), so that each gram's
+        # (dim, k) block is column-major like the base inverse's own output;
+        # the rounding of the BLAS products below depends on that layout.
+        self.base_inv_a = np.empty((batch, k, self.dim), dtype=complex)
+        capacitance = np.empty((batch, k, k), dtype=complex)
+        for b, gram in enumerate(self.grams):
+            applied = self._apply_base_inverse(gram.rank_one[None], slice(b, b + 1))[0]
+            self.base_inv_a[b] = applied.T
+            capacitance[b] = np.eye(k, dtype=complex) + gram.rank_one.conj().T @ applied
+        eigs = np.linalg.eigvalsh(0.5 * (capacitance + np.swapaxes(capacitance.conj(), 1, 2)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.where(eigs[:, 0] <= 0, np.inf, eigs[:, -1] / eigs[:, 0])
+        bad = ~np.isfinite(cond) | (cond > CONDITION_LIMIT)
+        if np.any(bad):
+            worst = float(cond[np.argmax(bad)])
+            raise IllConditionedError(
+                f"Woodbury capacitance matrix condition estimate {worst:.3e} exceeds "
+                f"{CONDITION_LIMIT:.1e}; the system is numerically unreliable",
+                worst,
+            )
+        self.capacitance = capacitance
+
+    def _apply_base_inverse(self, x, which):
+        """Apply the inverse of ``c * I kron (g g^H) + ridge * I`` of each gram.
+
+        Block-diagonal structure: each of the N diagonal blocks is the same
+        ``ridge * I_N + c g g^H``, inverted by Sherman-Morrison in O(N) per
+        block.  ``x`` is a (batch, dim, m) stack for the grams selected by
+        the slice ``which``.
+        """
+        ridge = self.ridge[which][:, None, None]
+        kron = self.kron[which]
+        out = x / ridge
+        if np.any(kron):
+            g = self.kron_vector[which][kron]
+            n = g.shape[1]
+            m = x.shape[2]
+            stacked = x[kron].reshape((-1, n, n, m), order="F")
+            proj = np.einsum("bi,bijl->bjl", g.conj(), stacked)
+            weight = self.kron_weight[which][kron][:, None, None, None]
+            corrected = stacked - weight * g[:, :, None, None] * proj[:, None, :, :]
+            out[kron] = corrected.reshape((-1, self.dim, m), order="F") / ridge[kron]
+        return out
+
+    def solve(self, rhs):
+        """Solve ``grams[b] @ x[b] = rhs[b]`` for every b; rhs is (batch, dim)."""
+        rhs = np.asarray(rhs, dtype=complex)
+        if rhs.shape != (len(self.grams), self.dim):
+            raise ValueError(f"rhs must have shape ({len(self.grams)}, {self.dim}), got {rhs.shape}")
+        y = self._apply_base_inverse(rhs[:, :, None], slice(None))[:, :, 0]
+        if self.capacitance is None:
+            return y
+        a_h_y = np.stack([gram.rank_one.conj().T @ y[b] for b, gram in enumerate(self.grams)])
+        correction = np.linalg.solve(self.capacitance, a_h_y[:, :, None])
+        return y - (np.swapaxes(self.base_inv_a, 1, 2) @ correction)[:, :, 0]
 
 
 def structured_solve(gram, rhs):
     """Solve ``gram @ x = rhs`` using the block/Woodbury structure.
 
     Cost is O(k * dim + k^3) plus k extra O(dim) block inversions; no
-    dim x dim matrix is ever formed.  The k x k Woodbury capacitance matrix
-    is Hermitian positive definite by construction; its eigenvalue-ratio
-    condition number is checked and :class:`IllConditionedError` is raised
+    dim x dim matrix is ever formed.  This is the batch-of-one case of
+    :class:`StructuredFactor`, whose construction checks the k x k Woodbury
+    capacitance's condition number and raises :class:`IllConditionedError`
     above ``CONDITION_LIMIT``.
 
     Parameters
@@ -231,21 +314,4 @@ def structured_solve(gram, rhs):
     rhs = np.asarray(rhs, dtype=complex)
     if rhs.shape != (gram.dim,):
         raise ValueError(f"rhs must have shape ({gram.dim},), got {rhs.shape}")
-    k = gram.n_rank_one
-    if k == 0:
-        return _apply_base_inverse(gram, rhs)
-    a = gram.rank_one
-    applied = _apply_base_inverse(gram, np.column_stack([rhs, a]))
-    y = applied[:, 0]
-    base_inv_a = applied[:, 1:]
-    capacitance = np.eye(k, dtype=complex) + a.conj().T @ base_inv_a
-    eigs = np.linalg.eigvalsh(0.5 * (capacitance + capacitance.conj().T))
-    cond = np.inf if eigs[0] <= 0 else float(eigs[-1] / eigs[0])
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise IllConditionedError(
-            f"Woodbury capacitance matrix condition estimate {cond:.3e} exceeds "
-            f"{CONDITION_LIMIT:.1e}; the system is numerically unreliable",
-            cond,
-        )
-    correction = np.linalg.solve(capacitance, a.conj().T @ y)
-    return y - base_inv_a @ correction
+    return StructuredFactor([gram]).solve(rhs[None])[0]

@@ -10,8 +10,11 @@ receive equalizers r.  The objective is the worst user's MSE bracket (see
 * F: an inner penalized alternating-minimization loop over per-user copies
   u_k, the consensus vector f = vec(F), and its unit-modulus projection z.
 
-The inner loop's u-step solves a structured normal system via
-``linalg.structured_solve`` and never forms the N^2 x N^2 matrix.
+The inner loop's u-step solves K structured normal systems, one per user,
+and never forms an N^2 x N^2 matrix.  Their matrices depend only on the
+fixed (r, t, rho), so :func:`inner_pam` factors them once per call
+(``linalg.StructuredFactor``) and each cycle solves all users in one batched
+pass.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .aircomp import _effective_gains, mse_bracket_terms
 from .channel import substream
-from .linalg import StructuredGram, mat_of_vector, phase_project, structured_solve, vec_of_matrix
+from .linalg import StructuredFactor, StructuredGram, mat_of_vector, phase_project, vec_of_matrix
 
 __all__ = [
     "PamConfig",
@@ -151,14 +154,19 @@ def update_r(f_matrix, t_all, chan, weights, cfg):
     return numerator / denominator
 
 
+def _transmit_residual(coeff, alpha, t_all):
+    """Residuals coeff[k, j] t_j - alpha_j and their per-user squared sums."""
+    resid = coeff * np.asarray(t_all, dtype=complex)[None, :] - alpha[None, :]
+    return resid, np.sum(np.abs(resid) ** 2, axis=1)
+
+
 def transmit_objective(coeff, alpha, t_all):
     """Pointwise-max least-squares objective of the transmit-gain subproblem.
 
     ``coeff[k, j] = r_k g_k^H F h_j``; value is
     max_k sum_j |coeff[k, j] t_j - alpha_j|^2.
     """
-    resid = coeff * np.asarray(t_all, dtype=complex)[None, :] - alpha[None, :]
-    return float(np.max(np.sum(np.abs(resid) ** 2, axis=1)))
+    return float(np.max(_transmit_residual(coeff, alpha, t_all)[1]))
 
 
 def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, iters=2000, tol=1e-12):
@@ -189,9 +197,6 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, iters=2000, tol=1
             t[over] *= cap / mag[over]
         return t
 
-    def value(t):
-        return transmit_objective(coeff, alpha, t)
-
     # Candidate starts: the incoming point plus each user's own least-squares
     # solution (exact when that user alone sets the max), radially projected.
     candidates = [np.asarray(t_init, dtype=complex)]
@@ -201,7 +206,7 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, iters=2000, tol=1
         with np.errstate(divide="ignore", invalid="ignore"):
             t_ls = np.where(mag_sq > 0, alpha * row.conj() / mag_sq, 0.0)
         candidates.append(project(t_ls))
-    values = [value(t) for t in candidates]
+    values = [transmit_objective(coeff, alpha, t) for t in candidates]
     best_idx = int(np.argmin(values))
     best_t = candidates[best_idx].copy()
     best_val = values[best_idx]
@@ -211,15 +216,18 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, iters=2000, tol=1
     if curvature == 0.0:
         return candidates[0]
     step0 = 1.0 / curvature
+    # Each iterate's residual serves both its objective value and the next
+    # subgradient, so it is computed once.
+    resid, rows = _transmit_residual(coeff, alpha, x)
     for it in range(int(iters)):
-        resid = coeff * x[None, :] - alpha[None, :]
-        worst = int(np.argmax(np.sum(np.abs(resid) ** 2, axis=1)))
+        worst = int(np.argmax(rows))
         grad = coeff[worst].conj() * resid[worst]
         step = step0 / np.sqrt(it + 1.0)
         if step * np.linalg.norm(grad) <= tol * max(1.0, np.sqrt(best_val)):
             break
         x = project(x - step * grad)
-        val = value(x)
+        resid, rows = _transmit_residual(coeff, alpha, x)
+        val = float(np.max(rows))
         if val < best_val:
             best_val = val
             best_t = x.copy()
@@ -249,35 +257,47 @@ def build_workspace(r_all, t_all, chan, weights, cfg):
     )
 
 
+def _factor_u_step(workspace, rho):
+    """Factor every user's u-step system once for fixed (r, t, rho).
+
+    Returns the factor, the constant data part ``sum_j alpha_j a_{k,j}`` of
+    every user's right-hand side (one row per user), and the proximal weight
+    rho/K that multiplies f in it.
+    """
+    if not rho > 0:
+        raise ValueError("rho must be strictly positive")
+    k_users = workspace.n_users
+    ridge = rho / k_users
+    factor = StructuredFactor(
+        StructuredGram(
+            dim=workspace.dim,
+            rank_one=workspace.rank_one[k].T,
+            kron_scale=float(workspace.kron_scale[k]),
+            kron_vector=workspace.downlink[k],
+            ridge=ridge,
+        )
+        for k in range(k_users)
+    )
+    data_rhs = np.stack([workspace.alpha @ workspace.rank_one[k] for k in range(k_users)])
+    return factor, data_rhs, ridge
+
+
 def update_u(workspace, f, rho):
     """Per-user regularized least-squares step of the inner loop.
 
     Solves, for each user k,
         (sum_j a_{k,j} a_{k,j}^H + G_k + (rho/K) I) u_k
             = sum_j alpha_j a_{k,j} + (rho/K) f
-    via the structured solver; u_k exactly minimizes user k's data cost
-    plus its share (rho/K) ||u_k - f||^2 of the consensus penalty.
+    via one batched structured solve over all users; u_k exactly minimizes
+    user k's data cost plus its share (rho/K) ||u_k - f||^2 of the consensus
+    penalty.  This one-shot form factors the systems and solves once;
+    :func:`inner_pam` factors once per call and reuses the factor every cycle.
     """
-    if not rho > 0:
-        raise ValueError("rho must be strictly positive")
-    k_users = workspace.n_users
-    dim = workspace.dim
+    factor, data_rhs, ridge = _factor_u_step(workspace, rho)
     f = np.asarray(f, dtype=complex).reshape(-1)
-    if f.size != dim:
-        raise ValueError(f"f must have length {dim}")
-    ridge = rho / k_users
-    u_all = np.empty((k_users, dim), dtype=complex)
-    for k in range(k_users):
-        gram = StructuredGram(
-            dim=dim,
-            rank_one=workspace.rank_one[k].T,
-            kron_scale=float(workspace.kron_scale[k]),
-            kron_vector=workspace.downlink[k],
-            ridge=ridge,
-        )
-        rhs = workspace.alpha @ workspace.rank_one[k] + ridge * f
-        u_all[k] = structured_solve(gram, rhs)
-    return u_all
+    if f.size != workspace.dim:
+        raise ValueError(f"f must have length {workspace.dim}")
+    return factor.solve(data_rhs + ridge * f)
 
 
 def update_f(u_all, z):
@@ -296,14 +316,18 @@ def update_z(f):
 
 def _data_terms(workspace, u_all):
     """Per-user data cost: sum_j |a_{k,j}^H u_k - alpha_j|^2 + u_k^H G_k u_k."""
+    k_users = workspace.n_users
     n = workspace.downlink.shape[1]
-    data = np.empty(workspace.n_users)
-    for k in range(workspace.n_users):
-        fit = workspace.rank_one[k].conj() @ u_all[k] - workspace.alpha
-        u_mat = u_all[k].reshape((n, n), order="F")
-        quad = workspace.kron_scale[k] * np.sum(np.abs(workspace.downlink[k].conj() @ u_mat) ** 2)
-        data[k] = float(np.sum(np.abs(fit) ** 2) + quad)
-    return data
+    fit = np.array(
+        [
+            np.sum(np.abs(workspace.rank_one[k].conj() @ u_all[k] - workspace.alpha) ** 2)
+            for k in range(k_users)
+        ]
+    )
+    # u_mats[k] is u_k as an N x N matrix (column-major vec convention).
+    u_mats = u_all.reshape((k_users, n, n), order="F")
+    g_u = (workspace.downlink.conj()[:, None, :] @ u_mats)[:, 0, :]
+    return fit + workspace.kron_scale * np.sum(np.abs(g_u) ** 2, axis=1)
 
 
 def penalized_objective(u_all, f, z, workspace, rho):
@@ -321,9 +345,11 @@ def inner_pam(workspace, f_matrix_init, rho, m_inner):
     """Penalized alternating minimization for the relay matrix.
 
     Starts every block variable at vec(F_init) and cycles
-    copies (:func:`update_u`) -> consensus -> projection, recording the
-    merit after each full cycle.  Returns the unit-modulus matrix recovered
-    from the final projection, the merit trajectory, and the final state.
+    copies (the :func:`update_u` step) -> consensus -> projection, recording
+    the merit after each full cycle.  The copies' systems do not depend on f,
+    so they are factored once per call and every cycle is one batched solve.
+    Returns the unit-modulus matrix recovered from the final projection, the
+    merit trajectory, and the final state.
     """
     f_matrix_init = np.asarray(f_matrix_init, dtype=complex)
     n = f_matrix_init.shape[0]
@@ -332,9 +358,10 @@ def inner_pam(workspace, f_matrix_init, rho, m_inner):
     f = vec_of_matrix(f_matrix_init).astype(complex)
     z = f.copy()
     u_all = np.tile(f, (workspace.n_users, 1))
+    factor, data_rhs, ridge = _factor_u_step(workspace, rho)
     trajectory = np.empty(int(m_inner))
     for cycle in range(int(m_inner)):
-        u_all = update_u(workspace, f, rho)
+        u_all = factor.solve(data_rhs + ridge * f)
         f = update_f(u_all, z)
         z = update_z(f)
         trajectory[cycle] = penalized_objective(u_all, f, z, workspace, rho)

@@ -5,9 +5,7 @@ import pytest
 
 from airfl.aircomp import (
     AggregationWeights,
-    SystemDims,
     analytic_mse,
-    compute_eta,
     global_target,
     monte_carlo_mse,
     mse_bracket_terms,
@@ -80,16 +78,6 @@ def _random_state(rng, n, k, pathloss_db=0.0, noise_server=0.01, noise_user=0.02
     return cfg, chan, f_matrix, r_all, t_all, weights
 
 
-class TestSystemDims:
-    def test_symbols(self):
-        dims = SystemDims(model_dim=10, n_antennas=4, n_users=3)
-        assert dims.n_symbols == 5
-
-    def test_odd_model_dim_rejected(self):
-        with pytest.raises(ValueError):
-            SystemDims(model_dim=7, n_antennas=4, n_users=3)
-
-
 class TestAggregationWeights:
     def test_normalization(self):
         w = AggregationWeights(np.array([10.0, 30.0]))
@@ -100,31 +88,6 @@ class TestAggregationWeights:
     def test_nonpositive_sizes_rejected(self):
         with pytest.raises(ValueError):
             AggregationWeights(np.array([1.0, 0.0]))
-
-
-class TestEta:
-    def test_all_ones(self):
-        state = compute_eta(np.ones((1, 6)))
-        assert state.eta == 1.0
-
-    def test_mean_of_per_user(self):
-        x = np.zeros((2, 4))
-        x[0] = [1.0, 1.0, 1.0, 1.0]  # eta_0 = 1
-        x[1] = [2.0, 2.0, 2.0, 0.0]  # eta_1 = 3
-        state = compute_eta(x)
-        np.testing.assert_allclose(state.eta_per_user, [1.0, 3.0])
-        assert state.eta == 2.0
-
-    def test_oracle(self):
-        rng = substream(21, "eta-oracle")
-        x = rng.standard_normal((3, 10))
-        state = compute_eta(x)
-        expected = np.mean([np.sum(row**2) / 10.0 for row in x])
-        np.testing.assert_allclose(state.eta, expected)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            compute_eta(np.zeros((2, 4)))
 
 
 class TestEncodeDecode:
@@ -198,7 +161,7 @@ class TestEncodeDecode:
     def test_perfect_round_trip(self):
         cfg, chan = _perfect_link()
         x = np.array([0.3, -1.2, 2.5, 0.0, -0.7, 1.1])
-        eta = compute_eta(x[None, :]).eta
+        eta = float(np.mean(x * x))
         out = transmit_batch(
             x[None, None], np.eye(1, dtype=complex), np.ones(1, dtype=complex),
             np.ones(1, dtype=complex), chan, cfg, np.array([eta]), seed=0, round_index=0,

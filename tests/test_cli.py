@@ -162,6 +162,11 @@ class TestExitCodes:
             ({"task": {"rows_per_sample": 0}}, ["simulate"], "task.rows_per_sample"),
             ({"pam": {"u_block": "exact"}}, ["optimize"], "pam.u_block: unknown key"),
             ({"pam": {"u_ridge": "full"}}, ["optimize"], "pam.u_ridge: unknown key"),
+            (
+                {"task": {"dim": 5, "samples_per_user": 6}},
+                ["simulate"],
+                "train.step_size: null needs a strongly convex task, but task.dim 5 is odd",
+            ),
         ],
     )
     def test_bad_inputs_are_config_errors(self, tmp_path, capsys, overrides, argv, message):
@@ -204,6 +209,12 @@ class TestSubcommands:
             assert main(["--config", cfg_path, "optimize", "--out", str(out)]) == EXIT_OK
             outs.append((out / "solution_seed0.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_simulate_odd_dim_with_explicit_step(self, tmp_path):
+        cfg = _tiny_config(task={"dim": 5, "samples_per_user": 6}, train={"step_size": 0.05})
+        out = tmp_path / "sim"
+        assert main(["--config", self._write(tmp_path, cfg), "simulate", "--out", str(out)]) == EXIT_OK
+        assert (out / "trajectories_seed0.csv").exists()
 
     def test_simulate_outputs(self, tmp_path):
         cfg_path = self._write(tmp_path, _tiny_config())

@@ -9,6 +9,7 @@ from airfl.channel import substream
 from airfl.linalg import (
     IllConditionedError,
     SingularMatrixError,
+    StructuredFactor,
     StructuredGram,
     dense_solve,
     mat_of_vector,
@@ -269,3 +270,86 @@ class TestStructuredSolve:
         slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
         assert slope <= 4.0, f"timing slope {slope:.2f} suggests superquadratic scaling"
         assert times[-1] < 0.05, f"solve at N=64 took {times[-1]:.3f}s"
+
+
+def _unfactored_solve(gram, rhs):
+    """Reference: one Woodbury solve written out for a single system."""
+    a = gram.rank_one
+    x = np.column_stack([rhs, a])
+    if gram.kron_scale == 0:
+        applied = x / gram.ridge
+    else:
+        g = gram.kron_vector
+        n = g.size
+        stacked = x.reshape((n, n, x.shape[1]), order="F")
+        denom = gram.ridge + gram.kron_scale * np.real(g.conj() @ g)
+        proj = np.einsum("i,ijl->jl", g.conj(), stacked)
+        corrected = stacked - (gram.kron_scale / denom) * g[:, None, None] * proj[None, :, :]
+        applied = corrected.reshape(x.shape, order="F") / gram.ridge
+    y, base_inv_a = applied[:, 0], applied[:, 1:]
+    if a.shape[1] == 0:
+        return y
+    capacitance = np.eye(a.shape[1], dtype=complex) + a.conj().T @ base_inv_a
+    return y - base_inv_a @ np.linalg.solve(capacitance, a.conj().T @ y)
+
+
+class TestStructuredFactor:
+    def test_matches_unfactored_solve(self):
+        # Same arithmetic as the single-system formula, so equal bit for bit
+        # with a Kronecker block in any layout.  Without one, the reference
+        # takes its products in the layout of the rank-one columns, so those
+        # are kept column-major only (the layout the relay loop passes for
+        # K >= 2 users).
+        rng = substream(23, "factor-reference")
+        for i in range(80):
+            n = int(rng.integers(1, 7))
+            kron = i % 4 != 0
+            k = int(rng.integers(0, 5)) if kron else int(rng.choice([0, 2, 3, 4]))
+            gram = _random_gram(rng, n, k, kron_scale=None if kron else 0.0)
+            if kron and i % 3 == 0:
+                gram.rank_one = np.ascontiguousarray(gram.rank_one)
+            else:
+                gram.rank_one = np.asfortranarray(gram.rank_one)
+            rhs = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+            assert np.array_equal(structured_solve(gram, rhs), _unfactored_solve(gram, rhs))
+
+    def test_batch_matches_single_solves(self):
+        # One factor over several grams (with and without a Kronecker block)
+        # gives each gram's own solve bit for bit, for every right-hand side.
+        rng = substream(20, "factor-batch")
+        for n, k in ((1, 1), (2, 0), (3, 2), (5, 4)):
+            grams = [_random_gram(rng, n, k, kron_scale=scale) for scale in (0.0, 1.3, None, 0.0)]
+            factor = StructuredFactor(grams)
+            for _ in range(3):
+                rhs = rng.standard_normal((4, n * n)) + 1j * rng.standard_normal((4, n * n))
+                batch = factor.solve(rhs)
+                for gram, row, got in zip(grams, rhs, batch):
+                    assert np.array_equal(got, structured_solve(gram, row))
+
+    def test_shape_validation(self):
+        rng = substream(21, "factor-shapes")
+        with pytest.raises(ValueError):
+            StructuredFactor([])
+        with pytest.raises(ValueError):
+            StructuredFactor([_random_gram(rng, 2, 1), _random_gram(rng, 3, 1)])
+        with pytest.raises(ValueError):
+            StructuredFactor([_random_gram(rng, 2, 1), _random_gram(rng, 2, 2)])
+        factor = StructuredFactor([_random_gram(rng, 2, 1)])
+        with pytest.raises(ValueError):
+            factor.solve(np.ones(4, dtype=complex))
+
+    def test_first_ill_conditioned_gram_is_reported(self):
+        rng = substream(22, "factor-ill")
+        base = np.ones(4, dtype=complex)
+        bad = StructuredGram(
+            dim=4,
+            rank_one=1e9 * np.column_stack([base, base + 1e-14 * np.array([1.0, -1.0, 1.0, -1.0])]),
+            kron_scale=0.0,
+            kron_vector=None,
+            ridge=1e-6,
+        )
+        with pytest.raises(IllConditionedError) as single:
+            structured_solve(bad, base)
+        with pytest.raises(IllConditionedError) as batch:
+            StructuredFactor([_random_gram(rng, 2, 2), bad, _random_gram(rng, 2, 2)])
+        assert batch.value.condition_estimate == single.value.condition_estimate

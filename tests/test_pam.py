@@ -5,9 +5,17 @@ import pytest
 
 from airfl.aircomp import AggregationWeights
 from airfl.channel import ChannelRealization, RadioConfig, sample_channels, substream
-from airfl.linalg import StructuredGram, phase_project, vec_of_matrix
+from airfl.linalg import (
+    IllConditionedError,
+    StructuredGram,
+    mat_of_vector,
+    phase_project,
+    structured_solve,
+    vec_of_matrix,
+)
 from airfl.pam import (
     PamConfig,
+    PamWorkspace,
     Solution,
     baseline_optimize,
     build_workspace,
@@ -533,6 +541,115 @@ class TestInnerPam:
         ws = build_workspace(r, t, chan, w, cfg)
         with pytest.raises(ValueError):
             inner_pam(ws, np.ones((3, 3), dtype=complex), 1.0, 5)
+
+
+def _reference_inner_pam(ws, f_matrix_init, rho, m_inner):
+    """The unfactored inner loop: one structured_solve per user and per cycle,
+    and a per-user merit loop."""
+    n = f_matrix_init.shape[0]
+    ridge = rho / ws.n_users
+    f = vec_of_matrix(f_matrix_init).astype(complex)
+    z = f.copy()
+    trajectory = np.empty(m_inner)
+    for cycle in range(m_inner):
+        u_all = np.empty((ws.n_users, ws.dim), dtype=complex)
+        for k in range(ws.n_users):
+            gram = StructuredGram(
+                dim=ws.dim,
+                rank_one=ws.rank_one[k].T,
+                kron_scale=float(ws.kron_scale[k]),
+                kron_vector=ws.downlink[k],
+                ridge=ridge,
+            )
+            u_all[k] = structured_solve(gram, ws.alpha @ ws.rank_one[k] + ridge * f)
+        f = update_f(u_all, z)
+        z = update_z(f)
+        data = np.empty(ws.n_users)
+        for k in range(ws.n_users):
+            fit = ws.rank_one[k].conj() @ u_all[k] - ws.alpha
+            u_mat = u_all[k].reshape((n, n), order="F")
+            quad = ws.kron_scale[k] * np.sum(np.abs(ws.downlink[k].conj() @ u_mat) ** 2)
+            data[k] = float(np.sum(np.abs(fit) ** 2) + quad)
+        spread = np.mean(np.sum(np.abs(u_all - f[None, :]) ** 2, axis=1))
+        trajectory[cycle] = float(np.max(data) + rho * (spread + np.sum(np.abs(z - f) ** 2)))
+    return mat_of_vector(z, n, n), trajectory, u_all, f, z
+
+
+def _ill_conditioned_workspace():
+    """Two users; the second has two huge, nearly parallel rank-one vectors."""
+    base = np.ones(4, dtype=complex)
+    rank_one = np.zeros((2, 2, 4), dtype=complex)
+    rank_one[0] = np.eye(2, 4)
+    rank_one[1] = 1e9 * np.stack([base, base + 1e-14 * np.array([1.0, -1.0, 1.0, -1.0])])
+    return PamWorkspace(
+        rank_one=rank_one,
+        kron_scale=np.zeros(2),
+        downlink=np.ones((2, 2), dtype=complex),
+        alpha=np.array([0.5, 0.5]),
+    )
+
+
+class TestFactoredUStep:
+    @pytest.mark.parametrize(
+        "n, k, noise_server, zero_user",
+        [
+            (1, 1, 0.01, False),
+            (3, 2, 0.01, False),
+            (8, 3, 0.01, False),
+            (16, 8, 0.01, False),
+            (4, 3, 0.0, False),
+            (4, 3, 0.01, True),
+        ],
+    )
+    def test_matches_per_user_loop(self, n, k, noise_server, zero_user):
+        # Factoring once and solving every user in one batch performs the
+        # same arithmetic as the per-user, per-cycle loop, so every output
+        # is equal bit for bit.
+        rng = substream(66, f"factored-{n}-{k}-{noise_server}-{zero_user}")
+        cfg, chan, f0, r, t, w = _random_instance(rng, n, k, noise_server, 0.02)
+        if zero_user:
+            r[1] = 0.0
+        ws = build_workspace(r, t, chan, w, cfg)
+        rho = float(rng.uniform(0.2, 3.0))
+        f_new, trajectory, state = inner_pam(ws, f0, rho, 8)
+        expected = _reference_inner_pam(ws, f0, rho, 8)
+        for got, want in zip((f_new, trajectory, state.u_all, state.f, state.z), expected):
+            assert np.array_equal(got, want)
+
+    def test_factor_built_once_per_call(self, monkeypatch):
+        # Structural guard, no timing: the capacitance eigenvalue check runs
+        # once per user per inner_pam call, not once per user per cycle.
+        rng = substream(67, "factored-once")
+        cfg, chan, f0, r, t, w = _random_instance(rng, 3, 4)
+        ws = build_workspace(r, t, chan, w, cfg)
+        decomposed = []
+        original = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            a = np.asarray(a)
+            decomposed.append(int(np.prod(a.shape[:-2])))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        inner_pam(ws, f0, 1.0, 10)
+        assert sum(decomposed) == 4
+
+    def test_ill_conditioned_propagates(self):
+        ws = _ill_conditioned_workspace()
+        rho = 2e-6
+        gram = StructuredGram(
+            dim=4, rank_one=ws.rank_one[1].T, kron_scale=0.0, kron_vector=None, ridge=rho / 2
+        )
+        with pytest.raises(IllConditionedError) as single:
+            structured_solve(gram, np.ones(4, dtype=complex))
+        assert single.value.condition_estimate > 1e12
+        with pytest.raises(IllConditionedError) as from_u:
+            update_u(ws, np.ones(4, dtype=complex), rho)
+        with pytest.raises(IllConditionedError) as from_inner:
+            inner_pam(ws, np.ones((2, 2), dtype=complex), rho, 5)
+        for caught in (from_u, from_inner):
+            assert caught.value.condition_estimate == single.value.condition_estimate
+            assert str(caught.value) == str(single.value)
 
 
 class TestRunPam:

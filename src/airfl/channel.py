@@ -80,9 +80,7 @@ def _per_user(value, n_users, name):
 class RadioConfig:
     """Static radio parameters of the uplink/relay/downlink chain.
 
-    Defaults follow the reference operating point used throughout the tests:
-    8 relay antennas, 3 users, -40 dB pathloss, -80 dBm (1e-11 W) noise at
-    both ends, 1 W transmit power budget, unit relay power scaling.
+    Defaults are the reference operating point used throughout the tests.
 
     ``pathloss_db`` / ``noise_power_user`` accept a scalar (shared by all
     users) or one value per user.  ``downlink_pathloss_db=None`` reuses the
@@ -92,10 +90,10 @@ class RadioConfig:
 
     n_antennas: int = 8
     n_users: int = 3
-    pathloss_db: object = -40.0
-    downlink_pathloss_db: object = None
+    pathloss_db: float | list = -40.0
+    downlink_pathloss_db: float | list | None = None
     noise_power_server: float = 1e-11
-    noise_power_user: object = 1e-11
+    noise_power_user: float | list = 1e-11
     power_budget: float = 1.0
     power_scaling: float = 1.0
 

@@ -1,10 +1,12 @@
 """Command-line front end: optimize / simulate / mse-check / validate.
 
-Configuration is a single JSON file; unknown keys are rejected and every
-error message names the offending key path.  All output files embed the
-fully-resolved configuration and seed, floats are written with 17
-significant digits, and line endings are LF, so a rerun with the same seed
-reproduces every byte (noise substreams are keyed, never shared, so this
+Configuration is a single JSON file whose schema is the dataclass fields of
+:class:`ExperimentConfig` and its sections: each field gives its key's name,
+kind and default, and the dataclass validates the value.  Unknown keys are
+rejected and every error message names the offending key path.  All output
+files embed the fully-resolved configuration and seed, floats are written
+with 17 significant digits, and line endings are LF, so a rerun with the same
+seed reproduces every byte (noise substreams are keyed, never shared, so this
 holds regardless of evaluation order).
 
 Exit codes: 0 success, 2 configuration error, 3 validation failure,
@@ -15,9 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -41,6 +44,9 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
+# "both" runs the first two in turn.
+RUN_MODES = ("pam", "baseline", "both")
+
 
 class ConfigError(ValueError):
     """Bad configuration file or option; message names the key path."""
@@ -48,6 +54,12 @@ class ConfigError(ValueError):
 
 class ValidationFailure(RuntimeError):
     """A self-check (validate / mse-check) did not pass."""
+
+
+def _at_least(value, minimum, path):
+    if value < minimum:
+        raise ConfigError(f"{path}: must be at least {minimum}")
+    return value
 
 
 @dataclass
@@ -64,6 +76,14 @@ class TaskSpec:
     l2: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("quadratic", "logistic"):
+            raise ConfigError(f"task.kind: unknown task kind {self.kind!r}")
+        for key in ("dim", "samples_per_user", "rows_per_sample"):
+            _at_least(getattr(self, key), 1, f"task.{key}")
+        if self.kind == "logistic" and not self.l2 > 0:
+            raise ConfigError("task.l2: must be strictly positive for a logistic task")
+
     def build(self, n_users):
         if self.kind == "quadratic":
             return make_quadratic_task(
@@ -76,89 +96,114 @@ class TaskSpec:
                 whiten=self.whiten,
                 seed=self.seed,
             )
-        if self.kind == "logistic":
-            return make_logistic_task(
-                n_users=n_users,
-                dim=self.dim,
-                samples_per_user=self.samples_per_user,
-                l2=self.l2,
-                seed=self.seed,
-            )
-        raise ConfigError(f"task.kind: unknown task kind {self.kind!r}")
+        return make_logistic_task(
+            n_users=n_users,
+            dim=self.dim,
+            samples_per_user=self.samples_per_user,
+            l2=self.l2,
+            seed=self.seed,
+        )
 
 
 @dataclass
 class ExperimentConfig:
     """Fully-resolved run description (radio + optimizer + task + schedule)."""
 
-    radio: RadioConfig
-    pam: PamConfig
-    train: LocalTrainConfig
-    task: TaskSpec
+    radio: RadioConfig = field(default_factory=RadioConfig)
+    pam: PamConfig = field(default_factory=PamConfig)
+    train: LocalTrainConfig = field(default_factory=LocalTrainConfig)
+    task: TaskSpec = field(default_factory=TaskSpec)
     rounds: int = 15
     seeds: tuple = (0,)
     replays: int = 1
     mode: str = "both"
     out_dir: str = "out"
 
-
-def _expect(mapping, path):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{path}: expected an object")
-    return mapping
-
-
-def _take(section, known, path):
-    unknown = set(section) - set(known)
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
+    def __post_init__(self):
+        _at_least(self.rounds, 1, "rounds")
+        _at_least(self.replays, 1, "replays")
+        if self.mode not in RUN_MODES:
+            choices = ", ".join(map(repr, RUN_MODES[:-1])) + f" or {RUN_MODES[-1]!r}"
+            raise ConfigError(f"mode: expected {choices}, got {self.mode!r}")
 
 
-def _coerce(value, kind, path, allow_none=False):
+_SCALAR_KINDS = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def _coerce(value, kind, path):
     if value is None:
-        if allow_none:
-            return None
         raise ConfigError(f"{path}: must not be null")
     try:
-        if kind is int:
-            if isinstance(value, bool) or int(value) != value:
-                raise ValueError
-            return int(value)
-        if kind is float:
-            if isinstance(value, bool):
-                raise ValueError
-            return float(value)
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ValueError
-            return value
-        if kind is str:
-            if not isinstance(value, str):
-                raise ValueError
-            return value
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+        if isinstance(value, bool) != (kind is bool):
+            raise TypeError
+        coerced = kind(value) if kind in (int, float) else value
+        if not isinstance(coerced, kind) or (kind is int and coerced != value):
+            raise TypeError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}") from None
+    if kind is float and not math.isfinite(coerced):
+        raise ConfigError(f"{path}: must be finite")
+    return coerced
 
 
-def _at_least(value, minimum, path):
-    if value < minimum:
-        raise ConfigError(f"{path}: must be at least {minimum}")
-    return value
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _scalar_or_list(value, path, allow_none=False):
-    if value is None:
-        if allow_none:
+def _parse_value(kind, value, path):
+    """Coerce one JSON value to ``kind``, a field's annotation string."""
+    if kind.endswith(" | None"):
+        if value is None:
             return None
-        raise ConfigError(f"{path}: must not be null")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, list) and value and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        return [float(v) for v in value]
-    raise ConfigError(f"{path}: expected a number or nonempty list of numbers")
+        kind = kind.removesuffix(" | None")
+    if kind == "tuple":  # seeds: one int or a nonempty list of ints
+        if isinstance(value, int) and not isinstance(value, bool):
+            value = [value]
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected an integer or nonempty list of integers")
+        return tuple(_coerce(v, int, f"{path}[{i}]") for i, v in enumerate(value))
+    if kind == "float | list":  # per-user: one number shared by all users, or one each
+        if value is None:
+            raise ConfigError(f"{path}: must not be null")
+        if _is_number(value):
+            return _coerce(value, float, path)
+        if isinstance(value, list) and value and all(map(_is_number, value)):
+            return [_coerce(v, float, f"{path}[{i}]") for i, v in enumerate(value)]
+        raise ConfigError(f"{path}: expected a number or nonempty list of numbers")
+    return _coerce(value, _SCALAR_KINDS[kind], path)
+
+
+def _parse_section(cls, raw, name=None):
+    """Build dataclass ``cls`` from the JSON object ``raw`` found under key ``name``.
+
+    The fields of ``cls`` are the schema.  A field whose default factory is a
+    dataclass is a nested section; any other field is coerced by its
+    annotation, which ``Field.type`` holds as a string (postponed evaluation),
+    so no annotation is evaluated.  Keys absent from ``raw`` keep the field's
+    default, and the dataclass itself validates the values.
+    """
+    label = name or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{label}: expected an object")
+    schema = fields(cls)
+    unknown = sorted(set(raw) - {f.name for f in schema})
+    if unknown:
+        raise ConfigError(f"{label}.{unknown[0]}: unknown key")
+    values = {}
+    for f in schema:
+        if f.name not in raw:
+            continue
+        if is_dataclass(f.default_factory):
+            values[f.name] = _parse_section(f.default_factory, raw[f.name], f.name)
+        else:
+            path = f"{name}.{f.name}" if name else f.name
+            values[f.name] = _parse_value(f.type, raw[f.name], path)
+    try:
+        return cls(**values)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 def parse_config(source):
@@ -175,192 +220,20 @@ def parse_config(source):
             raise ConfigError(f"cannot read config file {source!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    data = _expect(data, "config")
-    _take(data, ["radio", "pam", "train", "task", "rounds", "seeds", "replays", "mode", "out_dir"], "config")
-
-    radio_raw = _expect(data.get("radio", {}), "radio")
-    _take(
-        radio_raw,
-        [
-            "n_antennas",
-            "n_users",
-            "pathloss_db",
-            "downlink_pathloss_db",
-            "noise_power_server",
-            "noise_power_user",
-            "power_budget",
-            "power_scaling",
-        ],
-        "radio",
-    )
-    try:
-        radio = RadioConfig(
-            n_antennas=_coerce(radio_raw.get("n_antennas", 8), int, "radio.n_antennas"),
-            n_users=_coerce(radio_raw.get("n_users", 3), int, "radio.n_users"),
-            pathloss_db=_scalar_or_list(radio_raw.get("pathloss_db", -40.0), "radio.pathloss_db"),
-            downlink_pathloss_db=_scalar_or_list(
-                radio_raw.get("downlink_pathloss_db"), "radio.downlink_pathloss_db", allow_none=True
-            ),
-            noise_power_server=_coerce(
-                radio_raw.get("noise_power_server", 1e-11), float, "radio.noise_power_server"
-            ),
-            noise_power_user=_scalar_or_list(
-                radio_raw.get("noise_power_user", 1e-11), "radio.noise_power_user"
-            ),
-            power_budget=_coerce(radio_raw.get("power_budget", 1.0), float, "radio.power_budget"),
-            power_scaling=_coerce(radio_raw.get("power_scaling", 1.0), float, "radio.power_scaling"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"radio: {exc}") from exc
-
-    pam_raw = _expect(data.get("pam", {}), "pam")
-    _take(
-        pam_raw,
-        [
-            "rho",
-            "n_outer",
-            "m_inner",
-            "t_solver_iters",
-            "t_solver_tol",
-            "init_strategy",
-            "seed",
-            "rho_growth",
-        ],
-        "pam",
-    )
-    try:
-        pam_cfg = PamConfig(
-            rho=_coerce(pam_raw.get("rho", 1.0), float, "pam.rho"),
-            n_outer=_coerce(pam_raw.get("n_outer", 20), int, "pam.n_outer"),
-            m_inner=_coerce(pam_raw.get("m_inner", 50), int, "pam.m_inner"),
-            t_solver_iters=_coerce(pam_raw.get("t_solver_iters", 2000), int, "pam.t_solver_iters"),
-            t_solver_tol=_coerce(pam_raw.get("t_solver_tol", 1e-12), float, "pam.t_solver_tol"),
-            init_strategy=_coerce(
-                pam_raw.get("init_strategy", "random-phase"), str, "pam.init_strategy"
-            ),
-            seed=_coerce(pam_raw.get("seed", 0), int, "pam.seed"),
-            rho_growth=_coerce(pam_raw.get("rho_growth", 1.0), float, "pam.rho_growth"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"pam: {exc}") from exc
-
-    train_raw = _expect(data.get("train", {}), "train")
-    _take(train_raw, ["step_size", "local_updates"], "train")
-    step_size = train_raw.get("step_size")
-    if step_size is not None:
-        step_size = _coerce(step_size, float, "train.step_size")
-    try:
-        train = LocalTrainConfig(
-            step_size=step_size,
-            local_updates=_coerce(train_raw.get("local_updates", 1), int, "train.local_updates"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"train: {exc}") from exc
-
-    task_raw = _expect(data.get("task", {}), "task")
-    _take(
-        task_raw,
-        [
-            "kind",
-            "dim",
-            "samples_per_user",
-            "rows_per_sample",
-            "heterogeneity",
-            "target_scale",
-            "whiten",
-            "l2",
-            "seed",
-        ],
-        "task",
-    )
-    task = TaskSpec(
-        kind=_coerce(task_raw.get("kind", "quadratic"), str, "task.kind"),
-        dim=_coerce(task_raw.get("dim", 10), int, "task.dim"),
-        samples_per_user=_coerce(task_raw.get("samples_per_user", 20), int, "task.samples_per_user"),
-        rows_per_sample=_coerce(task_raw.get("rows_per_sample", 2), int, "task.rows_per_sample"),
-        heterogeneity=_coerce(task_raw.get("heterogeneity", 0.5), float, "task.heterogeneity"),
-        target_scale=_coerce(task_raw.get("target_scale", 1.0), float, "task.target_scale"),
-        whiten=_coerce(task_raw.get("whiten", True), bool, "task.whiten"),
-        l2=_coerce(task_raw.get("l2", 0.1), float, "task.l2"),
-        seed=_coerce(task_raw.get("seed", 0), int, "task.seed"),
-    )
-    if task.kind not in ("quadratic", "logistic"):
-        raise ConfigError(f"task.kind: unknown task kind {task.kind!r}")
-    for key in ("dim", "samples_per_user", "rows_per_sample"):
-        _at_least(getattr(task, key), 1, f"task.{key}")
-
-    rounds = _at_least(_coerce(data.get("rounds", 15), int, "rounds"), 1, "rounds")
-    seeds_raw = data.get("seeds", [0])
-    if isinstance(seeds_raw, int) and not isinstance(seeds_raw, bool):
-        seeds_raw = [seeds_raw]
-    if not isinstance(seeds_raw, list) or not seeds_raw:
-        raise ConfigError("seeds: expected an integer or nonempty list of integers")
-    seeds = tuple(_coerce(s, int, f"seeds[{i}]") for i, s in enumerate(seeds_raw))
-    replays = _at_least(_coerce(data.get("replays", 1), int, "replays"), 1, "replays")
-    mode = _coerce(data.get("mode", "both"), str, "mode")
-    if mode not in ("pam", "baseline", "both"):
-        raise ConfigError(f"mode: expected 'pam', 'baseline' or 'both', got {mode!r}")
-    out_dir = _coerce(data.get("out_dir", "out"), str, "out_dir")
-    return ExperimentConfig(
-        radio=radio,
-        pam=pam_cfg,
-        train=train,
-        task=task,
-        rounds=rounds,
-        seeds=seeds,
-        replays=replays,
-        mode=mode,
-        out_dir=out_dir,
-    )
+    return _parse_section(ExperimentConfig, data)
 
 
 def resolved_config(cfg):
     """Plain-dict form of a parsed config; parse(resolved) is a fixed point."""
-    radio = cfg.radio
-    return {
-        "radio": {
-            "n_antennas": radio.n_antennas,
-            "n_users": radio.n_users,
-            "pathloss_db": list(radio.pathloss_db),
-            "downlink_pathloss_db": None
-            if radio.downlink_pathloss_db is None
-            else list(radio.downlink_pathloss_db),
-            "noise_power_server": radio.noise_power_server,
-            "noise_power_user": list(radio.noise_power_user),
-            "power_budget": radio.power_budget,
-            "power_scaling": radio.power_scaling,
-        },
-        "pam": {
-            "rho": cfg.pam.rho,
-            "n_outer": cfg.pam.n_outer,
-            "m_inner": cfg.pam.m_inner,
-            "t_solver_iters": cfg.pam.t_solver_iters,
-            "t_solver_tol": cfg.pam.t_solver_tol,
-            "init_strategy": cfg.pam.init_strategy,
-            "seed": cfg.pam.seed,
-            "rho_growth": cfg.pam.rho_growth,
-        },
-        "train": {
-            "step_size": cfg.train.step_size,
-            "local_updates": cfg.train.local_updates,
-        },
-        "task": {
-            "kind": cfg.task.kind,
-            "dim": cfg.task.dim,
-            "samples_per_user": cfg.task.samples_per_user,
-            "rows_per_sample": cfg.task.rows_per_sample,
-            "heterogeneity": cfg.task.heterogeneity,
-            "target_scale": cfg.task.target_scale,
-            "whiten": cfg.task.whiten,
-            "l2": cfg.task.l2,
-            "seed": cfg.task.seed,
-        },
-        "rounds": cfg.rounds,
-        "seeds": list(cfg.seeds),
-        "replays": cfg.replays,
-        "mode": cfg.mode,
-        "out_dir": cfg.out_dir,
-    }
+    resolved = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            value = resolved_config(value)
+        elif isinstance(value, (np.ndarray, tuple)):
+            value = list(value)
+        resolved[f.name] = value
+    return resolved
 
 
 def _fmt(value):
@@ -397,7 +270,7 @@ def _complex_list(values):
 
 def _modes(cfg, override=None):
     mode = override or cfg.mode
-    return ("pam", "baseline") if mode == "both" else (mode,)
+    return RUN_MODES[:2] if mode == "both" else (mode,)
 
 
 def _cmd_optimize(cfg, args):
@@ -701,13 +574,13 @@ def _build_parser():
 
     p_opt = sub.add_parser("optimize", help="optimize the relay for one fading block")
     p_opt.add_argument("--seed", type=int, default=None)
-    p_opt.add_argument("--mode", choices=["pam", "baseline", "both"], default=None)
+    p_opt.add_argument("--mode", choices=RUN_MODES, default=None)
     p_opt.add_argument("--round-index", type=int, default=0)
     p_opt.add_argument("--out", default=None)
 
     p_sim = sub.add_parser("simulate", help="run federated training over the analog link")
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--mode", choices=["pam", "baseline", "both"], default=None)
+    p_sim.add_argument("--mode", choices=RUN_MODES, default=None)
     p_sim.add_argument("--rounds", type=int, default=None)
     p_sim.add_argument("--replays", type=int, default=None)
     p_sim.add_argument("--out", default=None)

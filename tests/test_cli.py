@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,24 +69,36 @@ class TestParseConfig:
             parse_config({"pam": {"alpha": 0.5}})
 
     def test_errors_name_the_field(self):
-        with pytest.raises(ConfigError, match="radio"):
-            parse_config({"radio": {"noise_power_server": -1.0}})
-        with pytest.raises(ConfigError, match="radio.n_antennas"):
-            parse_config({"radio": {"n_antennas": "eight"}})
-        with pytest.raises(ConfigError, match="rounds"):
-            parse_config({"rounds": 0})
-        with pytest.raises(ConfigError, match="task.kind"):
-            parse_config({"task": {"kind": "svm"}})
-        with pytest.raises(ConfigError, match="mode"):
-            parse_config({"mode": "fastest"})
-        with pytest.raises(ConfigError, match="seeds"):
-            parse_config({"seeds": []})
-        with pytest.raises(ConfigError, match="pam.rho"):
-            parse_config({"pam": {"rho": "one"}})
-        with pytest.raises(ConfigError, match="pam"):
-            parse_config({"pam": {"rho": -1.0}})
-        with pytest.raises(ConfigError, match="train"):
-            parse_config({"train": {"step_size": 0.0}})
+        cases = [
+            ({"radio": {"noise_power_server": -1.0}}, "radio: noise_power_server must be nonnegative"),
+            ({"radio": {"n_antennas": "eight"}}, "radio.n_antennas: expected int, got 'eight'"),
+            ({"radio": {"pathloss_db": []}}, "radio.pathloss_db: expected a number or nonempty list of numbers"),
+            ({"rounds": 0}, "rounds: must be at least 1"),
+            ({"task": {"kind": "svm"}}, "task.kind: unknown task kind 'svm'"),
+            ({"mode": "fastest"}, "mode: expected 'pam', 'baseline' or 'both', got 'fastest'"),
+            ({"seeds": []}, "seeds: expected an integer or nonempty list of integers"),
+            ({"seeds": [1, "a"]}, "seeds[1]: expected int, got 'a'"),
+            ({"pam": {"rho": "one"}}, "pam.rho: expected float, got 'one'"),
+            ({"pam": {"rho": -1.0}}, "pam: rho must be strictly positive"),
+            ({"train": {"step_size": 0.0}}, "train: step_size must be strictly positive when given"),
+            ({"train": {"local_updates": "a"}}, "train.local_updates: expected int, got 'a'"),
+        ]
+        for config, message in cases:
+            with pytest.raises(ConfigError) as info:
+                parse_config(config)
+            assert str(info.value) == message
+
+    def test_readme_config_block_matches_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+        documented = json.loads(re.sub(r"//[^\n]*", "", block))
+        defaults = resolved_config(parse_config(None))
+        assert resolved_config(parse_config(documented)) == defaults
+
+        def key_tree(config):
+            return {key: key_tree(v) if isinstance(v, dict) else None for key, v in config.items()}
+
+        assert key_tree(documented) == key_tree(defaults)
 
     def test_scalar_seed_promoted(self):
         assert parse_config({"seeds": 7}).seeds == (7,)
@@ -166,6 +180,19 @@ class TestExitCodes:
                 {"task": {"dim": 5, "samples_per_user": 6}},
                 ["simulate"],
                 "train.step_size: null needs a strongly convex task, but task.dim 5 is odd",
+            ),
+            ({"radio": {"noise_power_server": float("nan")}}, ["optimize"], "radio.noise_power_server: must be finite"),
+            ({"radio": {"power_budget": float("inf")}}, ["optimize"], "radio.power_budget: must be finite"),
+            (
+                {"radio": {"n_users": 2, "noise_power_user": [0.01, float("nan")]}},
+                ["optimize"],
+                "radio.noise_power_user[1]: must be finite",
+            ),
+            ({"rounds": float("inf")}, ["simulate"], "rounds: expected int, got inf"),
+            (
+                {"task": {"kind": "logistic", "l2": 0}},
+                ["simulate"],
+                "task.l2: must be strictly positive for a logistic task",
             ),
         ],
     )

@@ -11,13 +11,8 @@ import time
 
 import numpy as np
 
-from airfl.aircomp import (
-    AggregationWeights,
-    _effective_gains,
-    analytic_mse,
-    monte_carlo_mse,
-    mse_bracket_terms,
-)
+from airfl import checks
+from airfl.aircomp import AggregationWeights, _effective_gains
 from airfl.channel import RadioConfig, sample_channels, substream
 from airfl.cli import main
 from airfl.flsim import (
@@ -26,18 +21,7 @@ from airfl.flsim import (
     run_experiment,
     run_round,
 )
-from airfl.linalg import StructuredGram, dense_solve, structured_solve
-from airfl.pam import (
-    PamConfig,
-    baseline_optimize,
-    build_workspace,
-    inner_pam,
-    run_pam,
-    transmit_objective,
-    update_r,
-    update_t,
-    update_u,
-)
+from airfl.pam import PamConfig, transmit_objective, update_t
 
 REFERENCE_RADIO = dict(
     n_antennas=8,
@@ -59,47 +43,9 @@ def _verdict(number, name, passed, detail):
     assert passed, line
 
 
-def _assert_block_pairs(solution, tag):
-    """Both per-block subproblem objectives must be non-increasing at every step."""
-    for before, after in solution.r_update_pairs:
-        assert after <= before + 1e-9, f"{tag}: equalizer step rose {before} -> {after}"
-    for before, after in solution.t_update_pairs:
-        assert after <= before + 1e-9, f"{tag}: transmit step rose {before} -> {after}"
-
-
 def test_criterion_01_structured_solver_matches_dense_oracle():
-    rng = substream(601, "acceptance-structured")
     t0 = time.time()
-    worst = 0.0
-    for i in range(200):
-        n = int(rng.integers(2, 5))
-        k = int(rng.integers(1, 4))
-        radio = RadioConfig(
-            n_antennas=n,
-            n_users=k,
-            pathloss_db=0.0,
-            noise_power_server=float(rng.uniform(0.001, 0.1)),
-            noise_power_user=float(rng.uniform(0.001, 0.1)),
-        )
-        chan = sample_channels(radio, 10_000 + i)
-        r_all = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        t_all = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        weights = AggregationWeights(rng.uniform(1.0, 5.0, k))
-        ws = build_workspace(r_all, t_all, chan, weights, radio)
-        rho = float(rng.uniform(0.1, 10.0))
-        f = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
-        user = int(rng.integers(k))
-        gram = StructuredGram(
-            dim=n * n,
-            rank_one=ws.rank_one[user].T,
-            kron_scale=float(ws.kron_scale[user]),
-            kron_vector=ws.downlink[user],
-            ridge=rho / k,
-        )
-        rhs = weights.alpha @ ws.rank_one[user] + (rho / k) * f
-        fast = structured_solve(gram, rhs)
-        slow = dense_solve(gram.materialize(), rhs)
-        worst = max(worst, np.linalg.norm(fast - slow) / np.linalg.norm(slow))
+    worst = checks.structured_solve_error(601, 200)
     elapsed = time.time() - t0
     _verdict(
         1,
@@ -110,171 +56,40 @@ def test_criterion_01_structured_solver_matches_dense_oracle():
 
 
 def test_criterion_02_closed_form_updates_are_stationary():
-    rng = substream(602, "acceptance-stationarity")
-    h = 1e-6
-    worst_r = 0.0
-    for i in range(100):
-        n = int(rng.integers(2, 5))
-        k = int(rng.integers(1, 4))
-        radio = RadioConfig(
-            n_antennas=n,
-            n_users=k,
-            pathloss_db=0.0,
-            noise_power_server=float(rng.uniform(0.005, 0.05)),
-            noise_power_user=float(rng.uniform(0.005, 0.05)),
-        )
-        chan = sample_channels(radio, 20_000 + i)
-        f_matrix = np.exp(1j * rng.uniform(0, 2 * np.pi, (n, n)))
-        t_all = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        weights = AggregationWeights(rng.uniform(1.0, 5.0, k))
-        r_all = update_r(f_matrix, t_all, chan, weights, radio)
-        base = mse_bracket_terms(f_matrix, r_all, t_all, chan, weights, radio)
-        for user in range(k):
-            for delta in (h, 1j * h):
-                plus = r_all.copy()
-                plus[user] += delta
-                minus = r_all.copy()
-                minus[user] -= delta
-                slope = (
-                    mse_bracket_terms(f_matrix, plus, t_all, chan, weights, radio)[user]
-                    - mse_bracket_terms(f_matrix, minus, t_all, chan, weights, radio)[user]
-                ) / (2 * h)
-                worst_r = max(worst_r, abs(slope) / max(1.0, base[user]))
-
-    worst_u = 0.0
-    for i in range(100):
-        n = int(rng.integers(2, 4))
-        k = int(rng.integers(1, 4))
-        radio = RadioConfig(
-            n_antennas=n,
-            n_users=k,
-            pathloss_db=0.0,
-            noise_power_server=float(rng.uniform(0.005, 0.05)),
-            noise_power_user=float(rng.uniform(0.005, 0.05)),
-        )
-        chan = sample_channels(radio, 30_000 + i)
-        r_all = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        t_all = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        weights = AggregationWeights(rng.uniform(1.0, 5.0, k))
-        ws = build_workspace(r_all, t_all, chan, weights, radio)
-        rho = float(rng.uniform(0.1, 10.0))
-        f = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
-        u_all = update_u(ws, f, rho)
-        prox = rho / k
-
-        def objective(user, u):
-            fit = ws.rank_one[user].conj() @ u - weights.alpha
-            u_mat = u.reshape((n, n), order="F")
-            quad = ws.kron_scale[user] * np.sum(
-                np.abs(ws.downlink[user].conj() @ u_mat) ** 2
-            )
-            return (
-                float(np.sum(np.abs(fit) ** 2))
-                + quad
-                + prox * float(np.sum(np.abs(u - f) ** 2))
-            )
-
-        user = int(rng.integers(k))
-        scale = max(1.0, objective(user, u_all[user]))
-        grad_sq = 0.0
-        for idx in range(n * n):
-            for delta in (h, 1j * h):
-                plus = u_all[user].copy()
-                plus[idx] += delta
-                minus = u_all[user].copy()
-                minus[idx] -= delta
-                grad_sq += ((objective(user, plus) - objective(user, minus)) / (2 * h)) ** 2
-        worst_u = max(worst_u, np.sqrt(grad_sq) / scale)
-
-    passed = worst_r <= 1e-6 and worst_u <= 1e-6
+    worst_r, worst_u = checks.stationarity_slopes(602, 100)
     _verdict(
         2,
         "closed-form equalizer and copy updates are stationary points",
-        passed,
+        worst_r <= 1e-6 and worst_u <= 1e-6,
         f"100+100 instances, worst scaled slope r {worst_r:.2e}, u {worst_u:.2e}",
     )
 
 
 def test_criterion_03_inner_merit_never_increases():
-    radio = RadioConfig(
-        n_antennas=4,
-        n_users=3,
-        pathloss_db=0.0,
-        noise_power_server=0.05,
-        noise_power_user=0.05,
-    )
-    violations = 0
-    checks = 0
-    worst_rise = -np.inf
-    for seed in range(100):
-        rng = substream(603, "acceptance-inner", seed)
-        chan = sample_channels(radio, seed)
-        weights = AggregationWeights(rng.uniform(1.0, 4.0, 3))
-        r_all = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        t_all = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        ws = build_workspace(r_all, t_all, chan, weights, radio)
-        f0 = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 4)))
-        for rho in (0.1, 1.0, 10.0):
-            _, trajectory, _ = inner_pam(ws, f0, rho, 50)
-            rises = np.diff(trajectory)
-            checks += rises.size
-            violations += int(np.sum(rises > 1e-9))
-            worst_rise = max(worst_rise, float(rises.max()))
+    rises = checks.inner_merit_rises(603, 100)
+    violations = int(np.sum(rises > 1e-9))
     _verdict(
         3,
         "inner penalized merit is non-increasing",
         violations == 0,
-        f"100 seeds x 3 penalty weights x 50 cycles: {violations}/{checks} rises "
-        f"beyond 1e-9 slack (worst step {worst_rise:+.2e})",
+        f"100 seeds x 3 penalty weights x 50 cycles: {violations}/{rises.size} rises "
+        f"beyond 1e-9 slack (worst step {float(rises.max()):+.2e})",
     )
 
 
 def test_criterion_04_block_updates_never_increase_their_objectives():
-    radio = RadioConfig(**REFERENCE_RADIO)
-    weights = AggregationWeights(np.array([20.0, 20.0, 20.0]))
-    pairs_checked = 0
-    for seed in range(10):
-        chan = sample_channels(radio, seed)
-        for run in (
-            run_pam(chan, weights, radio, PamConfig(n_outer=8, m_inner=15, seed=seed)),
-            baseline_optimize(chan, weights, radio, PamConfig(n_outer=8, m_inner=15)),
-        ):
-            _assert_block_pairs(run, f"seed {seed} mode {run.mode}")
-            pairs_checked += len(run.r_update_pairs) + len(run.t_update_pairs)
+    worst, pairs_checked = checks.paired_block_rise(range(10))
     _verdict(
         4,
         "equalizer and transmit blocks never regress",
-        True,
+        worst <= 1e-9,
         f"{pairs_checked} before/after pairs across 10 seeded paired runs",
     )
 
 
 def test_criterion_05_closed_form_mse_matches_simulation():
-    rng = substream(605, "acceptance-mse")
     t0 = time.time()
-    worst_z = 0.0
-    for i in range(50):
-        n = int(rng.integers(2, 5))
-        k = int(rng.integers(1, 4))
-        radio = RadioConfig(
-            n_antennas=n,
-            n_users=k,
-            pathloss_db=0.0,
-            noise_power_server=float(rng.uniform(0.005, 0.05)),
-            noise_power_user=float(rng.uniform(0.005, 0.05)),
-        )
-        chan = sample_channels(radio, 40_000 + i)
-        f_matrix = np.exp(1j * rng.uniform(0, 2 * np.pi, (n, n)))
-        t_all = np.sqrt(radio.power_budget) * np.exp(1j * rng.uniform(0, 2 * np.pi, k))
-        weights = AggregationWeights(rng.uniform(1.0, 5.0, k))
-        r_all = update_r(f_matrix, t_all, chan, weights, radio)
-        eta = float(rng.uniform(0.5, 2.0))
-        n_symbols = int(rng.integers(1, 6))
-        closed = analytic_mse(f_matrix, r_all, t_all, chan, weights, radio, eta, n_symbols)
-        mc_mean, mc_se = monte_carlo_mse(
-            f_matrix, r_all, t_all, chan, weights, radio, eta, n_symbols, 100_000, 50_000 + i
-        )
-        worst_z = max(worst_z, float(np.max(np.abs(closed - mc_mean) / mc_se)))
+    worst_z = checks.mse_agreement(605, 50, 100_000)
     elapsed = time.time() - t0
     _verdict(
         5,
@@ -371,7 +186,7 @@ def test_criterion_08_loss_gap_bound_holds_in_final_third():
     )
     trajectory = report.get(0, "pam")
     for sol in trajectory.solutions:
-        _assert_block_pairs(sol, "criterion 8")
+        assert checks.block_rise(sol) <= 1e-9, "criterion 8: a block update rose"
     final_third = trajectory.bound_ok[10:]
     early_violations = int(np.sum(~trajectory.bound_ok[:10]))
     margin = float(
@@ -406,7 +221,7 @@ def test_criterion_09_relay_optimization_beats_fixed_relay():
         pam_traj = report.get(seed, "pam")
         base_traj = report.get(seed, "baseline")
         for sol in pam_traj.solutions + base_traj.solutions:
-            _assert_block_pairs(sol, f"criterion 9 seed {seed}")
+            assert checks.block_rise(sol) <= 1e-9, f"criterion 9 seed {seed}: a block update rose"
         wins += pam_traj.objective[-1] < base_traj.objective[-1]
         ratios.append(pam_traj.objective[-1] / base_traj.objective[-1])
     pam_mean_loss = float(np.mean([report.get(s, "pam").final_loss for s in seeds]))

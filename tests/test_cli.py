@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from airfl import checks
 from airfl.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -305,8 +306,31 @@ class TestSubcommands:
         assert max(z_scores) <= 3.0
         assert "OK" in capsys.readouterr().out
 
+    def test_mse_check_exact_single_user_link(self, tmp_path, capsys):
+        # One user, no noise: the relayed aggregate is exact up to rounding,
+        # so the standard error floor, not a rounding-sized se, sets |z|.
+        radio = {"n_antennas": 2, "n_users": 1, "pathloss_db": 0.0,
+                 "noise_power_server": 0.0, "noise_power_user": 0.0}
+        cfg_path = self._write(tmp_path, {"radio": radio})
+        code = main(["--config", cfg_path, "mse-check", "--draws", "1000",
+                     "--instances", "2", "--out", str(tmp_path / "mse")])
+        assert code == EXIT_OK
+        assert "OK" in capsys.readouterr().out
+
     def test_validate_passes(self, capsys):
         assert main(["validate", "--seed", "3"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
         assert out.count("[ok]") == 6
+
+    @pytest.mark.parametrize("value", [5.0, float("nan")])
+    def test_validate_reports_failed_check(self, monkeypatch, capsys, value):
+        monkeypatch.setattr(checks, "mse_agreement", lambda seed, count, draws: value)
+        assert main(["validate", "--seed", "3"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line for line in lines if line.startswith("[FAIL]")] == [
+            f"[FAIL] closed-form MSE matches simulation: worst |z| {value:.2e} (bound 4)"
+        ]
+        assert sum(line.startswith("[ok]") for line in lines) == 5
+        assert "1 validation check(s) failed: closed-form MSE matches simulation" in captured.err

@@ -8,6 +8,7 @@ MODULES = [
     "airfl",
     "airfl.aircomp",
     "airfl.channel",
+    "airfl.checks",
     "airfl.cli",
     "airfl.flsim",
     "airfl.linalg",

@@ -129,12 +129,18 @@ def mse_bracket_terms(f_matrix, r_all, t_all, chan, weights, cfg):
 
 
 def analytic_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols):
-    """Closed-form per-user MSE: 2 * eta * S * bracket (see mse_bracket_terms)."""
-    if not eta > 0:
+    """Closed-form per-user MSE: 2 * eta * S * bracket (see mse_bracket_terms).
+
+    ``eta`` is one power normalization, giving (K,), or one per replay (R,),
+    giving (R, K).
+    """
+    eta = np.asarray(eta, dtype=float)
+    if not np.all(eta > 0):
         raise ValueError("eta must be strictly positive")
     if int(n_symbols) < 1:
         raise ValueError("n_symbols must be at least 1")
-    return 2.0 * eta * int(n_symbols) * mse_bracket_terms(f_matrix, r_all, t_all, chan, weights, cfg)
+    bracket = mse_bracket_terms(f_matrix, r_all, t_all, chan, weights, cfg)
+    return 2.0 * eta[..., None] * int(n_symbols) * bracket
 
 
 def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, draws, seed):

@@ -86,13 +86,13 @@ def phase_projection_excess(seed, count):
     """Worst excess of the unit-modulus projection's squared distance over a grid's.
 
     Projects ``count`` random points and compares each with the nearest of
-    1000 equally spaced unit-circle points; an output off the unit circle
-    makes the excess infinite.
+    1000 equally spaced unit-circle points; an output whose modulus is off
+    1 by more than 1e-12 makes the excess infinite.
     """
     rng = substream(seed, "validate-phase")
     v = _complex_normal(rng, count)
     p = phase_project(v)
-    if not np.allclose(np.abs(p), 1.0, atol=1e-15):
+    if not np.max(np.abs(np.abs(p) - 1.0)) <= 1e-12:
         return np.inf
     grid = np.exp(1j * np.linspace(0, 2 * np.pi, 1000, endpoint=False))
     best = np.min(np.abs(grid[None, :] - v[:, None]) ** 2, axis=1)

@@ -252,6 +252,14 @@ def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _write_csv(path, stamp, header, rows):
+    """A ``# <stamp JSON>`` line, the header, then one line per row."""
+    lines = ["# " + json.dumps(stamp, sort_keys=True), header]
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
+    print(f"wrote {path}")
+
+
 def _stamp(cfg, seed=None, extra=None):
     stamp = {"config": resolved_config(cfg)}
     if seed is not None:
@@ -330,40 +338,28 @@ def _cmd_simulate(cfg, args):
     )
     summary = {}
     for seed in seeds:
-        stamp = _stamp(cfg, seed=seed, extra={"rounds": rounds, "replays": replays})
-        lines = ["# " + json.dumps(stamp, sort_keys=True)]
-        lines.append("round,mode,loss,loss_gap,max_mse,bound")
-        for mode in modes:
-            traj = report.get(seed, mode)
-            for i in range(rounds):
-                lines.append(
-                    ",".join(
-                        [
-                            str(i),
-                            mode,
-                            _fmt(traj.loss[i]),
-                            _fmt(traj.loss_gap[i]),
-                            _fmt(traj.max_mse[i]),
-                            _fmt(traj.bound[i]),
-                        ]
-                    )
-                )
-        path = os.path.join(out_dir, f"trajectories_seed{seed}.csv")
-        _write_text(path, "\n".join(lines) + "\n")
-        print(f"wrote {path}")
+        trajectories = {mode: report.get(seed, mode) for mode in modes}
+        _write_csv(
+            os.path.join(out_dir, f"trajectories_seed{seed}.csv"),
+            _stamp(cfg, seed=seed, extra={"rounds": rounds, "replays": replays}),
+            "round,mode,loss,loss_gap,max_mse,bound",
+            [
+                (i, mode, traj.loss[i], traj.loss_gap[i], traj.max_mse[i], traj.bound[i])
+                for mode, traj in trajectories.items()
+                for i in range(rounds)
+            ],
+        )
         summary[str(seed)] = {
             mode: {
-                "final_loss": report.get(seed, mode).final_loss,
-                "final_loss_gap": float(report.get(seed, mode).loss_gap[-1]),
-                "final_max_mse": float(report.get(seed, mode).max_mse[-1]),
-                "final_objective": report.get(seed, mode).final_objective,
-                "bound_ok_final_third": bool(
-                    np.all(report.get(seed, mode).bound_ok[-max(1, rounds // 3) :])
-                )
-                if not np.isnan(report.get(seed, mode).bound[-1])
-                else None,
+                "final_loss": traj.final_loss,
+                "final_loss_gap": float(traj.loss_gap[-1]),
+                "final_max_mse": float(traj.max_mse[-1]),
+                "final_objective": traj.final_objective,
+                "bound_ok_final_third": None
+                if np.isnan(traj.bound[-1])
+                else bool(np.all(traj.bound_ok[-max(1, rounds // 3) :])),
             }
-            for mode in modes
+            for mode, traj in trajectories.items()
         }
     payload = _stamp(
         cfg,
@@ -379,11 +375,10 @@ def _cmd_simulate(cfg, args):
     _write_text(path, _json_text(payload))
     print(f"wrote {path}")
     for seed in seeds:
-        for mode in modes:
-            traj = report.get(seed, mode)
+        for mode, final in summary[str(seed)].items():
             print(
-                f"seed {seed} {mode:9s} final loss {_fmt(traj.final_loss)} "
-                f"final max-MSE {_fmt(traj.max_mse[-1])}"
+                f"seed {seed} {mode:9s} final loss {_fmt(final['final_loss'])} "
+                f"final max-MSE {_fmt(final['final_max_mse'])}"
             )
     return EXIT_OK
 
@@ -407,13 +402,12 @@ def _cmd_mse_check(cfg, args):
         for k in range(radio.n_users):
             worst = max(worst, abs(z[k]))
             rows.append((idx, k, closed[k], mc_mean[k], mc_se[k], z[k]))
-    lines = ["# " + json.dumps(_stamp(cfg, seed=seed, extra={"draws": draws}), sort_keys=True)]
-    lines.append("instance,user,analytic,mc_mean,mc_se,z_score")
-    for row in rows:
-        lines.append(",".join([str(row[0]), str(row[1])] + [_fmt(v) for v in row[2:]]))
-    path = os.path.join(out_dir, "mse_check.csv")
-    _write_text(path, "\n".join(lines) + "\n")
-    print(f"wrote {path}")
+    _write_csv(
+        os.path.join(out_dir, "mse_check.csv"),
+        _stamp(cfg, seed=seed, extra={"draws": draws}),
+        "instance,user,analytic,mc_mean,mc_se,z_score",
+        rows,
+    )
     print(f"instances: {n_instances}  draws: {draws}  worst |z|: {worst:.3f}")
     if worst > 3.0:
         raise ValidationFailure(
@@ -467,6 +461,7 @@ def _build_parser():
     p_opt.add_argument("--mode", choices=RUN_MODES, default=None)
     p_opt.add_argument("--round-index", type=int, default=0)
     p_opt.add_argument("--out", default=None)
+    p_opt.set_defaults(func=_cmd_optimize)
 
     p_sim = sub.add_parser("simulate", help="run federated training over the analog link")
     p_sim.add_argument("--seed", type=int, default=None)
@@ -474,32 +469,25 @@ def _build_parser():
     p_sim.add_argument("--rounds", type=int, default=None)
     p_sim.add_argument("--replays", type=int, default=None)
     p_sim.add_argument("--out", default=None)
+    p_sim.set_defaults(func=_cmd_simulate)
 
     p_mse = sub.add_parser("mse-check", help="closed-form vs simulated MSE cross-check")
     p_mse.add_argument("--seed", type=int, default=None)
     p_mse.add_argument("--draws", type=int, default=100000)
     p_mse.add_argument("--instances", type=int, default=5)
     p_mse.add_argument("--out", default=None)
+    p_mse.set_defaults(func=_cmd_mse_check)
 
     p_val = sub.add_parser("validate", help="run the deterministic self-check suite")
     p_val.add_argument("--seed", type=int, default=None)
+    p_val.set_defaults(func=_cmd_validate)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
-        if args.command == "optimize":
-            return _cmd_optimize(cfg, args)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, args)
-        if args.command == "mse-check":
-            return _cmd_mse_check(cfg, args)
-        if args.command == "validate":
-            return _cmd_validate(cfg, args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(parse_config(args.config), args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -509,4 +497,3 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    return EXIT_OK

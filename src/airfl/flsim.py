@@ -1,11 +1,14 @@
 """Federated training loop over the analog aggregation link.
 
-One round: every user runs E local gradient steps, the updated parameters are
-aggregated over the air (encode -> superimpose -> relay forward -> receive ->
-decode), and each user's decoded vector becomes its next starting point.  The
-relay matrix and link gains are re-optimized every round from that round's
-fading realization; they do not depend on the model parameters, so noise
-replays of the same round can share one optimized solution.
+One round (:func:`round_step`): every user runs E local gradient steps, the
+updated parameters are aggregated over the air (encode -> superimpose ->
+relay forward -> receive -> decode), and each user's decoded vector becomes
+its next starting point.  The relay matrix and link gains are re-optimized
+every round from that round's fading realization (:func:`solve_round`); they
+do not depend on the model parameters, so noise replays of the same round
+share one optimized solution.  :func:`run_experiment` is the round loop: it
+advances all replays of a (seed, mode) run together and records their
+averaged per-round series.
 
 Also provides synthetic strongly-convex tasks (least squares, L2-regularized
 logistic regression) and the geometric-decay loss-gap bound that links the
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .aircomp import AggregationWeights, global_target, mse_bracket_terms, over_the_air
+from .aircomp import AggregationWeights, analytic_mse, global_target, over_the_air
 from .channel import derive_seed, sample_awgn, sample_channels
 from .linalg import dense_solve
 from .pam import PamConfig, baseline_optimize, run_pam
@@ -32,13 +35,12 @@ __all__ = [
     "LogisticTask",
     "ModeTrajectory",
     "QuadraticTask",
-    "RoundRecord",
-    "bound_weight",
     "local_gd",
     "make_logistic_task",
     "make_quadratic_task",
+    "round_step",
     "run_experiment",
-    "run_round",
+    "solve_round",
     "theorem1_bound",
     "transmit_batch",
 ]
@@ -352,17 +354,23 @@ def local_gd(task, k, x_batch, step_size, n_steps):
     return x_batch
 
 
-def bound_weight(round_index, source_index, n_users, smoothness, strong_convexity, total_samples):
-    """Geometric weight attached to the worst-user MSE of an earlier round.
+def theorem1_bound(max_mse_history, n_users, smoothness, strong_convexity, total_samples):
+    """Loss-gap bound at the latest round from the worst-user MSE history.
 
-    weight = K L (3 + 2/K) / (2 D) * (1 - mu D / (K L)) ** (i - i')
-    with K users, smoothness L, strong convexity mu, and D total samples.
-    A warning is recorded when the decay base falls outside [0, 1) (the
-    geometric interpretation then breaks down), but the value is returned.
+    ``max_mse_history`` is (..., rounds) with the latest round i last; the
+    MSE of round i' enters the bound with the geometric weight
+
+        K L (3 + 2/K) / (2 D) * (1 - mu D / (K L)) ** (i - i')
+
+    with K users, smoothness L, strong convexity mu and D total samples.
+    Returns a float for a 1-D history and one bound per leading index
+    otherwise.  A warning is recorded when the decay base falls outside
+    [0, 1) (the geometric interpretation then breaks down), but the value is
+    returned.
     """
-    i, i_prime = int(round_index), int(source_index)
-    if i_prime < 0 or i_prime > i:
-        raise ValueError("need 0 <= source_index <= round_index")
+    history = np.asarray(max_mse_history, dtype=float)
+    if history.ndim == 0 or history.shape[-1] == 0:
+        raise ValueError("max_mse_history must have a nonempty last (rounds) axis")
     k = int(n_users)
     if k < 1 or not smoothness > 0 or not strong_convexity > 0 or not total_samples > 0:
         raise ValueError("n_users, smoothness, strong_convexity, total_samples must be positive")
@@ -374,22 +382,12 @@ def bound_weight(round_index, source_index, n_users, smoothness, strong_convexit
             stacklevel=2,
         )
     prefactor = k * smoothness * (3.0 + 2.0 / k) / (2.0 * total_samples)
-    return prefactor * base ** (i - i_prime)
-
-
-def theorem1_bound(max_mse_history, n_users, smoothness, strong_convexity, total_samples):
-    """Loss-gap bound at the latest round from the worst-user MSE history."""
-    history = np.asarray(max_mse_history, dtype=float)
-    if history.ndim != 1 or history.size == 0:
-        raise ValueError("max_mse_history must be a nonempty 1-D sequence")
-    i = history.size - 1
-    weights = np.array(
-        [
-            bound_weight(i, i_prime, n_users, smoothness, strong_convexity, total_samples)
-            for i_prime in range(i + 1)
-        ]
-    )
-    return float(weights @ history)
+    # Scalar powers and one dot product per history row keep every bound
+    # bit-identical to the per-row 1-D evaluation.
+    lags = range(history.shape[-1] - 1, -1, -1)
+    weights = np.array([prefactor * base**lag for lag in lags])
+    bound = np.matmul(history[..., None, :], weights[:, None])[..., 0, 0]
+    return float(bound) if history.ndim == 1 else bound
 
 
 def transmit_batch(x_batch, f_matrix, r_all, t_all, chan, radio, eta_batch, seed, round_index):
@@ -425,22 +423,8 @@ def transmit_batch(x_batch, f_matrix, r_all, t_all, chan, radio, eta_batch, seed
     return decoded
 
 
-@dataclass
-class RoundRecord:
-    """Everything measured in one round of one trajectory."""
-
-    round_index: int
-    mode: str
-    loss: float
-    loss_gap: float
-    mse: np.ndarray
-    max_mse: float
-    objective: float
-    decoded_loss: np.ndarray
-    realized_sq_error: np.ndarray
-
-
-def _solve_round(mode, chan, weights, radio, pam_cfg, seed, round_index):
+def solve_round(mode, chan, weights, radio, pam_cfg, seed, round_index):
+    """The round's optimized link for ``mode`` ('pam' or 'baseline')."""
     if mode == "pam":
         cfg_round = replace(pam_cfg, seed=derive_seed(seed, "phase-init", int(round_index)))
         return run_pam(chan, weights, radio, cfg_round)
@@ -449,9 +433,7 @@ def _solve_round(mode, chan, weights, radio, pam_cfg, seed, round_index):
     raise ValueError(f"unknown mode {mode!r} (expected 'pam' or 'baseline')")
 
 
-def _round_step(
-    x_batch, task, weights, chan, radio, solution, step, local_updates, seed, round_index
-):
+def round_step(x_batch, task, weights, chan, radio, solution, step, local_updates, seed, round_index):
     """One round for R noise replays of every user's parameters (R, K, M).
 
     Runs the local steps, then sends the result over the air with the
@@ -464,77 +446,10 @@ def _round_step(
         axis=1,
     )
     eta_batch = np.mean(np.sum(x_batch * x_batch, axis=2), axis=1) / task.dim
-    if np.any(eta_batch <= 0):
-        raise ValueError("all-zero parameters in some replay; cannot encode")
-    target = global_target(x_batch, weights)
-    bracket = mse_bracket_terms(
-        solution.f_matrix, solution.r_all, solution.t_all, chan, weights, radio
-    )
-    mse = 2.0 * eta_batch[:, None] * (task.dim // 2) * bracket[None, :]
-    decoded = transmit_batch(
-        x_batch,
-        solution.f_matrix,
-        solution.r_all,
-        solution.t_all,
-        chan,
-        radio,
-        eta_batch,
-        seed,
-        round_index,
-    )
-    return decoded, target, mse
-
-
-def run_round(
-    x_all,
-    task,
-    weights,
-    chan,
-    radio,
-    mode,
-    pam_cfg,
-    train_cfg,
-    seed,
-    round_index,
-    lambda_star=None,
-    solution=None,
-):
-    """Advance one federated round; returns (next parameters, record).
-
-    This is the single-replay case of the round :func:`run_experiment` runs.
-    ``solution`` may carry a pre-optimized link (e.g. shared across noise
-    replays); otherwise the round's beamforming problem is solved here.
-    """
-    if solution is None:
-        solution = _solve_round(mode, chan, weights, radio, pam_cfg, seed, round_index)
-    decoded, target, mse = _round_step(
-        np.asarray(x_all, dtype=float)[None],
-        task,
-        weights,
-        chan,
-        radio,
-        solution,
-        train_cfg.resolve_step(task),
-        train_cfg.local_updates,
-        seed,
-        round_index,
-    )
-    decoded, target, mse = decoded[0], target[0], mse[0]
-    loss = task.global_loss(target)
-    if lambda_star is None:
-        lambda_star = task.optimum()[1]
-    record = RoundRecord(
-        round_index=int(round_index),
-        mode=mode,
-        loss=loss,
-        loss_gap=loss - lambda_star,
-        mse=mse,
-        max_mse=float(np.max(mse)),
-        objective=solution.objective,
-        decoded_loss=task.global_loss_batch(decoded),
-        realized_sq_error=np.sum((decoded - target[None, :]) ** 2, axis=1),
-    )
-    return decoded, record
+    link = (solution.f_matrix, solution.r_all, solution.t_all)
+    mse = analytic_mse(*link, chan, weights, radio, eta_batch, task.dim // 2)
+    decoded = transmit_batch(x_batch, *link, chan, radio, eta_batch, seed, round_index)
+    return decoded, global_target(x_batch, weights), mse
 
 
 @dataclass
@@ -617,68 +532,41 @@ def run_experiment(
         channels = [sample_channels(radio, seed, round_index=i) for i in range(rounds)]
         for mode in modes:
             solutions = [
-                _solve_round(mode, channels[i], weights, radio, pam_cfg, seed, i)
+                solve_round(mode, channels[i], weights, radio, pam_cfg, seed, i)
                 for i in range(rounds)
             ]
             x_batch = np.zeros((replays, task.n_users, task.dim))
             loss = np.empty(rounds)
-            loss_gap = np.empty(rounds)
             max_mse = np.empty(rounds)
-            bound = np.empty(rounds)
-            objective = np.empty(rounds)
+            bound = np.full(rounds, np.nan)
             decoded_gap = np.empty((rounds, task.n_users))
-            bound_ok = np.zeros(rounds, dtype=bool)
             mse_history = np.empty((replays, rounds))
-            for i in range(rounds):
-                sol = solutions[i]
-                x_batch, target, mse_rk = _round_step(
-                    x_batch,
-                    task,
-                    weights,
-                    channels[i],
-                    radio,
-                    sol,
-                    step,
-                    train_cfg.local_updates,
-                    seed,
-                    i,
+            for i, sol in enumerate(solutions):
+                x_batch, target, mse_rk = round_step(
+                    x_batch, task, weights, channels[i], radio, sol, step,
+                    train_cfg.local_updates, seed, i,
                 )
                 mse_history[:, i] = np.max(mse_rk, axis=1)
-                losses = task.global_loss_batch(target)
-                loss[i] = losses.mean()
-                loss_gap[i] = loss[i] - lambda_star
+                loss[i] = task.global_loss_batch(target).mean()
                 max_mse[i] = mse_history[:, i].mean()
-                objective[i] = sol.objective
                 if consts is not None:
-                    per_replay_bound = np.array(
-                        [
-                            theorem1_bound(
-                                mse_history[r, : i + 1],
-                                task.n_users,
-                                consts.smoothness,
-                                consts.strong_convexity,
-                                total,
-                            )
-                            for r in range(replays)
-                        ]
-                    )
-                    bound[i] = per_replay_bound.mean()
-                else:
-                    bound[i] = np.nan
+                    bound[i] = theorem1_bound(
+                        mse_history[:, : i + 1], task.n_users, consts.smoothness,
+                        consts.strong_convexity, total,
+                    ).mean()
                 for k in range(task.n_users):
                     decoded_gap[i, k] = task.global_loss_batch(x_batch[:, k, :]).mean() - lambda_star
-                if consts is not None:
-                    bound_ok[i] = np.max(decoded_gap[i]) <= bound[i]
             trajectories[(seed, mode)] = ModeTrajectory(
                 seed=seed,
                 mode=mode,
                 loss=loss,
-                loss_gap=loss_gap,
+                loss_gap=loss - lambda_star,
                 max_mse=max_mse,
                 bound=bound,
-                objective=objective,
+                objective=np.array([sol.objective for sol in solutions]),
                 decoded_gap=decoded_gap,
-                bound_ok=bound_ok,
+                # NaN bounds (no curvature constants) compare False.
+                bound_ok=decoded_gap.max(axis=1) <= bound,
                 solutions=solutions,
             )
     return ExperimentReport(

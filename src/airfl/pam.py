@@ -43,7 +43,6 @@ __all__ = [
     "update_r",
     "update_t",
     "update_u",
-    "update_z",
 ]
 
 _INIT_STRATEGIES = ("random-phase", "all-ones")
@@ -309,11 +308,6 @@ def update_f(u_all, z):
     return 0.5 * (u_all.mean(axis=0) + z)
 
 
-def update_z(f):
-    """Unit-modulus projection of the consensus vector."""
-    return phase_project(f)
-
-
 def _data_terms(workspace, u_all):
     """Per-user data cost: sum_j |a_{k,j}^H u_k - alpha_j|^2 + u_k^H G_k u_k."""
     k_users = workspace.n_users
@@ -363,7 +357,7 @@ def inner_pam(workspace, f_matrix_init, rho, m_inner):
     for cycle in range(int(m_inner)):
         u_all = factor.solve(data_rhs + ridge * f)
         f = update_f(u_all, z)
-        z = update_z(f)
+        z = phase_project(f)
         trajectory[cycle] = penalized_objective(u_all, f, z, workspace, rho)
     state = PhaseShiftState(f=f, u_all=u_all, z=z)
     return mat_of_vector(z, n, n), trajectory, state

@@ -18,8 +18,9 @@ from airfl.cli import main
 from airfl.flsim import (
     LocalTrainConfig,
     make_quadratic_task,
+    round_step,
     run_experiment,
-    run_round,
+    solve_round,
 )
 from airfl.pam import PamConfig, transmit_objective, update_t
 
@@ -151,18 +152,15 @@ def test_criterion_07_perfect_link_reproduces_centralized_descent():
     weights = AggregationWeights(task.dataset_sizes)
     train = LocalTrainConfig()
     step = train.resolve_step(task)
-    lam = task.optimum()[1]
     worst = 0.0
     for mode in ("baseline", "pam"):
-        x = np.zeros((1, 10))
+        x = np.zeros((1, 1, 10))
         y = np.zeros(10)
         for i in range(15):
-            x, record = run_round(
-                x, task, weights, chan, radio, mode, RUN_PAM_CFG, train,
-                seed=0, round_index=i, lambda_star=lam,
-            )
+            sol = solve_round(mode, chan, weights, radio, RUN_PAM_CFG, 0, i)
+            x = round_step(x, task, weights, chan, radio, sol, step, train.local_updates, 0, i)[0]
             y = y - step * task.local_gradient(0, y)
-            worst = max(worst, float(np.max(np.abs(x[0] - y))))
+            worst = max(worst, float(np.max(np.abs(x[0, 0] - y))))
     _verdict(
         7,
         "zero-noise single-user rounds equal centralized gradient descent",

@@ -302,6 +302,17 @@ class TestAnalyticMse:
         bracket = mse_bracket_terms(f, r, t, chan, w, cfg)
         np.testing.assert_allclose(full, 2 * eta * n_symbols * bracket, rtol=1e-12)
 
+    def test_one_eta_per_replay(self):
+        rng = substream(38, "mse-per-replay")
+        cfg, chan, f, r, t, w = _random_state(rng, 3, 2)
+        etas = np.array([0.4, 1.3, 2.0])
+        batch = analytic_mse(f, r, t, chan, w, cfg, etas, 5)
+        assert batch.shape == (3, 2)
+        for row, eta in zip(batch, etas):
+            np.testing.assert_array_equal(row, analytic_mse(f, r, t, chan, w, cfg, eta, 5))
+        with pytest.raises(ValueError):
+            analytic_mse(f, r, t, chan, w, cfg, np.array([1.0, 0.0]), 5)
+
     def test_brute_force_expression(self):
         # Independent elementwise recomputation of the bracket.
         rng = substream(31, "mse-brute")

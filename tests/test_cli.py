@@ -242,7 +242,54 @@ class TestSubcommands:
         cfg = _tiny_config(task={"dim": 5, "samples_per_user": 6}, train={"step_size": 0.05})
         out = tmp_path / "sim"
         assert main(["--config", self._write(tmp_path, cfg), "simulate", "--out", str(out)]) == EXIT_OK
-        assert (out / "trajectories_seed0.csv").exists()
+        # The padded task has no curvature constants, so no bound is computed.
+        rows = (out / "trajectories_seed0.csv").read_text().splitlines()[2:]
+        assert len(rows) == 3 * 2 and all(row.split(",")[5] == "nan" for row in rows)
+        summary = json.loads((out / "summary.json").read_text())["summary"]["0"]
+        assert all(summary[mode]["bound_ok_final_third"] is None for mode in ("pam", "baseline"))
+
+    def test_simulate_golden_numbers(self, tmp_path):
+        # Criterion 10's tiny config against recorded outputs: any drift in
+        # simulate's arithmetic, not only nondeterminism, fails here.
+        cfg = _tiny_config(seeds=[7], replays=2)
+        out = tmp_path / "sim"
+        argv = ["--config", self._write(tmp_path, cfg), "simulate", "--seed", "7", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        lines = (out / "trajectories_seed7.csv").read_text().splitlines()
+        assert json.loads(lines[0][2:]) == {
+            "config": resolved_config(parse_config(cfg)), "seed": 7, "rounds": 3, "replays": 2
+        }
+        assert lines[1] == "round,mode,loss,loss_gap,max_mse,bound"
+        rows = [line.split(",") for line in lines[2:]]
+        assert [row[:2] for row in rows] == [[str(i), m] for m in ("pam", "baseline") for i in range(3)]
+        np.testing.assert_allclose(
+            [[float(v) for v in row[2:]] for row in rows],
+            [
+                [0.10149718108077355, 0.057494295988922084, 0.0068991352922916594, 0.021333772266749509],
+                [0.054719774550800793, 0.01071688945894933, 0.018407082959297258, 0.064454593613522446],
+                [0.047634162400486069, 0.0036312773086346062, 0.075052229001176002, 0.25484600865764767],
+                [0.10149718108077355, 0.057494295988922084, 0.018138195124333359, 0.056087626596442702],
+                [0.053325320398586395, 0.009322435306734933, 0.045560314942990843, 0.16069459958332932],
+                [0.049693964596764839, 0.0056910795049133767, 0.10757421955729955, 0.38940559695428439],
+            ],
+            rtol=1e-9,
+        )
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted(summary) == ["config", "lambda_star", "replays", "rounds", "seeds", "summary"]
+        assert summary["config"] == resolved_config(parse_config(cfg))
+        assert (summary["rounds"], summary["replays"], summary["seeds"]) == (3, 2, [7])
+        np.testing.assert_allclose(summary["lambda_star"], 0.04400288509185146, rtol=1e-9)
+        expected = {
+            "pam": [0.04763416240048607, 0.003631277308634606, 0.075052229001176, 0.09449751745004313],
+            "baseline": [0.04969396459676484, 0.005691079504913377, 0.10757421955729955, 0.14183823064980833],
+        }
+        keys = ["final_loss", "final_loss_gap", "final_max_mse", "final_objective"]
+        assert list(summary["summary"]) == ["7"]
+        for mode, values in expected.items():
+            final = summary["summary"]["7"][mode]
+            assert sorted(final) == sorted(keys + ["bound_ok_final_third"])
+            assert final["bound_ok_final_third"] is True
+            np.testing.assert_allclose([final[key] for key in keys], values, rtol=1e-9)
 
     def test_simulate_outputs(self, tmp_path):
         cfg_path = self._write(tmp_path, _tiny_config())
@@ -334,3 +381,10 @@ class TestSubcommands:
         ]
         assert sum(line.startswith("[ok]") for line in lines) == 5
         assert "1 validation check(s) failed: closed-form MSE matches simulation" in captured.err
+
+    def test_phase_projection_off_circle_is_infinite(self, monkeypatch):
+        # A modulus off 1 by 1e-9 is far below any relative tolerance but
+        # far above rounding; the check must reject it.
+        project = checks.phase_project
+        monkeypatch.setattr(checks, "phase_project", lambda v: project(v) * (1 + 1e-9))
+        assert checks.phase_projection_excess(0, 64) == np.inf

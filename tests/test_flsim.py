@@ -10,12 +10,12 @@ from airfl.flsim import (
     LocalTrainConfig,
     LogisticTask,
     QuadraticTask,
-    bound_weight,
     local_gd,
     make_logistic_task,
     make_quadratic_task,
+    round_step,
     run_experiment,
-    run_round,
+    solve_round,
     theorem1_bound,
     transmit_batch,
 )
@@ -135,31 +135,40 @@ class TestCurvature:
             QuadraticTask([np.ones((2, 1, 3))], [np.ones((2, 1))]).curvature()
 
 
+def _bound_weight(round_index, source_index, n_users, smoothness, strong_convexity, total):
+    """The weight the bound at ``round_index`` gives round ``source_index``."""
+    history = np.zeros(round_index + 1)
+    history[source_index] = 1.0
+    return theorem1_bound(history, n_users, smoothness, strong_convexity, total)
+
+
 class TestBoundWeight:
     def test_frozen_examples(self):
-        assert bound_weight(3, 3, 1, 1.0, 1.0, 1.0) == pytest.approx(2.5)
-        assert bound_weight(4, 3, 1, 1.0, 1.0, 1.0) == 0.0  # zero decay base
-        assert bound_weight(2, 0, 2, 2.0, 1.0, 2.0) == pytest.approx(1.0)
+        assert _bound_weight(3, 3, 1, 1.0, 1.0, 1.0) == pytest.approx(2.5)
+        assert _bound_weight(4, 3, 1, 1.0, 1.0, 1.0) == 0.0  # zero decay base
+        assert _bound_weight(2, 0, 2, 2.0, 1.0, 2.0) == pytest.approx(1.0)
 
     def test_geometric_decay(self):
-        w0 = bound_weight(5, 5, 3, 2.0, 0.1, 4.0)
-        w1 = bound_weight(5, 4, 3, 2.0, 0.1, 4.0)
+        w0 = _bound_weight(5, 5, 3, 2.0, 0.1, 4.0)
+        w1 = _bound_weight(5, 4, 3, 2.0, 0.1, 4.0)
         base = 1.0 - 0.1 * 4.0 / (3 * 2.0)
         assert w1 == pytest.approx(w0 * base, rel=1e-12)
 
     def test_warning_outside_unit_interval(self):
         # mu * D / (K L) > 1 -> negative base
         with pytest.warns(BoundAssumptionWarning):
-            out = bound_weight(1, 0, 1, 1.0, 2.0, 1.0)
+            out = _bound_weight(1, 0, 1, 1.0, 2.0, 1.0)
         assert out == pytest.approx(2.5 * (-1.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bound_weight(1, 2, 1, 1.0, 1.0, 1.0)
+            _bound_weight(1, 0, 0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            bound_weight(1, 0, 0, 1.0, 1.0, 1.0)
+            _bound_weight(1, 0, 1, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            bound_weight(1, 0, 1, 0.0, 1.0, 1.0)
+            _bound_weight(1, 0, 1, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            _bound_weight(1, 0, 1, 1.0, 1.0, 0.0)
 
 
 class TestTheorem1Bound:
@@ -182,11 +191,24 @@ class TestTheorem1Bound:
         )
         assert got == pytest.approx(expected, rel=1e-12)
 
+    def test_batched_rows_equal_1d(self):
+        # One bound per leading index, each bit-identical to its row's 1-D
+        # bound, also for a strided slice of a longer history.
+        rng = substream(77, "bound-batch")
+        full = rng.uniform(0.1, 2.0, (2, 5, 9))
+        got = theorem1_bound(full[..., :7], 3, 2.0, 0.2, 5.0)
+        assert isinstance(got, np.ndarray) and got.shape == (2, 5)
+        for idx in np.ndindex(2, 5):
+            assert got[idx] == theorem1_bound(full[idx][:7], 3, 2.0, 0.2, 5.0)
+        assert isinstance(theorem1_bound(full[0, 0], 3, 2.0, 0.2, 5.0), float)
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            theorem1_bound(np.zeros((2, 2)), 1, 1.0, 1.0, 1.0)
+            theorem1_bound(1.0, 1, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             theorem1_bound([], 1, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            theorem1_bound(np.zeros((2, 0)), 1, 1.0, 1.0, 1.0)
 
 
 class TestTasks:
@@ -332,18 +354,17 @@ class TestRunRound:
         weights = AggregationWeights(task.dataset_sizes)
         train = LocalTrainConfig()
         step = train.resolve_step(task)
-        x = np.zeros((1, 6))
+        x = np.zeros((1, 1, 6))
         y = np.zeros(6)
-        lam = task.optimum()[1]
         for i in range(8):
-            x, record = run_round(
-                x, task, weights, chan, radio, "baseline", PamConfig(), train,
-                seed=0, round_index=i, lambda_star=lam,
+            sol = solve_round("baseline", chan, weights, radio, PamConfig(), 0, i)
+            x, target, mse = round_step(
+                x, task, weights, chan, radio, sol, step, train.local_updates, 0, i
             )
             y = y - step * task.local_gradient(0, y)
-            np.testing.assert_allclose(x[0], y, atol=1e-10)
-            assert record.max_mse <= 1e-18
-            assert record.loss == pytest.approx(task.global_loss(y), rel=1e-12)
+            np.testing.assert_allclose(x[0, 0], y, atol=1e-10)
+            assert np.max(mse) <= 1e-18
+            assert task.global_loss(target[0]) == pytest.approx(task.global_loss(y), rel=1e-12)
 
     def test_modes_agree_for_single_antenna(self):
         # a 1x1 unit-modulus relay is a pure phase, absorbed by the
@@ -355,19 +376,16 @@ class TestRunRound:
         )
         chan = sample_channels(radio, 2)
         weights = AggregationWeights(task.dataset_sizes)
-        x = np.zeros((2, 4))
-        records = {}
-        for mode in ("pam", "baseline"):
-            _, records[mode] = run_round(
-                x, task, weights, chan, radio, mode,
-                PamConfig(n_outer=6, m_inner=10, seed=1), LocalTrainConfig(),
-                seed=0, round_index=0,
-            )
-        assert records["pam"].objective == pytest.approx(
-            records["baseline"].objective, rel=1e-9
-        )
+        pam_cfg = PamConfig(n_outer=6, m_inner=10, seed=1)
+        objective = {
+            mode: solve_round(mode, chan, weights, radio, pam_cfg, 0, 0).objective
+            for mode in ("pam", "baseline")
+        }
+        assert objective["pam"] == pytest.approx(objective["baseline"], rel=1e-9)
 
-    def test_record_fields(self):
+    def test_round_step_outputs(self):
+        # Shapes, the closed-form MSE at each replay's power normalization,
+        # and replays that advance independently of each other.
         task = make_quadratic_task(n_users=2, dim=4, samples_per_user=6, seed=16)
         radio = RadioConfig(
             n_antennas=2, n_users=2, pathloss_db=0.0,
@@ -375,20 +393,21 @@ class TestRunRound:
         )
         chan = sample_channels(radio, 3)
         weights = AggregationWeights(task.dataset_sizes)
-        x_next, record = run_round(
-            np.zeros((2, 4)), task, weights, chan, radio, "baseline",
-            PamConfig(), LocalTrainConfig(), seed=0, round_index=0,
-        )
-        assert x_next.shape == (2, 4)
-        assert record.mse.shape == (2,)
-        assert record.max_mse == pytest.approx(np.max(record.mse))
-        assert record.loss_gap == pytest.approx(record.loss - task.optimum()[1], rel=1e-9)
-        assert record.realized_sq_error.shape == (2,)
+        sol = solve_round("baseline", chan, weights, radio, PamConfig(), 0, 0)
+        x = substream(78, "round-step").standard_normal((3, 2, 4))
+        decoded, target, mse = round_step(x, task, weights, chan, radio, sol, 0.1, 2, 0, 0)
+        assert decoded.shape == (3, 2, 4) and target.shape == (3, 4) and mse.shape == (3, 2)
+        local = np.stack([local_gd(task, k, x[:, k], 0.1, 2) for k in range(2)], axis=1)
+        np.testing.assert_allclose(target, np.einsum("k,rkm->rm", weights.alpha, local))
+        link = (sol.f_matrix, sol.r_all, sol.t_all)
+        for r in range(3):
+            eta = float(np.mean(np.sum(local[r] ** 2, axis=1)) / 4)
+            closed = analytic_mse(*link, chan, weights, radio, eta, 2)
+            np.testing.assert_allclose(mse[r], closed, rtol=1e-12)
+        single = round_step(x[1:2], task, weights, chan, radio, sol, 0.1, 2, 0, 0)
+        np.testing.assert_allclose(mse[1:2], single[2], rtol=1e-12)
         with pytest.raises(ValueError):
-            run_round(
-                np.zeros((2, 4)), task, weights, chan, radio, "wat",
-                PamConfig(), LocalTrainConfig(), seed=0, round_index=0,
-            )
+            solve_round("wat", chan, weights, radio, PamConfig(), 0, 0)
 
 
 class TestRunExperiment:

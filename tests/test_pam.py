@@ -28,7 +28,6 @@ from airfl.pam import (
     update_r,
     update_t,
     update_u,
-    update_z,
 )
 
 
@@ -426,13 +425,6 @@ class TestUpdateFZ:
         # and the closed form is exact where BFGS is approximate
         assert penalty(np.concatenate([got.real, got.imag])) <= res.fun + 1e-12
 
-    def test_update_z_delegates(self):
-        rng = substream(56, "z-delegate")
-        f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        z = update_z(f)
-        np.testing.assert_array_equal(z, phase_project(f))
-        np.testing.assert_allclose(np.abs(z), 1.0, atol=1e-12)
-
 
 class TestPenalizedObjective:
     def test_zero_case(self):
@@ -563,7 +555,7 @@ def _reference_inner_pam(ws, f_matrix_init, rho, m_inner):
             )
             u_all[k] = structured_solve(gram, ws.alpha @ ws.rank_one[k] + ridge * f)
         f = update_f(u_all, z)
-        z = update_z(f)
+        z = phase_project(f)
         data = np.empty(ws.n_users)
         for k in range(ws.n_users):
             fit = ws.rank_one[k].conj() @ u_all[k] - ws.alpha

@@ -122,6 +122,8 @@ class ExperimentConfig:
     def __post_init__(self):
         _at_least(self.rounds, 1, "rounds")
         _at_least(self.replays, 1, "replays")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds: must not repeat")
         if self.mode not in RUN_MODES:
             choices = ", ".join(map(repr, RUN_MODES[:-1])) + f" or {RUN_MODES[-1]!r}"
             raise ConfigError(f"mode: expected {choices}, got {self.mode!r}")

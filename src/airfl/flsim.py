@@ -24,7 +24,7 @@ import numpy as np
 
 from .aircomp import AggregationWeights, analytic_mse, global_target, over_the_air
 from .channel import derive_seed, sample_awgn, sample_channels
-from .linalg import dense_solve
+from .linalg import NumericError, dense_solve
 from .pam import PamConfig, baseline_optimize, run_pam
 
 __all__ = [
@@ -440,12 +440,18 @@ def round_step(x_batch, task, weights, chan, radio, solution, step, local_update
     round's optimized link.  Returns the decoded parameters (R, K, M), the
     weighted aggregate of the locally updated parameters (R, M) and the
     closed-form per-user MSE (R, K) at each replay's power normalization.
+    Raises ``NumericError`` when a replay's parameters are all zero.
     """
     x_batch = np.stack(
         [local_gd(task, k, x_batch[:, k, :], step, local_updates) for k in range(task.n_users)],
         axis=1,
     )
     eta_batch = np.mean(np.sum(x_batch * x_batch, axis=2), axis=1) / task.dim
+    if not np.all(eta_batch > 0):
+        raise NumericError(
+            f"round {round_index}: every user's locally updated parameters are zero in some "
+            "replay, so the power normalization eta is 0 and nothing can be encoded"
+        )
     link = (solution.f_matrix, solution.r_all, solution.t_all)
     mse = analytic_mse(*link, chan, weights, radio, eta_batch, task.dim // 2)
     decoded = transmit_batch(x_batch, *link, chan, radio, eta_batch, seed, round_index)

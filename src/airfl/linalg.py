@@ -288,7 +288,8 @@ class StructuredFactor:
         y = self._apply_base_inverse(rhs[:, :, None], slice(None))[:, :, 0]
         if self.capacitance is None:
             return y
-        a_h_y = np.stack([gram.rank_one.conj().T @ y[b] for b, gram in enumerate(self.grams)])
+        # (A^T conj(y))^* is A^H y without a conjugated copy of A.
+        a_h_y = np.stack([(gram.rank_one.T @ y[b].conj()).conj() for b, gram in enumerate(self.grams)])
         correction = np.linalg.solve(self.capacitance, a_h_y[:, :, None])
         return y - (np.swapaxes(self.base_inv_a, 1, 2) @ correction)[:, :, 0]
 

@@ -6,7 +6,8 @@ receive equalizers r.  The objective is the worst user's MSE bracket (see
 ``aircomp.mse_bracket_terms``).  Blocks are updated alternately:
 
 * r: per-user closed form (exact minimizer of the user's bracket),
-* t: projected subgradient on the pointwise-max least-squares objective,
+* t: exact solve of the pointwise-max least-squares objective by dual ascent
+  over the simplex, with a duality-gap certificate,
 * F: an inner penalized alternating-minimization loop over per-user copies
   u_k, the consensus vector f = vec(F), and its unit-modulus projection z.
 
@@ -47,6 +48,12 @@ __all__ = [
 
 _INIT_STRATEGIES = ("random-phase", "all-ones")
 
+# Transmit-gain solve (update_t): stop at this relative duality gap, or after
+# this many dual ascent steps; an accepted step's length grows by this factor.
+T_GAP_TOL = 1e-6
+T_MAX_ITERS = 5000
+T_STEP_GROWTH = 1.5
+
 
 @dataclass
 class PamConfig:
@@ -67,8 +74,6 @@ class PamConfig:
     rho: float = 1.0
     n_outer: int = 20
     m_inner: int = 50
-    t_solver_iters: int = 2000
-    t_solver_tol: float = 1e-12
     init_strategy: str = "random-phase"
     seed: int = 0
     rho_growth: float = 1.0
@@ -80,11 +85,6 @@ class PamConfig:
             raise ValueError("n_outer and m_inner must be at least 1")
         self.n_outer = int(self.n_outer)
         self.m_inner = int(self.m_inner)
-        if int(self.t_solver_iters) < 1:
-            raise ValueError("t_solver_iters must be at least 1")
-        self.t_solver_iters = int(self.t_solver_iters)
-        if self.t_solver_tol < 0:
-            raise ValueError("t_solver_tol must be nonnegative")
         if self.init_strategy not in _INIT_STRATEGIES:
             raise ValueError(f"init_strategy must be one of {_INIT_STRATEGIES}")
         if not self.rho_growth > 0:
@@ -153,10 +153,10 @@ def update_r(f_matrix, t_all, chan, weights, cfg):
     return numerator / denominator
 
 
-def _transmit_residual(coeff, alpha, t_all):
-    """Residuals coeff[k, j] t_j - alpha_j and their per-user squared sums."""
+def _transmit_rows(coeff, alpha, t_all):
+    """Per-user misfits sum_j |coeff[k, j] t_j - alpha_j|^2."""
     resid = coeff * np.asarray(t_all, dtype=complex)[None, :] - alpha[None, :]
-    return resid, np.sum(np.abs(resid) ** 2, axis=1)
+    return np.sum(np.abs(resid) ** 2, axis=1)
 
 
 def transmit_objective(coeff, alpha, t_all):
@@ -165,73 +165,97 @@ def transmit_objective(coeff, alpha, t_all):
     ``coeff[k, j] = r_k g_k^H F h_j``; value is
     max_k sum_j |coeff[k, j] t_j - alpha_j|^2.
     """
-    return float(np.max(_transmit_residual(coeff, alpha, t_all)[1]))
+    return float(np.max(_transmit_rows(coeff, alpha, t_all)))
 
 
-def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, iters=2000, tol=1e-12):
-    """Projected-subgradient step on the transmit coefficients.
+def _simplex_project(v):
+    """Euclidean projection onto the probability simplex (sort-based)."""
+    u = np.sort(v)[::-1]
+    excess = np.cumsum(u) - 1.0
+    support = np.count_nonzero(u * np.arange(1, v.size + 1) > excess)
+    return np.maximum(v - excess[support - 1] / support, 0.0)
 
-    Minimizes max_k sum_j |r_k g_k^H F h_j t_j - alpha_j|^2 subject to
-    |t_j|^2 <= power_budget.  The subgradient comes from the (lowest-index)
-    maximizing user; iterates are radially projected onto the power ball and
-    steps shrink as 1/sqrt(iteration).  Per-user least-squares points seed the
-    search, the best evaluated iterate is returned, and the input t is kept
-    whenever nothing improves on it, so the objective never increases.
+
+def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
+    """Transmit coefficients minimizing the worst user's least-squares misfit.
+
+    Solves min_{|t_j|^2 <= power_budget} max_k sum_j |c_kj t_j - alpha_j|^2,
+    c_kj = r_k g_k^H F h_j, through its dual over the simplex: the max over
+    users is a max over weights lam >= 0 with sum(lam) = 1, and the minimax
+    swap holds (Sion).  For fixed lam the weighted problem separates per
+    user j into an isotropic scalar quadratic, minimized by
+    t_j = alpha_j sum_k lam_k conj(c_kj) / sum_k lam_k |c_kj|^2 radially
+    projected onto the disc.  The per-user objective vector at that t is the
+    dual gradient (Danskin), and projected-gradient ascent on lam with
+    backtracking runs until the relative duality gap is at most
+    ``T_GAP_TOL`` or ``T_MAX_ITERS`` ascent steps have been taken.
+
+    Returns ``(t, gap)``: the best primal point seen, never worse than the
+    incoming t, and (objective(t) - best dual value) / objective(t), which
+    bounds the relative excess of t over the optimum.
     """
     r_all = np.asarray(r_all, dtype=complex).reshape(-1)
     gains, _ = _effective_gains(f_matrix, chan)
     coeff = r_all[:, None] * gains
+    coeff_sq = np.abs(coeff) ** 2
     alpha = weights.alpha
     cap = np.sqrt(cfg.power_budget)
     k_users = alpha.size
     if t_init is None:
         t_init = np.full(k_users, cap, dtype=complex)
     t_init = np.asarray(t_init, dtype=complex).reshape(-1)
+    if float(np.max(coeff_sq)) == 0.0:
+        return t_init, 0.0
 
-    def project(t):
+    def weighted_minimizer(lam):
+        scale = lam @ coeff_sq
+        t = t_init.copy()  # entries with no weighted curvature do not matter
+        live = scale > 0
+        t[live] = alpha[live] * (lam @ coeff)[live].conj() / scale[live]
         mag = np.abs(t)
         over = mag > cap
-        if np.any(over):
-            t = t.copy()
-            t[over] *= cap / mag[over]
+        t[over] *= cap / mag[over]
         return t
 
-    # Candidate starts: the incoming point plus each user's own least-squares
-    # solution (exact when that user alone sets the max), radially projected.
-    candidates = [np.asarray(t_init, dtype=complex)]
-    for k in range(k_users):
-        row = coeff[k]
-        mag_sq = np.abs(row) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_ls = np.where(mag_sq > 0, alpha * row.conj() / mag_sq, 0.0)
-        candidates.append(project(t_ls))
-    values = [transmit_objective(coeff, alpha, t) for t in candidates]
-    best_idx = int(np.argmin(values))
-    best_t = candidates[best_idx].copy()
-    best_val = values[best_idx]
+    def gap(primal, dual):
+        # Rounding can put a tight dual bound a few ulps above the primal.
+        return max(primal - dual, 0.0) / primal if primal > 0 else 0.0
 
-    x = best_t.copy()
-    curvature = float(np.max(np.abs(coeff) ** 2))
-    if curvature == 0.0:
-        return candidates[0]
-    step0 = 1.0 / curvature
-    # Each iterate's residual serves both its objective value and the next
-    # subgradient, so it is computed once.
-    resid, rows = _transmit_residual(coeff, alpha, x)
-    for it in range(int(iters)):
-        worst = int(np.argmax(rows))
-        grad = coeff[worst].conj() * resid[worst]
-        step = step0 / np.sqrt(it + 1.0)
-        if step * np.linalg.norm(grad) <= tol * max(1.0, np.sqrt(best_val)):
-            break
-        x = project(x - step * grad)
-        resid, rows = _transmit_residual(coeff, alpha, x)
+    best_t = t_init
+    best_val = float(np.max(_transmit_rows(coeff, alpha, t_init)))
+    lam = np.full(k_users, 1.0 / k_users)
+    t = weighted_minimizer(lam)
+    rows = _transmit_rows(coeff, alpha, t)
+    dual = float(lam @ rows)
+    # Each simplex vertex is a dual point too: user k's own least-squares
+    # optimum over the discs, sum_j max(alpha_j - |c_kj| sqrt(P), 0)^2.  It
+    # closes the gap at once when one user's value cannot be improved (a
+    # zero row of coeff), where ascent only creeps towards the vertex.
+    vertices = np.sum(np.maximum(alpha[None, :] - np.abs(coeff) * cap, 0.0) ** 2, axis=1)
+    best_dual = max(dual, float(np.max(vertices)))
+    step = 1.0 / max(float(np.max(rows)), np.finfo(float).tiny)
+    for ascent in range(T_MAX_ITERS + 1):
         val = float(np.max(rows))
         if val < best_val:
-            best_val = val
-            best_t = x.copy()
-    # Never worse than the incoming point by construction.
-    return best_t
+            best_t, best_val = t, val
+        if gap(best_val, best_dual) <= T_GAP_TOL or ascent == T_MAX_ITERS:
+            break
+        # Backtrack until the step passes the sufficient-increase test of a
+        # gradient step with Lipschitz estimate 1/step; a step too small to
+        # move lam passes it trivially.
+        while True:
+            lam_new = _simplex_project(lam + step * rows)
+            t_new = weighted_minimizer(lam_new)
+            rows_new = _transmit_rows(coeff, alpha, t_new)
+            dual_new = float(lam_new @ rows_new)
+            move = lam_new - lam
+            if dual_new >= dual + rows @ move - (move @ move) / (2.0 * step):
+                break
+            step *= 0.5
+        lam, t, rows, dual = lam_new, t_new, rows_new, dual_new
+        best_dual = max(best_dual, dual)
+        step *= T_STEP_GROWTH
+    return best_t, gap(best_val, best_dual)
 
 
 def build_workspace(r_all, t_all, chan, weights, cfg):
@@ -314,7 +338,7 @@ def _data_terms(workspace, u_all):
     n = workspace.downlink.shape[1]
     fit = np.array(
         [
-            np.sum(np.abs(workspace.rank_one[k].conj() @ u_all[k] - workspace.alpha) ** 2)
+            np.sum(np.abs((workspace.rank_one[k] @ u_all[k].conj()).conj() - workspace.alpha) ** 2)
             for k in range(k_users)
         ]
     )
@@ -372,7 +396,8 @@ class Solution:
     full outer cycle.  The returned triple is the best recorded one, so
     ``objective <= outer_objectives[0]`` always holds.  ``r_update_pairs`` /
     ``t_update_pairs`` hold the subproblem objective immediately before and
-    after each r / t block for diagnostics.
+    after each r / t block for diagnostics, and ``t_gaps`` the relative
+    duality gap certified by each t block (see :func:`update_t`).
     """
 
     mode: str
@@ -384,6 +409,7 @@ class Solution:
     inner_trajectories: list = field(default_factory=list)
     r_update_pairs: list = field(default_factory=list)
     t_update_pairs: list = field(default_factory=list)
+    t_gaps: list = field(default_factory=list)
 
 
 def _initial_matrix(n, pam_cfg):
@@ -406,6 +432,7 @@ def _alternating_run(mode, f_init, update_relay, chan, weights, cfg, pam_cfg):
     inner_trajectories = []
     r_pairs = []
     t_pairs = []
+    t_gaps = []
     rho = pam_cfg.rho
     for _ in range(pam_cfg.n_outer):
         if update_relay is not None:
@@ -419,16 +446,8 @@ def _alternating_run(mode, f_init, update_relay, chan, weights, cfg, pam_cfg):
         gains, _ = _effective_gains(f_matrix, chan)
         coeff = r_all[:, None] * gains
         before_t = transmit_objective(coeff, weights.alpha, t_all)
-        t_all = update_t(
-            f_matrix,
-            r_all,
-            chan,
-            weights,
-            cfg,
-            t_init=t_all,
-            iters=pam_cfg.t_solver_iters,
-            tol=pam_cfg.t_solver_tol,
-        )
+        t_all, t_gap = update_t(f_matrix, r_all, chan, weights, cfg, t_init=t_all)
+        t_gaps.append(t_gap)
         after_t = transmit_objective(coeff, weights.alpha, t_all)
         t_pairs.append((before_t, after_t))
         obj = objective_minmax(f_matrix, r_all, t_all, chan, weights, cfg)
@@ -446,6 +465,7 @@ def _alternating_run(mode, f_init, update_relay, chan, weights, cfg, pam_cfg):
         inner_trajectories=inner_trajectories,
         r_update_pairs=r_pairs,
         t_update_pairs=t_pairs,
+        t_gaps=t_gaps,
     )
 
 

@@ -195,6 +195,9 @@ class TestExitCodes:
                 ["simulate"],
                 "task.l2: must be strictly positive for a logistic task",
             ),
+            ({"pam": {"t_solver_iters": 2000}}, ["optimize"], "pam.t_solver_iters: unknown key"),
+            ({"pam": {"t_solver_tol": 1e-12}}, ["optimize"], "pam.t_solver_tol: unknown key"),
+            ({"seeds": [7, 7]}, ["simulate"], "seeds: must not repeat"),
         ],
     )
     def test_bad_inputs_are_config_errors(self, tmp_path, capsys, overrides, argv, message):
@@ -248,6 +251,16 @@ class TestSubcommands:
         summary = json.loads((out / "summary.json").read_text())["summary"]["0"]
         assert all(summary[mode]["bound_ok_final_third"] is None for mode in ("pam", "baseline"))
 
+    def test_simulate_all_zero_parameters_is_numeric_error(self, tmp_path, capsys):
+        # Zero targets keep every local update at zero, so no replay has a
+        # power normalization to encode with: a typed numeric failure.
+        cfg = _tiny_config(task={"dim": 4, "samples_per_user": 6, "target_scale": 0, "heterogeneity": 0})
+        argv = ["--config", self._write(tmp_path, cfg), "simulate", "--out", str(tmp_path / "sim")]
+        assert main(argv) == EXIT_NUMERIC
+        assert "numeric failure: round 0: every user's locally updated parameters are zero" in (
+            capsys.readouterr().err
+        )
+
     def test_simulate_golden_numbers(self, tmp_path):
         # Criterion 10's tiny config against recorded outputs: any drift in
         # simulate's arithmetic, not only nondeterminism, fails here.
@@ -265,12 +278,12 @@ class TestSubcommands:
         np.testing.assert_allclose(
             [[float(v) for v in row[2:]] for row in rows],
             [
-                [0.10149718108077355, 0.057494295988922084, 0.0068991352922916594, 0.021333772266749509],
-                [0.054719774550800793, 0.01071688945894933, 0.018407082959297258, 0.064454593613522446],
-                [0.047634162400486069, 0.0036312773086346062, 0.075052229001176002, 0.25484600865764767],
-                [0.10149718108077355, 0.057494295988922084, 0.018138195124333359, 0.056087626596442702],
-                [0.053325320398586395, 0.009322435306734933, 0.045560314942990843, 0.16069459958332932],
-                [0.049693964596764839, 0.0056910795049133767, 0.10757421955729955, 0.38940559695428439],
+                [0.10149718108077355, 0.057494295988922084, 0.0068991352922916612, 0.021333772266749516],
+                [0.054719774550800793, 0.01071688945894933, 0.018407082959297251, 0.064454593613522432],
+                [0.047634162400486069, 0.0036312773086346062, 0.07505222900117603, 0.25484600865764773],
+                [0.10149718108077355, 0.057494295988922084, 0.018138746444955878, 0.056089331411337394],
+                [0.053323617256744449, 0.0093207321648929864, 0.045567031101549443, 0.16071596972153196],
+                [0.049687411570670997, 0.0056845264788195349, 0.10759597744447275, 0.38948042587908965],
             ],
             rtol=1e-9,
         )
@@ -280,8 +293,8 @@ class TestSubcommands:
         assert (summary["rounds"], summary["replays"], summary["seeds"]) == (3, 2, [7])
         np.testing.assert_allclose(summary["lambda_star"], 0.04400288509185146, rtol=1e-9)
         expected = {
-            "pam": [0.04763416240048607, 0.003631277308634606, 0.075052229001176, 0.09449751745004313],
-            "baseline": [0.04969396459676484, 0.005691079504913377, 0.10757421955729955, 0.14183823064980833],
+            "pam": [0.04763416240048607, 0.003631277308634606, 0.07505222900117603, 0.09449751745004316],
+            "baseline": [0.049687411570671, 0.005684526478819535, 0.10759597744447275, 0.14183851837721584],
         }
         keys = ["final_loss", "final_loss_gap", "final_max_mse", "final_objective"]
         assert list(summary["summary"]) == ["7"]

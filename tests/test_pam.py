@@ -14,6 +14,7 @@ from airfl.linalg import (
     vec_of_matrix,
 )
 from airfl.pam import (
+    T_GAP_TOL,
     PamConfig,
     PamWorkspace,
     Solution,
@@ -190,6 +191,38 @@ class TestUpdateR:
             assert after <= before + 1e-9
 
 
+def _transmit_coeff(f, r, chan):
+    from airfl.aircomp import _effective_gains
+
+    return r[:, None] * _effective_gains(f, chan)[0]
+
+
+def _project_disc(t, cap):
+    mag = np.abs(t)
+    return np.where(mag > cap, t * cap / np.maximum(mag, cap), t)
+
+
+def _subgradient_reference(coeff, alpha, cap, t_init, iters=2000):
+    """The earlier transmit solve: per-user least-squares seeds, then
+    ``iters`` projected-subgradient steps of length 1/(L sqrt(it + 1)),
+    returning the best point evaluated."""
+    candidates = [t_init]
+    for row in coeff:
+        candidates.append(_project_disc(alpha * row.conj() / np.abs(row) ** 2, cap))
+    values = [transmit_objective(coeff, alpha, t) for t in candidates]
+    best_t = x = candidates[int(np.argmin(values))]
+    best_val = min(values)
+    step0 = 1.0 / float(np.max(np.abs(coeff) ** 2))
+    for it in range(iters):
+        resid = coeff * x[None, :] - alpha[None, :]
+        worst = int(np.argmax(np.sum(np.abs(resid) ** 2, axis=1)))
+        x = _project_disc(x - step0 / np.sqrt(it + 1.0) * coeff[worst].conj() * resid[worst], cap)
+        val = transmit_objective(coeff, alpha, x)
+        if val < best_val:
+            best_t, best_val = x, val
+    return best_t
+
+
 class TestUpdateT:
     def _single_user(self, coeff_value):
         cfg = RadioConfig(
@@ -205,13 +238,28 @@ class TestUpdateT:
 
     def test_unconstrained_least_squares(self):
         cfg, chan, f, r = self._single_user(2.0)
-        t = update_t(f, r, chan, AggregationWeights(np.array([1.0])), cfg)
+        t, gap = update_t(f, r, chan, AggregationWeights(np.array([1.0])), cfg)
         np.testing.assert_allclose(t, [0.5 + 0j], atol=1e-9)
+        assert gap == 0.0
 
     def test_radial_clip(self):
         cfg, chan, f, r = self._single_user(0.5)
-        t = update_t(f, r, chan, AggregationWeights(np.array([1.0])), cfg)
+        t, gap = update_t(f, r, chan, AggregationWeights(np.array([1.0])), cfg)
         np.testing.assert_allclose(t, [1.0 + 0j], atol=1e-9)
+        assert gap == 0.0
+
+    def test_single_user_is_projected_closed_form(self):
+        # At K=1 the only dual weight is 1, so the solve is the user's own
+        # least-squares point projected onto the power disc, certified exact.
+        rng = substream(48, "t-single")
+        for _ in range(10):
+            cfg, chan, f, r, t0, w = _random_instance(rng, 3, 1)
+            coeff = _transmit_coeff(f, r, chan)[0]
+            cap = np.sqrt(cfg.power_budget)
+            t, gap = update_t(f, r, chan, w, cfg, t_init=_project_disc(t0, cap))
+            expected = _project_disc(w.alpha * coeff.conj() / np.abs(coeff) ** 2, cap)
+            np.testing.assert_allclose(t, expected, rtol=1e-14, atol=0)
+            assert gap == 0.0
 
     def test_grid_oracle_two_users(self):
         rng = substream(45, "t-grid")
@@ -221,11 +269,8 @@ class TestUpdateT:
         for trial in range(5):
             cfg, chan, f, r, _, w = _random_instance(rng, 2, 2)
             r = r / np.abs(r)  # keep coefficients O(1) for a fair grid
-            from airfl.aircomp import _effective_gains
-
-            gains, _ = _effective_gains(f, chan)
-            coeff = r[:, None] * gains
-            t = update_t(f, r, chan, w, cfg)
+            coeff = _transmit_coeff(f, r, chan)
+            t, _ = update_t(f, r, chan, w, cfg)
             got = transmit_objective(coeff, w.alpha, t)
             best = np.inf
             for ta in grid_pts:
@@ -233,19 +278,57 @@ class TestUpdateT:
                 resid_b = coeff[:, 1][:, None] * grid_pts[None, :] - w.alpha[1]
                 total = vals[:, None] + np.abs(resid_b) ** 2
                 best = min(best, float(np.max(total, axis=0).min()))
-            assert got <= best + 1e-2, f"trial {trial}: {got} vs grid {best}"
+            assert got <= best + 1e-6, f"trial {trial}: {got} vs grid {best}"
+
+    @pytest.mark.parametrize("n, k", [(8, 3), (16, 8), (32, 16)])
+    def test_gap_certificate(self, n, k):
+        # Every solve certifies a relative gap of at most T_GAP_TOL, and the
+        # certificate is sound: no feasible point, the earlier subgradient
+        # solve's included, beats (1 - gap) times the returned objective.
+        rng = substream(49, f"t-gap-{n}-{k}")
+        for _ in range(5):
+            cfg, chan, f, r, t0, w = _random_instance(rng, n, k)
+            coeff = _transmit_coeff(f, r, chan)
+            cap = np.sqrt(cfg.power_budget)
+            t, gap = update_t(f, r, chan, w, cfg)
+            assert 0.0 <= gap <= T_GAP_TOL
+            assert np.all(np.abs(t) <= cap * (1 + 1e-12))
+            floor = (1.0 - gap) * transmit_objective(coeff, w.alpha, t)
+            others = [_project_disc(t0, cap), _subgradient_reference(coeff, w.alpha, cap, t0, 200)]
+            others += list(cap * np.exp(1j * rng.uniform(0, 2 * np.pi, (20, k))))
+            for other in others:
+                assert transmit_objective(coeff, w.alpha, other) >= floor * (1 - 1e-12)
+
+    def test_zero_equalizer_user_is_certified(self):
+        # A user with r_k = 0 has the constant value sum(alpha^2), which the
+        # dual reaches only at its simplex vertex; the vertex bound closes
+        # the gap whenever the other users can be brought below it.
+        rng = substream(51, "t-zero-row")
+        for _ in range(5):
+            cfg, chan, f, r, _, w = _random_instance(rng, 6, 8)
+            r[3] = 0.0
+            coeff = _transmit_coeff(f, r, chan)
+            t, gap = update_t(f, r, chan, w, cfg)
+            assert gap <= T_GAP_TOL
+            assert transmit_objective(coeff, w.alpha, t) >= np.sum(w.alpha**2)
+
+    def test_not_worse_than_subgradient(self):
+        rng = substream(50, "t-vs-subgradient")
+        cfg, chan, f, r, _, w = _random_instance(rng, 8, 3)
+        coeff = _transmit_coeff(f, r, chan)
+        t_init = np.full(3, np.sqrt(cfg.power_budget), dtype=complex)
+        t, _ = update_t(f, r, chan, w, cfg, t_init=t_init)
+        reference = _subgradient_reference(coeff, w.alpha, np.sqrt(cfg.power_budget), t_init)
+        assert transmit_objective(coeff, w.alpha, t) <= transmit_objective(coeff, w.alpha, reference)
 
     def test_feasible_and_never_increases(self):
         rng = substream(46, "t-noninc")
-        from airfl.aircomp import _effective_gains
-
         for _ in range(20):
             cfg, chan, f, r, t0, w = _random_instance(rng, 3, 3)
             t0 = t0 / np.maximum(1.0, np.abs(t0) / np.sqrt(cfg.power_budget))
-            gains, _ = _effective_gains(f, chan)
-            coeff = r[:, None] * gains
+            coeff = _transmit_coeff(f, r, chan)
             before = transmit_objective(coeff, w.alpha, t0)
-            t1 = update_t(f, r, chan, w, cfg, t_init=t0)
+            t1, _ = update_t(f, r, chan, w, cfg, t_init=t0)
             after = transmit_objective(coeff, w.alpha, t1)
             assert np.all(np.abs(t1) ** 2 <= cfg.power_budget + 1e-9)
             assert after <= before + 1e-12
@@ -256,7 +339,7 @@ class TestUpdateT:
             uplink=np.ones((1, 2), dtype=complex), downlink=np.ones((1, 2), dtype=complex)
         )
         t_init = np.array([0.3 + 0.1j])
-        t = update_t(
+        t, gap = update_t(
             np.ones((2, 2), dtype=complex),
             np.zeros(1, dtype=complex),
             chan,
@@ -265,6 +348,7 @@ class TestUpdateT:
             t_init=t_init,
         )
         np.testing.assert_array_equal(t, t_init)
+        assert gap == 0.0
 
 
 class TestWorkspace:
@@ -680,6 +764,7 @@ class TestRunPam:
         )
         assert sol.objective <= sol.outer_objectives[0] + 1e-12
         assert len(sol.inner_trajectories) == 4
+        assert len(sol.t_gaps) == 4 and max(sol.t_gaps) <= T_GAP_TOL
         assert sol.mode == "pam"
 
     def test_block_updates_never_increase(self):

@@ -23,6 +23,9 @@ import numpy as np
 
 from .channel import substream
 
+# Draws per pass of the Monte Carlo chain: bounds its memory, not its draws.
+_MC_CHUNK = 2048
+
 __all__ = [
     "AggregationWeights",
     "analytic_mse",
@@ -90,7 +93,8 @@ def over_the_air(x_batch, f_matrix, t_all, chan, power_scaling, eta, relay_noise
     root = np.sqrt(2.0 * np.asarray(eta, dtype=float)).reshape(-1, 1, 1)
     t_all = np.asarray(t_all, dtype=complex).reshape(-1)
     # Each stage rebinds ``signal`` so the previous stage's array is freed;
-    # at Monte Carlo sizes every stage is a (draws, N or K, S) array.
+    # every stage is an (R, N or K, S) array, and the Monte Carlo check
+    # passes at most ``_MC_CHUNK`` draws as R.
     signal = (t_all[None, :, None] / root) * (x_batch[..., 0::2] + 1j * x_batch[..., 1::2])
     signal = np.einsum("rks,kn->rns", signal, chan.uplink) + relay_noise
     signal = np.sqrt(power_scaling) * np.einsum(
@@ -143,6 +147,24 @@ def analytic_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols):
     return 2.0 * eta[..., None] * int(n_symbols) * bracket
 
 
+def _noise_chunks(seed, label, scale, draws, shape):
+    """Complex Gaussian noise ``scale * (re + 1j im)``, (draws, *shape), in chunks.
+
+    Yields the same values as drawing all ``draws`` real parts and then all
+    imaginary parts from ``substream(seed, label)`` in one call each: a
+    second generator on the same stream is first moved past the real parts
+    by drawing and discarding them (the ziggurat sampler uses a variable
+    number of words per sample, so the stream cannot be advanced by count).
+    """
+    rng_re = substream(seed, label)
+    rng_im = substream(seed, label)
+    sizes = [(min(_MC_CHUNK, draws - start), *shape) for start in range(0, draws, _MC_CHUNK)]
+    for size in sizes:
+        rng_im.standard_normal(size)
+    for size in sizes:
+        yield scale * (rng_re.standard_normal(size) + 1j * rng_im.standard_normal(size))
+
+
 def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, draws, seed):
     """Simulation estimate of the per-user MSE and its standard error.
 
@@ -151,6 +173,14 @@ def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, 
     assumes), runs them through :func:`over_the_air` with its own noise
     draws, equalizes, and averages ||decoded_k - target||^2 (pairwise
     packing is an isometry, so the error is taken on the symbols).
+
+    The chain runs on ``_MC_CHUNK`` draws at a time, so memory is
+    O(_MC_CHUNK * N * S + draws * K): only the (draws, K) squared errors are
+    kept, and the mean and standard error are reduced from them once.  The
+    draws do not depend on the chunk size: parameters come in order from
+    the "mc-parameters" substream, and each noise substream
+    ("mc-relay-noise", "mc-user-noise") holds all real parts, then all
+    imaginary parts, read by two generators (see :func:`_noise_chunks`).
 
     Returns
     -------
@@ -165,25 +195,21 @@ def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, 
     model_dim = 2 * n_symbols
     k_users = chan.n_users
     rng_x = substream(seed, "mc-parameters")
-    x_draws = np.sqrt(eta) * rng_x.standard_normal((draws, k_users, model_dim))
-    rng_relay = substream(seed, "mc-relay-noise")
-    relay_noise = np.sqrt(cfg.noise_power_server / 2.0) * (
-        rng_relay.standard_normal((draws, chan.n_antennas, n_symbols))
-        + 1j * rng_relay.standard_normal((draws, chan.n_antennas, n_symbols))
+    relay_noise = _noise_chunks(
+        seed, "mc-relay-noise", np.sqrt(cfg.noise_power_server / 2.0), draws,
+        (chan.n_antennas, n_symbols),
     )
-    rng_user = substream(seed, "mc-user-noise")
     user_scale = np.sqrt(np.asarray(cfg.noise_power_user, dtype=float) / 2.0)[None, :, None]
-    user_noise = user_scale * (
-        rng_user.standard_normal((draws, k_users, n_symbols))
-        + 1j * rng_user.standard_normal((draws, k_users, n_symbols))
-    )
-    target = global_target(x_draws[..., 0::2] + 1j * x_draws[..., 1::2], weights)
-    received = over_the_air(
-        x_draws, f_matrix, t_all, chan, cfg.power_scaling, eta, relay_noise, user_noise
-    )
+    user_noise = _noise_chunks(seed, "mc-user-noise", user_scale, draws, (k_users, n_symbols))
     r_all = np.asarray(r_all, dtype=complex).reshape(-1)
-    err = np.sqrt(2.0 * eta) * r_all[None, :, None] * received - target[:, None, :]
-    sq = np.sum(np.abs(err) ** 2, axis=2)
+    sq = np.empty((draws, k_users))
+    for start, relay, user in zip(range(0, draws, _MC_CHUNK), relay_noise, user_noise):
+        stop = min(start + _MC_CHUNK, draws)
+        x_draws = np.sqrt(eta) * rng_x.standard_normal((stop - start, k_users, model_dim))
+        target = global_target(x_draws[..., 0::2] + 1j * x_draws[..., 1::2], weights)
+        received = over_the_air(x_draws, f_matrix, t_all, chan, cfg.power_scaling, eta, relay, user)
+        err = np.sqrt(2.0 * eta) * r_all[None, :, None] * received - target[:, None, :]
+        sq[start:stop] = np.sum(np.abs(err) ** 2, axis=2)
     mean = sq.mean(axis=0)
     stderr = sq.std(axis=0, ddof=1) / np.sqrt(draws)
     return mean, stderr

@@ -392,7 +392,8 @@ def _cmd_mse_check(cfg, args):
     os.makedirs(out_dir, exist_ok=True)
     seed = cfg.seeds[0] if args.seed is None else args.seed
     radio = cfg.radio
-    n_symbols = max(1, cfg.task.dim // 2)
+    # An odd dimension is padded with one zero coordinate, as in simulate.
+    n_symbols = (cfg.task.dim + 1) // 2
     rows = []
     worst = 0.0
     for idx in range(n_instances):

@@ -1,8 +1,11 @@
 """Tests for the analog aggregation chain and its closed-form MSE."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from airfl import aircomp
 from airfl.aircomp import (
     AggregationWeights,
     analytic_mse,
@@ -76,6 +79,33 @@ def _random_state(rng, n, k, pathloss_db=0.0, noise_server=0.01, noise_user=0.02
     r_all = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     weights = AggregationWeights(rng.uniform(1.0, 5.0, k))
     return cfg, chan, f_matrix, r_all, t_all, weights
+
+
+def _monte_carlo_one_shot(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, draws, seed):
+    """``monte_carlo_mse`` with every draw in memory at once: the reference
+    the chunked loop must match bit for bit."""
+    k_users = chan.n_users
+    rng_x = substream(seed, "mc-parameters")
+    x_draws = np.sqrt(eta) * rng_x.standard_normal((draws, k_users, 2 * n_symbols))
+    rng_relay = substream(seed, "mc-relay-noise")
+    relay_noise = np.sqrt(cfg.noise_power_server / 2.0) * (
+        rng_relay.standard_normal((draws, chan.n_antennas, n_symbols))
+        + 1j * rng_relay.standard_normal((draws, chan.n_antennas, n_symbols))
+    )
+    rng_user = substream(seed, "mc-user-noise")
+    user_scale = np.sqrt(np.asarray(cfg.noise_power_user, dtype=float) / 2.0)[None, :, None]
+    user_noise = user_scale * (
+        rng_user.standard_normal((draws, k_users, n_symbols))
+        + 1j * rng_user.standard_normal((draws, k_users, n_symbols))
+    )
+    target = global_target(x_draws[..., 0::2] + 1j * x_draws[..., 1::2], weights)
+    received = over_the_air(
+        x_draws, f_matrix, t_all, chan, cfg.power_scaling, eta, relay_noise, user_noise
+    )
+    r_all = np.asarray(r_all, dtype=complex).reshape(-1)
+    err = np.sqrt(2.0 * eta) * r_all[None, :, None] * received - target[:, None, :]
+    sq = np.sum(np.abs(err) ** 2, axis=2)
+    return sq.mean(axis=0), sq.std(axis=0, ddof=1) / np.sqrt(draws)
 
 
 class TestAggregationWeights:
@@ -433,6 +463,45 @@ class TestMonteCarlo:
         out2 = monte_carlo_mse(f, r, t, chan, w, cfg, 1.0, 3, 500, 5)
         np.testing.assert_array_equal(out1[0], out2[0])
         np.testing.assert_array_equal(out1[1], out2[1])
+
+    @pytest.mark.parametrize(
+        "n, k, noise_server, noise_user",
+        [(3, 2, 0.0, 0.02), (4, 3, 0.01, [0.0, 0.02, 0.5]), (2, 1, 0.01, 0.02)],
+        ids=["zero-server-noise", "per-user-noise", "one-user"],
+    )
+    def test_chunked_draws_match_one_shot(self, n, k, noise_server, noise_user):
+        # Chunk boundaries must not move a single draw: every count around
+        # one and two chunks gives the one-shot mean and stderr bit for bit.
+        chunk = aircomp._MC_CHUNK
+        rng = substream(38, "mc-chunks", n, k)
+        cfg, chan, f, r, t, w = _random_state(rng, n, k, noise_server=noise_server, noise_user=noise_user)
+        for draws in (2, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            args = (f, r, t, chan, w, cfg, 0.7, 3, draws, 11)
+            mean, se = monte_carlo_mse(*args)
+            ref_mean, ref_se = _monte_carlo_one_shot(*args)
+            np.testing.assert_array_equal(mean, ref_mean)
+            np.testing.assert_array_equal(se, ref_se)
+
+    def test_memory_grows_only_with_the_error_array(self):
+        # numpy reports its buffers to tracemalloc.  Going from 4 to 32
+        # chunks of draws may only grow the (draws, K) float64 errors; a
+        # chain held whole would grow by draws * N * S complex entries.
+        chunk = aircomp._MC_CHUNK
+        cfg = RadioConfig(n_antennas=8, n_users=3)
+        chan = sample_channels(cfg, 1)
+        f = np.exp(1j * substream(39, "mc-memory").uniform(0.0, 2.0 * np.pi, (8, 8)))
+        r = t = np.ones(3, dtype=complex)
+        w = AggregationWeights(np.ones(3))
+        peaks = []
+        for n_chunks in (4, 32):
+            tracemalloc.start()
+            try:
+                monte_carlo_mse(f, r, t, chan, w, cfg, 1.0, 5, n_chunks * chunk, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        error_growth = (32 - 4) * chunk * 3 * 8
+        assert peaks[1] - peaks[0] <= error_growth + 64 * 1024
 
     def test_draws_validation(self):
         rng = substream(37, "mc-draws")

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from airfl import checks
+from airfl.aircomp import analytic_mse
+from airfl.channel import sample_channels, substream
 from airfl.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -365,6 +367,39 @@ class TestSubcommands:
         z_scores = [abs(float(line.split(",")[-1])) for line in lines[2:]]
         assert max(z_scores) <= 3.0
         assert "OK" in capsys.readouterr().out
+
+    def test_mse_check_golden_numbers(self, tmp_path):
+        # Recorded simulated columns: any change to the Monte Carlo draw
+        # order or its arithmetic, not only nondeterminism, fails here.
+        cfg_path = self._write(tmp_path, _tiny_config())
+        out = tmp_path / "mse"
+        code = main(["--config", cfg_path, "mse-check", "--seed", "0", "--draws", "3000",
+                     "--instances", "2", "--out", str(out)])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in (out / "mse_check.csv").read_text().splitlines()[2:]]
+        assert [row[:2] for row in rows] == [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]
+        assert [[float(v) for v in row[3:]] for row in rows] == [
+            [4.805261526178486, 0.06257387776853499, -0.9257028247634941],
+            [4.795803502375033, 0.062492583980866295, -0.9390030921862864],
+            [0.8485282124623609, 0.011105495560676625, 0.27304774939454374],
+            [0.43463017566987205, 0.005633361699492579, 0.24605219463135292],
+        ]
+
+    def test_mse_check_odd_dim_counts_the_padded_symbol(self, tmp_path):
+        # dim 5 is padded to 6 coordinates, so training sends 3 symbols and
+        # the closed form the check reports must be the 3-symbol one.
+        cfg = _tiny_config(task={"dim": 5, "samples_per_user": 6})
+        out = tmp_path / "mse"
+        code = main(["--config", self._write(tmp_path, cfg), "mse-check", "--draws", "200",
+                     "--instances", "2", "--out", str(out)])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in (out / "mse_check.csv").read_text().splitlines()[2:]]
+        radio = parse_config(cfg).radio
+        for idx in range(2):
+            chan = sample_channels(radio, 0, round_index=idx)
+            f, r, t, w, eta = checks.random_link(substream(0, "mse-check", idx), chan, radio)
+            closed = analytic_mse(f, r, t, chan, w, radio, eta, n_symbols=3)
+            assert [float(row[2]) for row in rows if row[0] == str(idx)] == list(closed)
 
     def test_mse_check_exact_single_user_link(self, tmp_path, capsys):
         # One user, no noise: the relayed aggregate is exact up to rounding,

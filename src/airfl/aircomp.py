@@ -92,15 +92,18 @@ def over_the_air(x_batch, f_matrix, t_all, chan, power_scaling, eta, relay_noise
         raise ValueError(f"user_noise must be {(replays, k_users, n_symbols)}")
     root = np.sqrt(2.0 * np.asarray(eta, dtype=float)).reshape(-1, 1, 1)
     t_all = np.asarray(t_all, dtype=complex).reshape(-1)
-    # Each stage rebinds ``signal`` so the previous stage's array is freed;
-    # every stage is an (R, N or K, S) array, and the Monte Carlo check
-    # passes at most ``_MC_CHUNK`` draws as R.
+    # One matrix product per stage over all R*S symbols: each stage is an
+    # (N or K, R*S) array whose column r*S + s is symbol s of replay r.  The
+    # relay noise is added in place through an (N, R, S) view, and each
+    # stage rebinds ``signal`` so the previous stage's array is freed; the
+    # Monte Carlo check passes at most ``_MC_CHUNK`` draws as R.
     signal = (t_all[None, :, None] / root) * (x_batch[..., 0::2] + 1j * x_batch[..., 1::2])
-    signal = np.einsum("rks,kn->rns", signal, chan.uplink) + relay_noise
-    signal = np.sqrt(power_scaling) * np.einsum(
-        "nm,rms->rns", np.asarray(f_matrix, dtype=complex), signal
-    )
-    return np.einsum("kn,rns->rks", chan.downlink.conj(), signal) + user_noise
+    signal = chan.uplink.T @ signal.transpose(1, 0, 2).reshape(k_users, replays * n_symbols)
+    signal.reshape(chan.n_antennas, replays, n_symbols)[...] += relay_noise.transpose(1, 0, 2)
+    signal = np.asarray(f_matrix, dtype=complex) @ signal
+    signal *= np.sqrt(power_scaling)
+    signal = (chan.downlink.conj() @ signal).reshape(k_users, replays, n_symbols)
+    return signal.transpose(1, 0, 2) + user_noise
 
 
 def _effective_gains(f_matrix, chan):
@@ -192,6 +195,8 @@ def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, 
     if draws < 2:
         raise ValueError("need at least 2 draws for a standard error")
     n_symbols = int(n_symbols)
+    if n_symbols < 1:
+        raise ValueError("n_symbols must be at least 1")
     model_dim = 2 * n_symbols
     k_users = chan.n_users
     rng_x = substream(seed, "mc-parameters")

@@ -81,6 +81,22 @@ def _random_state(rng, n, k, pathloss_db=0.0, noise_server=0.01, noise_user=0.02
     return cfg, chan, f_matrix, r_all, t_all, weights
 
 
+def _over_the_air_einsum(x_batch, f_matrix, t_all, chan, power_scaling, eta, relay_noise,
+                         user_noise):
+    """The analog chain written as three einsum contractions, one per stage:
+    the reference the matrix-product chain of ``over_the_air`` must match up
+    to summation order."""
+    x_batch = np.asarray(x_batch, dtype=float)
+    root = np.sqrt(2.0 * np.asarray(eta, dtype=float)).reshape(-1, 1, 1)
+    t_all = np.asarray(t_all, dtype=complex).reshape(-1)
+    signal = (t_all[None, :, None] / root) * (x_batch[..., 0::2] + 1j * x_batch[..., 1::2])
+    signal = np.einsum("rks,kn->rns", signal, chan.uplink) + relay_noise
+    signal = np.sqrt(power_scaling) * np.einsum(
+        "nm,rms->rns", np.asarray(f_matrix, dtype=complex), signal
+    )
+    return np.einsum("kn,rns->rks", chan.downlink.conj(), signal) + user_noise
+
+
 def _monte_carlo_one_shot(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, draws, seed):
     """``monte_carlo_mse`` with every draw in memory at once: the reference
     the chunked loop must match bit for bit."""
@@ -270,6 +286,27 @@ class TestChainOperations:
         noise = np.array([[[1.0 + 1.0j, -2.0j], [0.5, 3.0 + 0.0j]]])
         out = _receive(np.zeros((1, 2, 4)), chan, user_noise=noise)
         np.testing.assert_array_equal(out, noise)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (4, 2), (8, 3), (32, 16)])
+    @pytest.mark.parametrize("replays", [1, 7, 2051])
+    def test_matches_einsum_reference(self, n, k, replays):
+        # BLAS sums in its own order, so the chain matches the per-stage
+        # einsums to rounding, at every size, eta layout, gain and noise.
+        rng = substream(30, "einsum-reference", n, k, replays)
+        chan = sample_channels(RadioConfig(n_antennas=n, n_users=k), int(rng.integers(1 << 31)))
+        x = rng.standard_normal((replays, k, 10))
+        f = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, n)))
+        t = _complex(rng, k)
+        for eta in (0.7, rng.uniform(0.5, 2.0, replays)):
+            for power_scaling in (1.0, 2.0):
+                for noise in (0.0, 0.1):
+                    relay = noise * _complex(rng, (replays, n, 5))
+                    user = noise * _complex(rng, (replays, k, 5))
+                    args = (x, f, t, chan, power_scaling, eta, relay, user)
+                    ref = _over_the_air_einsum(*args)
+                    out = over_the_air(*args)
+                    assert out.shape == ref.shape
+                    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
     def test_global_target(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -465,18 +502,28 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(out1[1], out2[1])
 
     @pytest.mark.parametrize(
-        "n, k, noise_server, noise_user",
-        [(3, 2, 0.0, 0.02), (4, 3, 0.01, [0.0, 0.02, 0.5]), (2, 1, 0.01, 0.02)],
-        ids=["zero-server-noise", "per-user-noise", "one-user"],
+        "n, k, noise_server, noise_user, pathloss_db, n_symbols",
+        [
+            (3, 2, 0.0, 0.02, 0.0, 3),
+            (4, 3, 0.01, [0.0, 0.02, 0.5], 0.0, 3),
+            (2, 1, 0.01, 0.02, 0.0, 3),
+            (8, 3, 1e-11, 1e-11, -40.0, 5),
+        ],
+        ids=["zero-server-noise", "per-user-noise", "one-user", "reference-radio"],
     )
-    def test_chunked_draws_match_one_shot(self, n, k, noise_server, noise_user):
-        # Chunk boundaries must not move a single draw: every count around
-        # one and two chunks gives the one-shot mean and stderr bit for bit.
+    def test_chunked_draws_match_one_shot(self, n, k, noise_server, noise_user, pathloss_db,
+                                          n_symbols):
+        # Chunk boundaries must not move a single draw or a rounding: every
+        # count around one and two chunks gives the one-shot mean and stderr
+        # bit for bit, so the chain's matrix products round the same way on
+        # a chunk as on all draws at once.
         chunk = aircomp._MC_CHUNK
         rng = substream(38, "mc-chunks", n, k)
-        cfg, chan, f, r, t, w = _random_state(rng, n, k, noise_server=noise_server, noise_user=noise_user)
+        cfg, chan, f, r, t, w = _random_state(
+            rng, n, k, pathloss_db, noise_server=noise_server, noise_user=noise_user
+        )
         for draws in (2, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
-            args = (f, r, t, chan, w, cfg, 0.7, 3, draws, 11)
+            args = (f, r, t, chan, w, cfg, 0.7, n_symbols, draws, 11)
             mean, se = monte_carlo_mse(*args)
             ref_mean, ref_se = _monte_carlo_one_shot(*args)
             np.testing.assert_array_equal(mean, ref_mean)
@@ -508,3 +555,6 @@ class TestMonteCarlo:
         cfg, chan, f, r, t, w = _random_state(rng, 2, 2)
         with pytest.raises(ValueError):
             monte_carlo_mse(f, r, t, chan, w, cfg, 1.0, 2, 1, 5)
+        for n_symbols in (0, -1):
+            with pytest.raises(ValueError, match="n_symbols must be at least 1"):
+                monte_carlo_mse(f, r, t, chan, w, cfg, 1.0, n_symbols, 100, 5)

@@ -380,9 +380,9 @@ class TestSubcommands:
         assert [row[:2] for row in rows] == [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]
         assert [[float(v) for v in row[3:]] for row in rows] == [
             [4.805261526178486, 0.06257387776853499, -0.9257028247634941],
-            [4.795803502375033, 0.062492583980866295, -0.9390030921862864],
-            [0.8485282124623609, 0.011105495560676625, 0.27304774939454374],
-            [0.43463017566987205, 0.005633361699492579, 0.24605219463135292],
+            [4.795803502375033, 0.06249258398086629, -0.9390030921862865],
+            [0.8485282124623609, 0.011105495560676623, 0.2730477493945438],
+            [0.43463017566987217, 0.005633361699492578, 0.24605219463133324],
         ]
 
     def test_mse_check_odd_dim_counts_the_padded_symbol(self, tmp_path):

@@ -17,11 +17,12 @@ import numpy as np
 
 from .aircomp import AggregationWeights, analytic_mse, monte_carlo_mse, mse_bracket_terms
 from .channel import RadioConfig, sample_channels, substream
-from .linalg import StructuredGram, dense_solve, phase_project, structured_solve
+from .linalg import dense_solve, phase_project
 from .pam import PamConfig, baseline_optimize, build_workspace, inner_pam, run_pam, update_r, update_u
 
 __all__ = [
     "block_rise",
+    "dense_u_step",
     "inner_merit_rises",
     "mse_agreement",
     "mse_z_scores",
@@ -50,10 +51,33 @@ def _random_radio(rng, max_antennas, noise_low, noise_high):
     )
 
 
-def structured_solve_error(seed, count):
-    """Worst relative error of ``structured_solve`` against the dense solve.
+def dense_u_step(workspace, user, rho, dtype=complex):
+    """One user's u-step system, assembled densely as an oracle.
 
-    Each instance is one user's u-step system of a random workspace.
+    Returns ``(matrix, data_rhs, rank_one)``: the N^2 x N^2 matrix
+    sum_j a_j a_j^H + kron_scale * I kron (g g^H) + (rho/K) I, the data part
+    sum_j alpha_j a_j of the right-hand side (the caller adds (rho/K) f),
+    and the rank-one vectors a_j = conj(r t_j) vec(g h_j^H) as rows, with
+    g the user's downlink and h_j the uplinks.  Everything is computed in
+    ``dtype``, so ``np.clongdouble`` gives an extended-precision system.
+    """
+    g = workspace.downlink[user].astype(dtype)
+    n = g.size
+    rank_one = np.conj(workspace.r[user] * workspace.t.astype(dtype))[:, None] * np.stack(
+        [np.kron(h.conj(), g) for h in workspace.uplink.astype(dtype)]
+    )
+    matrix = rank_one.T @ rank_one.conj()
+    matrix += workspace.kron_scale[user] * np.kron(np.eye(n, dtype=dtype), np.outer(g, g.conj()))
+    matrix += (rho / workspace.n_users) * np.eye(n * n, dtype=dtype)
+    return matrix, workspace.alpha.astype(dtype) @ rank_one, rank_one
+
+
+def structured_solve_error(seed, count):
+    """Worst relative error of the relay u-step against the dense solve.
+
+    Each instance is one user's copy from ``update_u`` on a random
+    workspace, compared with :func:`dense_solve` of that user's explicitly
+    assembled system (:func:`dense_u_step`).
     """
     rng = substream(seed, "acceptance-structured")
     worst = 0.0
@@ -68,16 +92,9 @@ def structured_solve_error(seed, count):
         rho = float(rng.uniform(0.1, 10.0))
         f = _complex_normal(rng, n * n)
         user = int(rng.integers(k))
-        gram = StructuredGram(
-            dim=n * n,
-            rank_one=ws.rank_one[user].T,
-            kron_scale=float(ws.kron_scale[user]),
-            kron_vector=ws.downlink[user],
-            ridge=rho / k,
-        )
-        rhs = weights.alpha @ ws.rank_one[user] + (rho / k) * f
-        fast = structured_solve(gram, rhs)
-        slow = dense_solve(gram.materialize(), rhs)
+        fast = update_u(ws, f, rho)[user]
+        matrix, data_rhs, _ = dense_u_step(ws, user, rho)
+        slow = dense_solve(matrix, data_rhs + (rho / k) * f)
         worst = max(worst, np.linalg.norm(fast - slow) / np.linalg.norm(slow))
     return worst
 
@@ -144,14 +161,15 @@ def stationarity_slopes(seed, count):
         f = _complex_normal(rng, n * n)
         u_all = update_u(ws, f, rho)
         prox = rho / k
+        user = int(rng.integers(k))
+        rank_one = dense_u_step(ws, user, rho)[2]
 
         def objective(user, u):
-            fit = ws.rank_one[user].conj() @ u - weights.alpha
+            fit = rank_one.conj() @ u - weights.alpha
             u_mat = u.reshape((n, n), order="F")
             quad = ws.kron_scale[user] * np.sum(np.abs(ws.downlink[user].conj() @ u_mat) ** 2)
             return float(np.sum(np.abs(fit) ** 2)) + quad + prox * float(np.sum(np.abs(u - f) ** 2))
 
-        user = int(rng.integers(k))
         scale = max(1.0, objective(user, u_all[user]))
         grad_sq = 0.0
         for idx in range(n * n):

@@ -425,7 +425,7 @@ def _cmd_validate(cfg, args):
     # (check, statistic, measurement, bound): the acceptance criteria's
     # checks at the user's seed with small instance counts.
     table = [
-        ("structured solve matches dense oracle", "worst rel err",
+        ("relay u-step matches dense oracle", "worst rel err",
          lambda: checks.structured_solve_error(seed, 50), 1e-10),
         ("phase projection is the grid-verified minimizer", "worst excess over grid",
          lambda: checks.phase_projection_excess(seed, 64), 1e-9),

@@ -11,11 +11,14 @@ receive equalizers r.  The objective is the worst user's MSE bracket (see
 * F: an inner penalized alternating-minimization loop over per-user copies
   u_k, the consensus vector f = vec(F), and its unit-modulus projection z.
 
-The inner loop's u-step solves K structured normal systems, one per user,
-and never forms an N^2 x N^2 matrix.  Their matrices depend only on the
-fixed (r, t, rho), so :func:`inner_pam` factors them once per call
-(``linalg.StructuredFactor``) and each cycle solves all users in one batched
-pass.
+The inner loop's u-step has one N^2 x N^2 normal system per user, but
+every rank-one term of user k carries its downlink g_k, which is also an
+eigenvector of the user's relay-noise block.  So each copy is
+U_k = F + g_k v_k^T, and the systems reduce to K x K Woodbury capacitances
+I + beta_k P that share one matrix P (see :func:`_factor_u_step`).
+:func:`inner_pam` decomposes P once per call; a cycle then costs
+O(K N^2 + K^2 N) in a fixed number of matrix products, and never forms the
+copies or any K x K x N^2 array.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .aircomp import _effective_gains, mse_bracket_terms
 from .channel import substream
-from .linalg import StructuredFactor, StructuredGram, mat_of_vector, phase_project, vec_of_matrix
+from .linalg import CONDITION_LIMIT, IllConditionedError, mat_of_vector, phase_project, vec_of_matrix
 
 __all__ = [
     "PamConfig",
@@ -103,26 +106,29 @@ class PhaseShiftState:
 
 @dataclass
 class PamWorkspace:
-    """Quantities the inner loop needs, precomputed from (r, t, channels).
+    """Quantities the inner loop needs, fixed by (r, t, channels).
 
-    ``rank_one[k, j]`` is the length-N^2 vector a_{k,j} with
-    ``a_{k,j}^H vec(F) = r_k g_k^H F h_j t_j``; ``kron_scale[k]`` is the
-    relay-noise quadratic coefficient noise_server * |r_k|^2 attached to
-    ``I kron (g_k g_k^H)``.
+    User k's u-step fits ``r_k t_j g_k^H U h_j`` to alpha_j for every j,
+    where g_k is ``downlink[k]`` and h_j is ``uplink[j]``: in vec form the
+    rank-one vectors a_{k,j} = conj(r_k t_j) vec(g_k h_j^H).  ``kron_scale[k]``
+    is the relay-noise quadratic coefficient noise_server * |r_k|^2 attached
+    to ``I kron (g_k g_k^H)``, i.e. to ||g_k^H U||^2.
     """
 
-    rank_one: np.ndarray
-    kron_scale: np.ndarray
+    r: np.ndarray
+    t: np.ndarray
+    uplink: np.ndarray
     downlink: np.ndarray
     alpha: np.ndarray
+    kron_scale: np.ndarray
 
     @property
     def n_users(self):
-        return self.rank_one.shape[0]
+        return self.downlink.shape[0]
 
     @property
     def dim(self):
-        return self.rank_one.shape[2]
+        return self.downlink.shape[1] ** 2
 
 
 def objective_minmax(f_matrix, r_all, t_all, chan, weights, cfg):
@@ -259,50 +265,82 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
 
 
 def build_workspace(r_all, t_all, chan, weights, cfg):
-    """Precompute the rank-one vectors and noise quadratics for the inner loop."""
+    """Collect (r, t, channels, alpha) and the noise quadratics for the inner loop."""
     r_all = np.asarray(r_all, dtype=complex).reshape(-1)
     t_all = np.asarray(t_all, dtype=complex).reshape(-1)
-    k_users = chan.n_users
-    n = chan.n_antennas
-    if r_all.size != k_users or t_all.size != k_users:
+    if r_all.size != chan.n_users or t_all.size != chan.n_users:
         raise ValueError("r_all and t_all must have one entry per user")
-    # a_{k,j} = conj(r_k t_j) * (conj(h_j) kron g_k), column-major vec convention.
-    outer = np.einsum("jm,kn->kjmn", chan.uplink.conj(), chan.downlink)
-    rank_one = (r_all[:, None] * t_all[None, :]).conj()[:, :, None] * outer.reshape(
-        k_users, k_users, n * n
-    )
-    kron_scale = cfg.noise_power_server * np.abs(r_all) ** 2
     return PamWorkspace(
-        rank_one=rank_one,
-        kron_scale=kron_scale,
+        r=r_all.copy(),
+        t=t_all.copy(),
+        uplink=chan.uplink.copy(),
         downlink=chan.downlink.copy(),
         alpha=np.asarray(weights.alpha, dtype=float).copy(),
+        kron_scale=cfg.noise_power_server * np.abs(r_all) ** 2,
     )
 
 
 def _factor_u_step(workspace, rho):
-    """Factor every user's u-step system once for fixed (r, t, rho).
+    """Decompose every user's u-step system once for fixed (r, t, rho).
 
-    Returns the factor, the constant data part ``sum_j alpha_j a_{k,j}`` of
-    every user's right-hand side (one row per user), and the proximal weight
-    rho/K that multiplies f in it.
+    Every a_{k,j} carries g_k, which is also an eigenvector of the
+    Kronecker block, so user k's minimizer is U_k = F + g_k v_k^T and only
+    the row y_k = g_k^H U_k is unknown.  It solves
+        y_k (I + beta_k A A^H) = q_k,   A = [t_1 h_1, ..., t_K h_K],
+        q_k = (||g_k||^2 e_k + (rho/K) g_k^H F) / s_k,
+    with e_k = conj(r_k) sum_j alpha_j conj(t_j) h_j^H,
+    s_k = rho/K + kron_scale_k ||g_k||^2 and beta_k = |r_k|^2 ||g_k||^2 / s_k.
+    By Woodbury the K x K capacitances are C_k = I + beta_k P with one
+    shared P = A^H A, so a single eigendecomposition P = Q diag(lam) Q^H
+    gives every C_k's inverse and its exact condition number
+    (1 + beta_k lam_max) / (1 + beta_k lam_min), checked against
+    ``CONDITION_LIMIT``.
+
+    Returns ``solve``, which maps the rows g_k^H F (a K x N array) to the
+    rows y_k and v_k = (y_k - g_k^H F) / ||g_k||^2 (zero when g_k = 0, where
+    U_k = F).
     """
     if not rho > 0:
         raise ValueError("rho must be strictly positive")
-    k_users = workspace.n_users
-    ridge = rho / k_users
-    factor = StructuredFactor(
-        StructuredGram(
-            dim=workspace.dim,
-            rank_one=workspace.rank_one[k].T,
-            kron_scale=float(workspace.kron_scale[k]),
-            kron_vector=workspace.downlink[k],
-            ridge=ridge,
+    ridge = rho / workspace.n_users
+    g_sq = np.sum(np.abs(workspace.downlink) ** 2, axis=1)
+    s = ridge + workspace.kron_scale * g_sq
+    beta = np.abs(workspace.r) ** 2 * g_sq / s
+    a = workspace.uplink.T * workspace.t[None, :]
+    lam, q = np.linalg.eigh(a.conj().T @ a)
+    top = 1.0 + beta * lam[-1]
+    bottom = 1.0 + beta * lam[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(bottom <= 0, np.inf, top / bottom)
+    bad = ~np.isfinite(cond) | (cond > CONDITION_LIMIT)
+    if np.any(bad):
+        worst = float(cond[np.argmax(bad)])
+        raise IllConditionedError(
+            f"Woodbury capacitance matrix condition estimate {worst:.3e} exceeds "
+            f"{CONDITION_LIMIT:.1e}; the system is numerically unreliable",
+            worst,
         )
-        for k in range(k_users)
-    )
-    data_rhs = np.stack([workspace.alpha @ workspace.rank_one[k] for k in range(k_users)])
-    return factor, data_rhs, ridge
+    aq = a @ q
+    aq_h = aq.conj().T
+    weight = beta[:, None] / (1.0 + beta[:, None] * lam[None, :])
+    target = (workspace.alpha * workspace.t) @ workspace.uplink
+    data = (g_sq / s)[:, None] * np.conj(np.outer(workspace.r, target))
+    prox = (ridge / s)[:, None]
+    inv_g_sq = np.divide(1.0, g_sq, out=np.zeros_like(g_sq), where=g_sq > 0)[:, None]
+
+    def solve(g_f):
+        rhs = data + prox * g_f
+        g_u = rhs - ((rhs @ aq) * weight) @ aq_h
+        return g_u, (g_u - g_f) * inv_g_sq
+
+    return solve
+
+
+def _copies(f_matrix, v, downlink):
+    """Rows vec(F + g_k v_k^T) of every user's copy (column-major vec)."""
+    k_users, n = v.shape
+    outer = v[:, :, None] * downlink[:, None, :]
+    return vec_of_matrix(f_matrix)[None, :] + outer.reshape(k_users, n * n)
 
 
 def update_u(workspace, f, rho):
@@ -311,16 +349,19 @@ def update_u(workspace, f, rho):
     Solves, for each user k,
         (sum_j a_{k,j} a_{k,j}^H + G_k + (rho/K) I) u_k
             = sum_j alpha_j a_{k,j} + (rho/K) f
-    via one batched structured solve over all users; u_k exactly minimizes
+    in its rank-one form (see :func:`_factor_u_step`); u_k exactly minimizes
     user k's data cost plus its share (rho/K) ||u_k - f||^2 of the consensus
-    penalty.  This one-shot form factors the systems and solves once;
-    :func:`inner_pam` factors once per call and reuses the factor every cycle.
+    penalty.  This one-shot form decomposes the systems and solves once;
+    :func:`inner_pam` decomposes once per call and reuses it every cycle.
     """
-    factor, data_rhs, ridge = _factor_u_step(workspace, rho)
+    solve = _factor_u_step(workspace, rho)
     f = np.asarray(f, dtype=complex).reshape(-1)
     if f.size != workspace.dim:
         raise ValueError(f"f must have length {workspace.dim}")
-    return factor.solve(data_rhs + ridge * f)
+    n = workspace.downlink.shape[1]
+    f_matrix = mat_of_vector(f, n, n)
+    _, v = solve(workspace.downlink.conj() @ f_matrix)
+    return _copies(f_matrix, v, workspace.downlink)
 
 
 def update_f(u_all, z):
@@ -332,20 +373,15 @@ def update_f(u_all, z):
     return 0.5 * (u_all.mean(axis=0) + z)
 
 
-def _data_terms(workspace, u_all):
-    """Per-user data cost: sum_j |a_{k,j}^H u_k - alpha_j|^2 + u_k^H G_k u_k."""
-    k_users = workspace.n_users
-    n = workspace.downlink.shape[1]
-    fit = np.array(
-        [
-            np.sum(np.abs((workspace.rank_one[k] @ u_all[k].conj()).conj() - workspace.alpha) ** 2)
-            for k in range(k_users)
-        ]
-    )
-    # u_mats[k] is u_k as an N x N matrix (column-major vec convention).
-    u_mats = u_all.reshape((k_users, n, n), order="F")
-    g_u = (workspace.downlink.conj()[:, None, :] @ u_mats)[:, 0, :]
-    return fit + workspace.kron_scale * np.sum(np.abs(g_u) ** 2, axis=1)
+def _data_terms(workspace, g_u):
+    """Per-user data cost from the rows g_k^H U_k:
+    sum_j |r_k t_j g_k^H U_k h_j - alpha_j|^2 + kron_scale_k ||g_k^H U_k||^2."""
+    fit = workspace.r[:, None] * (g_u @ workspace.uplink.T) * workspace.t[None, :] - workspace.alpha
+    return np.sum(np.abs(fit) ** 2, axis=1) + workspace.kron_scale * np.sum(np.abs(g_u) ** 2, axis=1)
+
+
+def _merit(workspace, g_u, spread, tether, rho):
+    return float(np.max(_data_terms(workspace, g_u)) + rho * (spread + tether))
 
 
 def penalized_objective(u_all, f, z, workspace, rho):
@@ -353,38 +389,58 @@ def penalized_objective(u_all, f, z, workspace, rho):
     u_all = np.asarray(u_all, dtype=complex)
     f = np.asarray(f, dtype=complex).reshape(-1)
     z = np.asarray(z, dtype=complex).reshape(-1)
-    data = _data_terms(workspace, u_all)
+    n = workspace.downlink.shape[1]
+    # u_mats[k] is u_k as an N x N matrix (column-major vec convention).
+    u_mats = u_all.reshape((workspace.n_users, n, n), order="F")
+    g_u = (workspace.downlink.conj()[:, None, :] @ u_mats)[:, 0, :]
     spread = np.mean(np.sum(np.abs(u_all - f[None, :]) ** 2, axis=1))
-    tether = np.sum(np.abs(z - f) ** 2)
-    return float(np.max(data) + rho * (spread + tether))
+    return _merit(workspace, g_u, spread, np.sum(np.abs(z - f) ** 2), rho)
 
 
 def inner_pam(workspace, f_matrix_init, rho, m_inner):
     """Penalized alternating minimization for the relay matrix.
 
-    Starts every block variable at vec(F_init) and cycles
-    copies (the :func:`update_u` step) -> consensus -> projection, recording
-    the merit after each full cycle.  The copies' systems do not depend on f,
-    so they are factored once per call and every cycle is one batched solve.
+    Starts every block variable at F_init and cycles copies (the
+    :func:`update_u` step) -> consensus -> projection, recording the merit
+    after each full cycle.  The copies' systems do not depend on f, so they
+    are decomposed once per call.  A cycle never forms the copies
+    U_k = F + g_k v_k^T: it needs the rows g_k^H F, two K x N by N x K
+    products for the copies, G^T V for their mean, and the merit, whose
+    spread ||U_k - F'||^2 = ||D||^2 + 2 Re<g_k^H D, v_k> + ||g_k||^2 ||v_k||^2
+    with D = F - F' reuses the next cycle's rows g_k^H F'.
     Returns the unit-modulus matrix recovered from the final projection, the
     merit trajectory, and the final state.
     """
-    f_matrix_init = np.asarray(f_matrix_init, dtype=complex)
-    n = f_matrix_init.shape[0]
-    if f_matrix_init.shape != (n, n) or n * n != workspace.dim:
+    f_matrix = np.asarray(f_matrix_init, dtype=complex)
+    n = f_matrix.shape[0]
+    if f_matrix.shape != (n, n) or n * n != workspace.dim:
         raise ValueError("initial matrix shape does not match the workspace")
-    f = vec_of_matrix(f_matrix_init).astype(complex)
-    z = f.copy()
-    u_all = np.tile(f, (workspace.n_users, 1))
-    factor, data_rhs, ridge = _factor_u_step(workspace, rho)
+    k_users = workspace.n_users
+    downlink = workspace.downlink
+    g_conj = downlink.conj()
+    g_sq = np.sum(np.abs(downlink) ** 2, axis=1)
+    solve = _factor_u_step(workspace, rho)
+    f_prev, z_matrix = f_matrix, f_matrix.copy()
+    g_f = g_conj @ f_matrix
+    v = np.zeros((k_users, n), dtype=complex)
     trajectory = np.empty(int(m_inner))
     for cycle in range(int(m_inner)):
-        u_all = factor.solve(data_rhs + ridge * f)
-        f = update_f(u_all, z)
-        z = phase_project(f)
-        trajectory[cycle] = penalized_objective(u_all, f, z, workspace, rho)
-    state = PhaseShiftState(f=f, u_all=u_all, z=z)
-    return mat_of_vector(z, n, n), trajectory, state
+        g_u, v = solve(g_f)
+        f_prev, g_f_prev = f_matrix, g_f
+        f_matrix = 0.5 * (f_prev + (downlink.T @ v) / k_users + z_matrix)
+        z_matrix = phase_project(f_matrix)
+        g_f = g_conj @ f_matrix
+        spread = np.mean(
+            np.sum(np.abs(f_prev - f_matrix) ** 2)
+            + 2.0 * np.real(np.sum((g_f_prev - g_f).conj() * v, axis=1))
+            + g_sq * np.sum(np.abs(v) ** 2, axis=1)
+        )
+        tether = np.sum(np.abs(z_matrix - f_matrix) ** 2)
+        trajectory[cycle] = _merit(workspace, g_u, spread, tether, rho)
+    state = PhaseShiftState(
+        f=vec_of_matrix(f_matrix), u_all=_copies(f_prev, v, downlink), z=vec_of_matrix(z_matrix)
+    )
+    return z_matrix, trajectory, state
 
 
 @dataclass

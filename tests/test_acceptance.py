@@ -50,7 +50,7 @@ def test_criterion_01_structured_solver_matches_dense_oracle():
     elapsed = time.time() - t0
     _verdict(
         1,
-        "structured solver matches the dense oracle",
+        "relay u-step matches the dense oracle",
         worst <= 1e-10 and elapsed < 10.0,
         f"200 instances, worst rel err {worst:.2e}, {elapsed:.1f}s",
     )

@@ -263,6 +263,16 @@ class TestSubcommands:
             capsys.readouterr().err
         )
 
+    def test_optimize_ill_conditioned_is_numeric_error(self, tmp_path, capsys):
+        # One antenna serving two users through a noiseless relay: the
+        # uplinks are collinear, and at a tiny rho every user's capacitance
+        # I + beta_k A^H A has a condition number far above CONDITION_LIMIT.
+        radio = dict(_tiny_config()["radio"], n_antennas=1, noise_power_server=0.0)
+        cfg = _tiny_config(radio=radio, pam={"n_outer": 2, "m_inner": 5, "rho": 1e-14}, mode="pam")
+        argv = ["--config", self._write(tmp_path, cfg), "optimize", "--out", str(tmp_path / "opt")]
+        assert main(argv) == EXIT_NUMERIC
+        assert "numeric failure: Woodbury capacitance matrix condition estimate" in capsys.readouterr().err
+
     def test_simulate_golden_numbers(self, tmp_path):
         # Criterion 10's tiny config against recorded outputs: any drift in
         # simulate's arithmetic, not only nondeterminism, fails here.

@@ -51,10 +51,13 @@ __all__ = [
 
 _INIT_STRATEGIES = ("random-phase", "all-ones")
 
-# Transmit-gain solve (update_t): stop at this relative duality gap, or after
-# this many dual ascent steps; an accepted step's length grows by this factor.
+# Transmit-gain solve (update_t): stop at this relative duality gap, after
+# this many dual ascent steps, or after this many steps in a row that improve
+# neither the best t nor the dual bound; an accepted step's length grows by
+# this factor.
 T_GAP_TOL = 1e-6
 T_MAX_ITERS = 5000
+T_STALL_STEPS = 50
 T_STEP_GROWTH = 1.5
 
 
@@ -194,7 +197,11 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
     projected onto the disc.  The per-user objective vector at that t is the
     dual gradient (Danskin), and projected-gradient ascent on lam with
     backtracking runs until the relative duality gap is at most
-    ``T_GAP_TOL`` or ``T_MAX_ITERS`` ascent steps have been taken.
+    ``T_GAP_TOL``, ``T_MAX_ITERS`` ascent steps have been taken, or
+    ``T_STALL_STEPS`` steps in a row have improved neither the best t nor
+    the dual bound.  Such a run means the ascent has reached the rounding
+    of the dual: its sufficient-increase test fails on noise and the step
+    shrinks without end, so later steps could change (t, gap) only by noise.
 
     Returns ``(t, gap)``: the best primal point seen, never worse than the
     incoming t, and (objective(t) - best dual value) / objective(t), which
@@ -240,11 +247,12 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
     vertices = np.sum(np.maximum(alpha[None, :] - np.abs(coeff) * cap, 0.0) ** 2, axis=1)
     best_dual = max(dual, float(np.max(vertices)))
     step = 1.0 / max(float(np.max(rows)), np.finfo(float).tiny)
+    stalled = 0
     for ascent in range(T_MAX_ITERS + 1):
         val = float(np.max(rows))
         if val < best_val:
-            best_t, best_val = t, val
-        if gap(best_val, best_dual) <= T_GAP_TOL or ascent == T_MAX_ITERS:
+            best_t, best_val, stalled = t, val, 0
+        if gap(best_val, best_dual) <= T_GAP_TOL or ascent == T_MAX_ITERS or stalled == T_STALL_STEPS:
             break
         # Backtrack until the step passes the sufficient-increase test of a
         # gradient step with Lipschitz estimate 1/step; a step too small to
@@ -259,7 +267,10 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
                 break
             step *= 0.5
         lam, t, rows, dual = lam_new, t_new, rows_new, dual_new
-        best_dual = max(best_dual, dual)
+        if dual > best_dual:
+            best_dual, stalled = dual, 0
+        else:
+            stalled += 1
         step *= T_STEP_GROWTH
     return best_t, gap(best_val, best_dual)
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from airfl import pam as pam_module
 from airfl.aircomp import AggregationWeights
 from airfl.channel import ChannelRealization, RadioConfig, sample_channels, substream
 from airfl.checks import dense_u_step
@@ -306,6 +307,47 @@ class TestUpdateT:
             t, gap = update_t(f, r, chan, w, cfg)
             assert gap <= T_GAP_TOL
             assert transmit_objective(coeff, w.alpha, t) >= np.sum(w.alpha**2)
+
+    def test_stalled_ascent_stops_with_the_same_result(self, monkeypatch):
+        # A transmit solve met in a train_ref simulate job (3 users with
+        # nearly equal gains, misfits near 2e-7): the ascent reaches the
+        # rounding of the dual at a gap of 1.07e-6, and without the stall
+        # stop its backtracking spins through all T_MAX_ITERS steps.  With
+        # F = G = I and r = 1 the coefficients c_kj are uplink[j][k] exactly.
+        coeff = np.array(
+            [
+                [0.4450921310727021 - 0.12199459398973611j, -0.32446655485298614 + 0.2604816973378175j,
+                 0.1870815565777818 - 0.27604461709661376j],
+                [0.445948241818188 - 0.1217870733649168j, -0.32442642679926764 + 0.2602050599063511j,
+                 0.18648108773148475 - 0.27597828688459597j],
+                [0.4454874532062671 - 0.12154861634373879j, -0.32432688162566564 + 0.2603178801213601j,
+                 0.18671420743042202 - 0.2762477047710248j],
+            ]
+        )
+        t_init = np.array(
+            [0.6961818784387899 + 0.19033195097484076j, -0.6250212106273104 - 0.5015408090574133j,
+             0.5603034711050332 + 0.828287401973283j]
+        )
+        cfg = RadioConfig(n_antennas=3, n_users=3)
+        chan = ChannelRealization(uplink=coeff.T.copy(), downlink=np.eye(3, dtype=complex))
+        f, r, w = np.eye(3, dtype=complex), np.ones(3, dtype=complex), AggregationWeights(np.full(3, 1.0 / 3.0))
+        np.testing.assert_array_equal(_transmit_coeff(f, r, chan), coeff)
+        steps = []
+        project = pam_module._simplex_project
+        monkeypatch.setattr(pam_module, "_simplex_project", lambda v: steps.append(1) or project(v))
+
+        def solve():
+            steps.clear()
+            t, gap = update_t(f, r, chan, w, cfg, t_init=t_init)
+            return t, gap, len(steps)
+
+        t, gap, stopped = solve()
+        monkeypatch.setattr(pam_module, "T_STALL_STEPS", pam_module.T_MAX_ITERS + 1)
+        t_full, gap_full, full = solve()
+        assert full > pam_module.T_MAX_ITERS and 10 * stopped < full
+        assert T_GAP_TOL < gap < 2 * T_GAP_TOL
+        np.testing.assert_array_equal(t, t_full)
+        assert gap == gap_full
 
     def test_not_worse_than_subgradient(self):
         rng = substream(50, "t-vs-subgradient")

@@ -11,8 +11,8 @@ squared error of the aggregated update.
 Modules
 -------
 linalg
-    Structured Gram solves (Kronecker + low-rank + ridge), unit-modulus
-    projection, vectorization helpers.
+    Unit-modulus projection, column-major vectorization helpers, the dense
+    solve of the self-checks, and the numeric error types.
 channel
     Seeded channel/noise sampling and radio configuration.
 aircomp

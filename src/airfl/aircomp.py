@@ -52,10 +52,6 @@ class AggregationWeights:
         self.dataset_sizes = sizes
         self.alpha = sizes / sizes.sum()
 
-    @property
-    def total(self):
-        return float(self.dataset_sizes.sum())
-
 
 def global_target(x_all, weights):
     """Weighted aggregate the protocol is trying to deliver: sum_k alpha_k x_k.

@@ -19,7 +19,6 @@ __all__ = [
     "ChannelRealization",
     "RadioConfig",
     "db_to_linear",
-    "dbm_to_watts",
     "derive_seed",
     "sample_awgn",
     "sample_channels",
@@ -60,11 +59,6 @@ def derive_seed(seed, *labels):
 def db_to_linear(value_db):
     """Convert decibels to a linear power ratio."""
     return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
-
-
-def dbm_to_watts(value_dbm):
-    """Convert dBm to watts."""
-    return 10.0 ** (np.asarray(value_dbm, dtype=float) / 10.0) / 1000.0
 
 
 def _per_user(value, n_users, name):

@@ -85,24 +85,27 @@ class TaskSpec:
             raise ConfigError("task.l2: must be strictly positive for a logistic task")
 
     def build(self, n_users):
-        if self.kind == "quadratic":
-            return make_quadratic_task(
+        try:
+            if self.kind == "quadratic":
+                return make_quadratic_task(
+                    n_users=n_users,
+                    dim=self.dim,
+                    samples_per_user=self.samples_per_user,
+                    rows_per_sample=self.rows_per_sample,
+                    heterogeneity=self.heterogeneity,
+                    target_scale=self.target_scale,
+                    whiten=self.whiten,
+                    seed=self.seed,
+                )
+            return make_logistic_task(
                 n_users=n_users,
                 dim=self.dim,
                 samples_per_user=self.samples_per_user,
-                rows_per_sample=self.rows_per_sample,
-                heterogeneity=self.heterogeneity,
-                target_scale=self.target_scale,
-                whiten=self.whiten,
+                l2=self.l2,
                 seed=self.seed,
             )
-        return make_logistic_task(
-            n_users=n_users,
-            dim=self.dim,
-            samples_per_user=self.samples_per_user,
-            l2=self.l2,
-            seed=self.seed,
-        )
+        except ValueError as exc:  # e.g. a sample draw too small to whiten
+            raise ConfigError(f"task: {exc}") from exc
 
 
 @dataclass
@@ -403,8 +406,14 @@ def _cmd_mse_check(cfg, args):
             link, chan, radio, n_symbols, draws, seed + 1000 + idx
         )
         for k in range(radio.n_users):
+            row = (closed[k], mc_mean[k], mc_se[k], z[k])
+            if not np.all(np.isfinite(row)):
+                raise NumericError(
+                    f"mse-check instance {idx} user {k}: non-finite result (analytic, mc_mean, "
+                    f"mc_se, z) = ({', '.join(map(_fmt, row))})"
+                )
             worst = max(worst, abs(z[k]))
-            rows.append((idx, k, closed[k], mc_mean[k], mc_se[k], z[k]))
+            rows.append((idx, k, *row))
     _write_csv(
         os.path.join(out_dir, "mse_check.csv"),
         _stamp(cfg, seed=seed, extra={"draws": draws}),

@@ -127,17 +127,9 @@ class QuadraticTask:
     def n_users(self):
         return len(self.features)
 
-    def local_gradient(self, k, x):
-        n_k = self.dataset_sizes[k]
-        return (self._hess_sum[k] @ x - self._lin_sum[k]) / n_k
-
     def local_gradient_batch(self, k, x_batch):
         n_k = self.dataset_sizes[k]
         return (x_batch @ self._hess_sum[k] - self._lin_sum[k][None, :]) / n_k
-
-    def local_loss(self, k, x):
-        resid = np.einsum("npi,i->np", self.features[k], x) - self.targets[k]
-        return 0.5 * float(np.sum(resid * resid)) / self.dataset_sizes[k]
 
     def global_loss(self, x):
         return float(self.global_loss_batch(np.asarray(x, dtype=float)[None, :])[0])
@@ -211,13 +203,6 @@ class LogisticTask:
         ev = np.exp(v[~pos])
         out[~pos] = ev / (1.0 + ev)
         return out
-
-    def local_loss(self, k, x):
-        margins = self.labels[k] * (self.features[k] @ x)
-        return float(np.mean(np.logaddexp(0.0, -margins))) + 0.5 * self.l2 * float(x @ x)
-
-    def local_gradient(self, k, x):
-        return self.local_gradient_batch(k, np.asarray(x, dtype=float)[None, :])[0]
 
     def local_gradient_batch(self, k, x_batch):
         a = self.features[k]
@@ -314,7 +299,7 @@ def make_quadratic_task(
         gram = sum(np.einsum("npi,npj->ij", a, a) for a in feats) / total
         vals, vecs = np.linalg.eigh(gram)
         if vals[0] <= 1e-10:
-            raise ValueError("degenerate sample draw; increase samples_per_user or rows")
+            raise ValueError("degenerate sample draw; increase samples_per_user or rows_per_sample")
         whitener = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
         feats = [a @ whitener for a in feats]
     shared = target_scale * rng.standard_normal(raw_dim) / np.sqrt(raw_dim)
@@ -440,13 +425,20 @@ def round_step(x_batch, task, weights, chan, radio, solution, step, local_update
     round's optimized link.  Returns the decoded parameters (R, K, M), the
     weighted aggregate of the locally updated parameters (R, M) and the
     closed-form per-user MSE (R, K) at each replay's power normalization.
-    Raises ``NumericError`` when a replay's parameters are all zero.
+    Raises ``NumericError`` when the locally updated parameters are not
+    finite or overflow their power normalization, when a replay's parameters
+    are all zero, or when the closed-form MSE is not finite.
     """
     x_batch = np.stack(
         [local_gd(task, k, x_batch[:, k, :], step, local_updates) for k in range(task.n_users)],
         axis=1,
     )
     eta_batch = np.mean(np.sum(x_batch * x_batch, axis=2), axis=1) / task.dim
+    if not np.all(np.isfinite(eta_batch)):
+        raise NumericError(
+            f"round {round_index}: the local gradient steps diverged: the updated parameters "
+            "are not finite, or too large to square (try a smaller train.step_size)"
+        )
     if not np.all(eta_batch > 0):
         raise NumericError(
             f"round {round_index}: every user's locally updated parameters are zero in some "
@@ -454,6 +446,11 @@ def round_step(x_batch, task, weights, chan, radio, solution, step, local_update
         )
     link = (solution.f_matrix, solution.r_all, solution.t_all)
     mse = analytic_mse(*link, chan, weights, radio, eta_batch, task.dim // 2)
+    if not np.all(np.isfinite(mse)):
+        raise NumericError(
+            f"round {round_index}: the closed-form MSE of the round's link is not finite "
+            f"(eta up to {float(np.max(eta_batch)):.3g}, forward gain {radio.power_scaling:g})"
+        )
     decoded = transmit_batch(x_batch, *link, chan, radio, eta_batch, seed, round_index)
     return decoded, global_target(x_batch, weights), mse
 

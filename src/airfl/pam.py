@@ -40,16 +40,12 @@ __all__ = [
     "build_workspace",
     "inner_pam",
     "objective_minmax",
-    "penalized_objective",
     "run_pam",
     "transmit_objective",
-    "update_f",
     "update_r",
     "update_t",
     "update_u",
 ]
-
-_INIT_STRATEGIES = ("random-phase", "all-ones")
 
 # Transmit-gain solve (update_t): stop at this relative duality gap, after
 # this many dual ascent steps, or after this many steps in a row that improve
@@ -65,9 +61,8 @@ T_STEP_GROWTH = 1.5
 class PamConfig:
     """Hyperparameters of the alternating optimizer.
 
-    ``rho`` is the inner consensus penalty; ``rho_growth`` optionally scales
-    it geometrically after every outer cycle (1.0 keeps it constant, which is
-    the default).
+    ``rho`` is the inner consensus penalty; ``seed`` keys the random-phase
+    initial relay matrix.
 
     Inside the inner loop every user's copy takes the regularized
     least-squares step simultaneously (see :func:`update_u`): the exact
@@ -80,9 +75,7 @@ class PamConfig:
     rho: float = 1.0
     n_outer: int = 20
     m_inner: int = 50
-    init_strategy: str = "random-phase"
     seed: int = 0
-    rho_growth: float = 1.0
 
     def __post_init__(self):
         if not self.rho > 0:
@@ -91,10 +84,6 @@ class PamConfig:
             raise ValueError("n_outer and m_inner must be at least 1")
         self.n_outer = int(self.n_outer)
         self.m_inner = int(self.m_inner)
-        if self.init_strategy not in _INIT_STRATEGIES:
-            raise ValueError(f"init_strategy must be one of {_INIT_STRATEGIES}")
-        if not self.rho_growth > 0:
-            raise ValueError("rho_growth must be strictly positive")
         self.seed = int(self.seed)
 
 
@@ -128,10 +117,6 @@ class PamWorkspace:
     @property
     def n_users(self):
         return self.downlink.shape[0]
-
-    @property
-    def dim(self):
-        return self.downlink.shape[1] ** 2
 
 
 def objective_minmax(f_matrix, r_all, t_all, chan, weights, cfg):
@@ -366,46 +351,22 @@ def update_u(workspace, f, rho):
     :func:`inner_pam` decomposes once per call and reuses it every cycle.
     """
     solve = _factor_u_step(workspace, rho)
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    if f.size != workspace.dim:
-        raise ValueError(f"f must have length {workspace.dim}")
     n = workspace.downlink.shape[1]
+    f = np.asarray(f, dtype=complex).reshape(-1)
+    if f.size != n * n:
+        raise ValueError(f"f must have length {n * n}")
     f_matrix = mat_of_vector(f, n, n)
     _, v = solve(workspace.downlink.conj() @ f_matrix)
     return _copies(f_matrix, v, workspace.downlink)
 
 
-def update_f(u_all, z):
-    """Consensus step: midpoint of the user average and the projected point."""
-    u_all = np.asarray(u_all, dtype=complex)
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if u_all.ndim != 2 or u_all.shape[1] != z.size:
-        raise ValueError("u_all must be (n_users, dim) matching z")
-    return 0.5 * (u_all.mean(axis=0) + z)
-
-
-def _data_terms(workspace, g_u):
-    """Per-user data cost from the rows g_k^H U_k:
-    sum_j |r_k t_j g_k^H U_k h_j - alpha_j|^2 + kron_scale_k ||g_k^H U_k||^2."""
-    fit = workspace.r[:, None] * (g_u @ workspace.uplink.T) * workspace.t[None, :] - workspace.alpha
-    return np.sum(np.abs(fit) ** 2, axis=1) + workspace.kron_scale * np.sum(np.abs(g_u) ** 2, axis=1)
-
-
 def _merit(workspace, g_u, spread, tether, rho):
-    return float(np.max(_data_terms(workspace, g_u)) + rho * (spread + tether))
-
-
-def penalized_objective(u_all, f, z, workspace, rho):
-    """Inner-loop merit: worst-user data cost plus the consensus penalties."""
-    u_all = np.asarray(u_all, dtype=complex)
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    n = workspace.downlink.shape[1]
-    # u_mats[k] is u_k as an N x N matrix (column-major vec convention).
-    u_mats = u_all.reshape((workspace.n_users, n, n), order="F")
-    g_u = (workspace.downlink.conj()[:, None, :] @ u_mats)[:, 0, :]
-    spread = np.mean(np.sum(np.abs(u_all - f[None, :]) ** 2, axis=1))
-    return _merit(workspace, g_u, spread, np.sum(np.abs(z - f) ** 2), rho)
+    """Inner-loop merit from the rows g_k^H U_k: the worst user's data cost
+    sum_j |r_k t_j g_k^H U_k h_j - alpha_j|^2 + kron_scale_k ||g_k^H U_k||^2
+    plus rho times the consensus penalties (spread + tether)."""
+    fit = workspace.r[:, None] * (g_u @ workspace.uplink.T) * workspace.t[None, :] - workspace.alpha
+    data = np.sum(np.abs(fit) ** 2, axis=1) + workspace.kron_scale * np.sum(np.abs(g_u) ** 2, axis=1)
+    return float(np.max(data) + rho * (spread + tether))
 
 
 def inner_pam(workspace, f_matrix_init, rho, m_inner):
@@ -423,8 +384,8 @@ def inner_pam(workspace, f_matrix_init, rho, m_inner):
     merit trajectory, and the final state.
     """
     f_matrix = np.asarray(f_matrix_init, dtype=complex)
-    n = f_matrix.shape[0]
-    if f_matrix.shape != (n, n) or n * n != workspace.dim:
+    n = workspace.downlink.shape[1]
+    if f_matrix.shape != (n, n):
         raise ValueError("initial matrix shape does not match the workspace")
     k_users = workspace.n_users
     downlink = workspace.downlink
@@ -480,15 +441,13 @@ class Solution:
 
 
 def _initial_matrix(n, pam_cfg):
-    if pam_cfg.init_strategy == "all-ones":
-        return np.ones((n, n), dtype=complex)
     rng = substream(pam_cfg.seed, "phase-init")
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, n))
     return np.exp(1j * phases)
 
 
-def _alternating_run(mode, f_init, update_relay, chan, weights, cfg, pam_cfg):
-    """Shared outer loop: [relay block] -> r -> t, tracking the best triple."""
+def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
+    """Shared outer loop: [relay block, in "pam" mode] -> r -> t, tracking the best triple."""
     k_users = chan.n_users
     f_matrix = f_init
     t_all = np.full(k_users, np.sqrt(cfg.power_budget), dtype=complex)
@@ -500,11 +459,10 @@ def _alternating_run(mode, f_init, update_relay, chan, weights, cfg, pam_cfg):
     r_pairs = []
     t_pairs = []
     t_gaps = []
-    rho = pam_cfg.rho
     for _ in range(pam_cfg.n_outer):
-        if update_relay is not None:
+        if mode == "pam":
             workspace = build_workspace(r_all, t_all, chan, weights, cfg)
-            f_matrix, trajectory = update_relay(workspace, f_matrix, rho)
+            f_matrix, trajectory, _ = inner_pam(workspace, f_matrix, pam_cfg.rho, pam_cfg.m_inner)
             inner_trajectories.append(trajectory)
         before_r = objective_minmax(f_matrix, r_all, t_all, chan, weights, cfg)
         r_all = update_r(f_matrix, t_all, chan, weights, cfg)
@@ -521,7 +479,6 @@ def _alternating_run(mode, f_init, update_relay, chan, weights, cfg, pam_cfg):
         outer.append(obj)
         if obj <= best[0]:
             best = (obj, f_matrix, r_all, t_all)
-        rho *= pam_cfg.rho_growth
     return Solution(
         mode=mode,
         f_matrix=best[1],
@@ -540,16 +497,11 @@ def run_pam(chan, weights, cfg, pam_cfg=None):
     """Full alternating optimization with the penalized inner loop for F."""
     pam_cfg = pam_cfg if pam_cfg is not None else PamConfig()
     f_init = _initial_matrix(chan.n_antennas, pam_cfg)
-
-    def relay_block(workspace, f_matrix, rho):
-        f_new, trajectory, _ = inner_pam(workspace, f_matrix, rho, pam_cfg.m_inner)
-        return f_new, trajectory
-
-    return _alternating_run("pam", f_init, relay_block, chan, weights, cfg, pam_cfg)
+    return _alternating_run("pam", f_init, chan, weights, cfg, pam_cfg)
 
 
 def baseline_optimize(chan, weights, cfg, pam_cfg=None):
     """Fixed-relay baseline: F = I, only r and t are optimized alternately."""
     pam_cfg = pam_cfg if pam_cfg is not None else PamConfig()
     f_init = np.eye(chan.n_antennas, dtype=complex)
-    return _alternating_run("baseline", f_init, None, chan, weights, cfg, pam_cfg)
+    return _alternating_run("baseline", f_init, chan, weights, cfg, pam_cfg)

@@ -159,7 +159,7 @@ def test_criterion_07_perfect_link_reproduces_centralized_descent():
         for i in range(15):
             sol = solve_round(mode, chan, weights, radio, RUN_PAM_CFG, 0, i)
             x = round_step(x, task, weights, chan, radio, sol, step, train.local_updates, 0, i)[0]
-            y = y - step * task.local_gradient(0, y)
+            y = y - step * task.local_gradient_batch(0, y[None, :])[0]
             worst = max(worst, float(np.max(np.abs(x[0, 0] - y))))
     _verdict(
         7,

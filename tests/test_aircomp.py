@@ -129,7 +129,6 @@ class TestAggregationWeights:
         w = AggregationWeights(np.array([10.0, 30.0]))
         np.testing.assert_allclose(w.alpha, [0.25, 0.75])
         np.testing.assert_allclose(np.sum(w.alpha), 1.0)
-        assert w.total == 40.0
 
     def test_nonpositive_sizes_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import pytest
 from airfl.channel import (
     RadioConfig,
     db_to_linear,
-    dbm_to_watts,
     derive_seed,
     sample_awgn,
     sample_channels,
@@ -17,12 +16,6 @@ from airfl.channel import (
 class TestUnitConversions:
     def test_minus_40_db(self):
         assert abs(db_to_linear(-40.0) - 1e-4) <= 1e-12 * 1e-4
-
-    def test_30_dbm_is_one_watt(self):
-        assert abs(dbm_to_watts(30.0) - 1.0) <= 1e-12
-
-    def test_minus_80_dbm(self):
-        assert abs(dbm_to_watts(-80.0) - 1e-11) <= 1e-12 * 1e-11
 
     def test_zero_db(self):
         assert db_to_linear(0.0) == 1.0

@@ -200,6 +200,14 @@ class TestExitCodes:
             ({"pam": {"t_solver_iters": 2000}}, ["optimize"], "pam.t_solver_iters: unknown key"),
             ({"pam": {"t_solver_tol": 1e-12}}, ["optimize"], "pam.t_solver_tol: unknown key"),
             ({"seeds": [7, 7]}, ["simulate"], "seeds: must not repeat"),
+            # Appended, not grouped by key, so the earlier rows keep their ids.
+            ({"pam": {"rho_growth": 1.3}}, ["optimize"], "pam.rho_growth: unknown key"),
+            ({"pam": {"init_strategy": "all-ones"}}, ["optimize"], "pam.init_strategy: unknown key"),
+            (
+                {"task": {"dim": 4, "samples_per_user": 1, "rows_per_sample": 1}},
+                ["simulate"],
+                "task: degenerate sample draw",
+            ),
         ],
     )
     def test_bad_inputs_are_config_errors(self, tmp_path, capsys, overrides, argv, message):
@@ -262,6 +270,40 @@ class TestSubcommands:
         assert "numeric failure: round 0: every user's locally updated parameters are zero" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # A huge step overflows the first local update's power
+            # normalization (and makes the next update NaN, not zero).
+            ({"train": {"step_size": 1e300}}, "round 0: the local gradient steps diverged"),
+            # A huge forward gain overflows the closed-form MSE once the
+            # decoded parameters grow; it must not reach the outputs as Infinity.
+            (
+                {"radio": dict(_tiny_config()["radio"], power_scaling=1e300)},
+                "round 1: the closed-form MSE of the round's link is not finite",
+            ),
+        ],
+    )
+    def test_simulate_non_finite_round_is_numeric_error(self, tmp_path, capsys, overrides, message):
+        cfg = _tiny_config(rounds=2, **overrides)
+        out = tmp_path / "sim"
+        assert main(["--config", self._write(tmp_path, cfg), "simulate", "--out", str(out)]) == EXIT_NUMERIC
+        assert f"numeric failure: {message}" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mse_check_non_finite_is_numeric_error(self, tmp_path, capsys):
+        # The Monte Carlo chain overflows at a forward gain of 1e300, so its
+        # standard error is inf and every z reads 0: that is no agreement.
+        radio = dict(_tiny_config()["radio"], power_scaling=1e300)
+        argv = ["--config", self._write(tmp_path, _tiny_config(radio=radio)), "mse-check",
+                "--draws", "300", "--instances", "1", "--out", str(tmp_path / "mse")]
+        assert main(argv) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert "numeric failure: mse-check instance 0 user 0: non-finite result" in captured.err
+        assert "mse-check: OK" not in captured.out
 
     def test_optimize_ill_conditioned_is_numeric_error(self, tmp_path, capsys):
         # One antenna serving two users through a noiseless relay: the

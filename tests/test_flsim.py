@@ -79,11 +79,17 @@ class TestLocalGd:
         for task in (quad, logit):
             x = rng.standard_normal(task.dim)
             for k in range(task.n_users):
-                grad = task.local_gradient(k, x)
+                grad = task.local_gradient_batch(k, x[None, :])[0]
+                # A task holding only user k's data: its global loss is
+                # user k's average loss.
+                if isinstance(task, LogisticTask):
+                    own = LogisticTask([task.features[k]], [task.labels[k]], l2=task.l2)
+                else:
+                    own = QuadraticTask([task.features[k]], [task.targets[k]])
                 for idx in range(task.dim):
                     e = np.zeros(task.dim)
                     e[idx] = h
-                    fd = (task.local_loss(k, x + e) - task.local_loss(k, x - e)) / (2 * h)
+                    fd = (own.global_loss(x + e) - own.global_loss(x - e)) / (2 * h)
                     assert abs(fd - grad[idx]) <= 1e-6 * max(1.0, abs(grad[idx]))
 
     def test_step_validation(self):
@@ -222,7 +228,7 @@ class TestTasks:
         task = make_quadratic_task(n_users=2, dim=6, samples_per_user=10, seed=8)
         x_star, value = task.optimum()
         total_grad = sum(
-            task.dataset_sizes[k] * task.local_gradient(k, x_star)
+            task.dataset_sizes[k] * task.local_gradient_batch(k, x_star[None, :])[0]
             for k in range(task.n_users)
         ) / task.dataset_sizes.sum()
         np.testing.assert_allclose(total_grad, 0.0, atol=1e-10)
@@ -361,7 +367,7 @@ class TestRunRound:
             x, target, mse = round_step(
                 x, task, weights, chan, radio, sol, step, train.local_updates, 0, i
             )
-            y = y - step * task.local_gradient(0, y)
+            y = y - step * task.local_gradient_batch(0, y[None, :])[0]
             np.testing.assert_allclose(x[0, 0], y, atol=1e-10)
             assert np.max(mse) <= 1e-18
             assert task.global_loss(target[0]) == pytest.approx(task.global_loss(y), rel=1e-12)
@@ -465,7 +471,7 @@ class TestRunExperiment:
         y = np.zeros(6)
         losses = []
         for _ in range(10):
-            y = y - step * task.local_gradient(0, y)
+            y = y - step * task.local_gradient_batch(0, y[None, :])[0]
             losses.append(task.global_loss(y))
         np.testing.assert_allclose(tr.loss, losses, atol=1e-10)
         assert np.all(np.diff(tr.loss_gap) <= 1e-12)

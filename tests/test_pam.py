@@ -1,6 +1,7 @@
 """Tests for the alternating min-max optimizer and its inner penalty loop."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,10 +19,8 @@ from airfl.pam import (
     build_workspace,
     inner_pam,
     objective_minmax,
-    penalized_objective,
     run_pam,
     transmit_objective,
-    update_f,
     update_r,
     update_t,
     update_u,
@@ -64,7 +63,7 @@ class TestPamConfig:
         assert pc.rho == 1.0
         assert pc.n_outer == 20
         assert pc.m_inner == 50
-        assert pc.init_strategy == "random-phase"
+        assert [f.name for f in fields(PamConfig)] == ["rho", "n_outer", "m_inner", "seed"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -73,8 +72,10 @@ class TestPamConfig:
             PamConfig(n_outer=0)
         with pytest.raises(ValueError):
             PamConfig(m_inner=0)
-        with pytest.raises(ValueError):
-            PamConfig(init_strategy="identity")
+        with pytest.raises(TypeError):
+            PamConfig(init_strategy="all-ones")
+        with pytest.raises(TypeError):
+            PamConfig(rho_growth=1.3)
 
 
 class TestObjectiveMinmax:
@@ -515,6 +516,25 @@ class TestUpdateU:
             np.testing.assert_allclose(u[k], expected, rtol=1e-10)
 
 
+def update_f(u_all, z):
+    """Consensus step over explicit copies: midpoint of the user average and
+    the projected point (``inner_pam`` takes it on the factored copies)."""
+    return 0.5 * (u_all.mean(axis=0) + z)
+
+
+def penalized_objective(u_all, f, z, workspace, rho):
+    """Inner-loop merit over explicit copies: worst-user data cost plus the
+    consensus penalties."""
+    n = workspace.downlink.shape[1]
+    # u_mats[k] is u_k as an N x N matrix (column-major vec convention).
+    u_mats = u_all.reshape((workspace.n_users, n, n), order="F")
+    g_u = (workspace.downlink.conj()[:, None, :] @ u_mats)[:, 0, :]
+    fit = workspace.r[:, None] * (g_u @ workspace.uplink.T) * workspace.t[None, :] - workspace.alpha
+    data = np.sum(np.abs(fit) ** 2, axis=1) + workspace.kron_scale * np.sum(np.abs(g_u) ** 2, axis=1)
+    spread = np.mean(np.sum(np.abs(u_all - f[None, :]) ** 2, axis=1))
+    return float(np.max(data) + rho * (spread + np.sum(np.abs(z - f) ** 2)))
+
+
 class TestUpdateFZ:
     def test_midpoint_example(self):
         f = update_f(np.array([[2.0 + 0j]]), np.array([0.0 + 0j]))
@@ -667,7 +687,7 @@ def _refined_solve(matrix, rhs):
 def _reference_inner_pam(ws, f_matrix_init, rho, m_inner):
     """The inner loop written out densely: every user's N^2 x N^2 u-step
     system assembled in extended precision and solved on its own each cycle,
-    then a per-user merit loop over the explicit copies.  A plain double
+    then the consensus and merit over the explicit copies.  A plain double
     solve of these systems errs by their condition number (up to ~1e5 here)
     times eps, far more than the rank-one step does."""
     n = f_matrix_init.shape[0]
@@ -680,14 +700,7 @@ def _reference_inner_pam(ws, f_matrix_init, rho, m_inner):
         u_all = np.stack([_refined_solve(m, data + ridge * f) for m, data, _ in systems])
         f = update_f(u_all, z)
         z = phase_project(f)
-        data = np.empty(ws.n_users)
-        for k, (_, _, rank_one) in enumerate(systems):
-            fit = rank_one.astype(complex).conj() @ u_all[k] - ws.alpha
-            u_mat = u_all[k].reshape((n, n), order="F")
-            quad = ws.kron_scale[k] * np.sum(np.abs(ws.downlink[k].conj() @ u_mat) ** 2)
-            data[k] = float(np.sum(np.abs(fit) ** 2) + quad)
-        spread = np.mean(np.sum(np.abs(u_all - f[None, :]) ** 2, axis=1))
-        trajectory[cycle] = float(np.max(data) + rho * (spread + np.sum(np.abs(z - f) ** 2)))
+        trajectory[cycle] = penalized_objective(u_all, f, z, ws, rho)
     return mat_of_vector(z, n, n), trajectory, u_all, f, z
 
 
@@ -863,19 +876,6 @@ class TestRunPam:
         b = run_pam(chan, w, cfg, pc)
         np.testing.assert_array_equal(a.f_matrix, b.f_matrix)
         np.testing.assert_array_equal(a.outer_objectives, b.outer_objectives)
-
-    def test_all_ones_init(self):
-        cfg = RadioConfig(
-            n_antennas=2,
-            n_users=2,
-            pathloss_db=0.0,
-            noise_power_server=0.01,
-            noise_power_user=0.01,
-        )
-        chan = sample_channels(cfg, 5)
-        w = AggregationWeights(np.array([1.0, 1.0]))
-        sol = run_pam(chan, w, cfg, PamConfig(n_outer=2, m_inner=5, init_strategy="all-ones"))
-        np.testing.assert_allclose(np.abs(sol.f_matrix), 1.0, atol=1e-12)
 
 
 class TestBaseline:

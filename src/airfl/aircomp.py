@@ -5,8 +5,8 @@ consecutive pairs into S = M/2 complex symbols, scales them by its transmit
 coefficient over sqrt(2*eta) (eta is the average per-entry second moment
 across users), and all users transmit simultaneously.  The relay applies a
 square matrix F (unit-modulus entries when produced by the optimizer) and
-rebroadcasts with amplitude sqrt(power_scaling); each user equalizes with a
-scalar receive coefficient and unpacks.
+rebroadcasts; each user equalizes with a scalar receive coefficient and
+unpacks.  Any relay amplification is part of the downlink gains.
 
 ``over_the_air`` is the one implementation of that chain, from parameters
 to received symbols; the training loop and the Monte Carlo check both run
@@ -64,16 +64,16 @@ def global_target(x_all, weights):
     return np.einsum("k,...km->...m", weights.alpha, x)
 
 
-def over_the_air(x_batch, f_matrix, t_all, chan, power_scaling, eta, relay_noise, user_noise):
+def over_the_air(x_batch, f_matrix, t_all, chan, eta, relay_noise, user_noise):
     """Symbols every user receives from one pass of the analog chain, batched.
 
     ``x_batch`` is (R, K, M) real.  Each user packs its parameters pairwise
     into S = M/2 complex symbols and scales them by t_k / sqrt(2 eta); the
     uplinks superimpose at the relay, which adds ``relay_noise`` (R, N, S)
-    and forwards sqrt(power_scaling) * F times its observation; user k
-    observes g_k^H of the broadcast plus ``user_noise`` (R, K, S).  ``eta``
-    is a scalar or one value per batch entry.  Returns the (R, K, S)
-    received symbols; equalization and unpacking are left to the caller.
+    and forwards F times its observation; user k observes g_k^H of the
+    broadcast plus ``user_noise`` (R, K, S).  ``eta`` is a scalar or one
+    value per batch entry.  Returns the (R, K, S) received symbols;
+    equalization and unpacking are left to the caller.
     """
     x_batch = np.asarray(x_batch, dtype=float)
     if x_batch.ndim != 3 or x_batch.shape[1] != chan.n_users or x_batch.shape[2] % 2:
@@ -97,7 +97,6 @@ def over_the_air(x_batch, f_matrix, t_all, chan, power_scaling, eta, relay_noise
     signal = chan.uplink.T @ signal.transpose(1, 0, 2).reshape(k_users, replays * n_symbols)
     signal.reshape(chan.n_antennas, replays, n_symbols)[...] += relay_noise.transpose(1, 0, 2)
     signal = np.asarray(f_matrix, dtype=complex) @ signal
-    signal *= np.sqrt(power_scaling)
     signal = (chan.downlink.conj() @ signal).reshape(k_users, replays, n_symbols)
     return signal.transpose(1, 0, 2) + user_noise
 
@@ -113,9 +112,11 @@ def _effective_gains(f_matrix, chan):
 def mse_bracket_terms(f_matrix, r_all, t_all, chan, weights, cfg):
     """Per-user bracket of the closed-form MSE (everything except 2*eta*S).
 
-    For user k:  gamma * sum_j |r_k g_k^H F h_j t_j - alpha_j|^2
-               + gamma * noise_server * |r_k|^2 ||g_k^H F||^2
+    For user k:  sum_j |r_k g_k^H F h_j t_j - alpha_j|^2
+               + noise_server * |r_k|^2 ||g_k^H F||^2
                + noise_user_k * |r_k|^2
+
+    Times 2 * eta * S this is the exact second moment of the chain's error.
     """
     r_all = np.asarray(r_all, dtype=complex).reshape(-1)
     t_all = np.asarray(t_all, dtype=complex).reshape(-1)
@@ -123,10 +124,9 @@ def mse_bracket_terms(f_matrix, r_all, t_all, chan, weights, cfg):
     if r_all.size != chan.n_users or t_all.size != chan.n_users or alpha.size != chan.n_users:
         raise ValueError("r_all, t_all and weights must all cover every user")
     gains, row_norm_sq = _effective_gains(f_matrix, chan)
-    gamma = cfg.power_scaling
     misalign = r_all[:, None] * gains * t_all[None, :] - alpha[None, :]
-    signal = gamma * np.sum(np.abs(misalign) ** 2, axis=1)
-    relay_noise = gamma * cfg.noise_power_server * np.abs(r_all) ** 2 * row_norm_sq
+    signal = np.sum(np.abs(misalign) ** 2, axis=1)
+    relay_noise = cfg.noise_power_server * np.abs(r_all) ** 2 * row_norm_sq
     local_noise = cfg.noise_power_user * np.abs(r_all) ** 2
     return signal + relay_noise + local_noise
 
@@ -208,7 +208,7 @@ def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, 
         stop = min(start + _MC_CHUNK, draws)
         x_draws = np.sqrt(eta) * rng_x.standard_normal((stop - start, k_users, model_dim))
         target = global_target(x_draws[..., 0::2] + 1j * x_draws[..., 1::2], weights)
-        received = over_the_air(x_draws, f_matrix, t_all, chan, cfg.power_scaling, eta, relay, user)
+        received = over_the_air(x_draws, f_matrix, t_all, chan, eta, relay, user)
         err = np.sqrt(2.0 * eta) * r_all[None, :, None] * received - target[:, None, :]
         sq[start:stop] = np.sum(np.abs(err) ** 2, axis=2)
     mean = sq.mean(axis=0)

@@ -78,8 +78,9 @@ class RadioConfig:
 
     ``pathloss_db`` / ``noise_power_user`` accept a scalar (shared by all
     users) or one value per user.  ``downlink_pathloss_db=None`` reuses the
-    uplink pathloss for the downlink.  Noise powers may be zero so that ideal
-    (noise-free) links can be constructed in tests.
+    uplink pathloss for the downlink; a relay amplification gamma is a
+    downlink pathloss 10 log10(gamma) dB higher.  Noise powers may be zero so
+    that ideal (noise-free) links can be constructed in tests.
     """
 
     n_antennas: int = 8
@@ -89,7 +90,6 @@ class RadioConfig:
     noise_power_server: float = 1e-11
     noise_power_user: float | list = 1e-11
     power_budget: float = 1.0
-    power_scaling: float = 1.0
 
     def __post_init__(self):
         self.n_antennas = int(self.n_antennas)
@@ -103,6 +103,14 @@ class RadioConfig:
             self.downlink_pathloss_db = _per_user(
                 self.downlink_pathloss_db, self.n_users, "downlink_pathloss_db"
             )
+        for name in ("pathloss_db", "downlink_pathloss_db"):
+            value_db = getattr(self, name)
+            if value_db is None:
+                continue
+            with np.errstate(over="ignore"):
+                overflows = ~np.isfinite(db_to_linear(value_db))
+            if np.any(overflows):
+                raise ValueError(f"{name} {value_db[overflows][0]:g} dB has no finite linear gain")
         self.noise_power_server = float(self.noise_power_server)
         if self.noise_power_server < 0:
             raise ValueError("noise_power_server must be nonnegative")
@@ -112,9 +120,6 @@ class RadioConfig:
         self.power_budget = float(self.power_budget)
         if not self.power_budget > 0:
             raise ValueError("power_budget must be strictly positive")
-        self.power_scaling = float(self.power_scaling)
-        if not self.power_scaling > 0:
-            raise ValueError("power_scaling must be strictly positive")
 
     @property
     def pathloss_linear(self):

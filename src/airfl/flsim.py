@@ -397,9 +397,7 @@ def transmit_batch(x_batch, f_matrix, r_all, t_all, chan, radio, eta_batch, seed
         ],
         axis=1,
     )
-    received = over_the_air(
-        x_batch, f_matrix, t_all, chan, radio.power_scaling, eta_batch, relay_noise, user_noise
-    )
+    received = over_the_air(x_batch, f_matrix, t_all, chan, eta_batch, relay_noise, user_noise)
     r_all = np.asarray(r_all, dtype=complex).reshape(-1)
     equalized = np.sqrt(2.0 * eta_batch)[:, None, None] * (r_all[None, :, None] * received)
     decoded = np.empty_like(x_batch)
@@ -449,7 +447,7 @@ def round_step(x_batch, task, weights, chan, radio, solution, step, local_update
     if not np.all(np.isfinite(mse)):
         raise NumericError(
             f"round {round_index}: the closed-form MSE of the round's link is not finite "
-            f"(eta up to {float(np.max(eta_batch)):.3g}, forward gain {radio.power_scaling:g})"
+            f"(eta up to {float(np.max(eta_batch)):.3g})"
         )
     decoded = transmit_batch(x_batch, *link, chan, radio, eta_batch, seed, round_index)
     return decoded, global_target(x_batch, weights), mse
@@ -509,7 +507,9 @@ def run_experiment(
     Channel fading and transmission noise are keyed by (seed, round) only, so
     all modes under one seed see identical radio conditions, and every noise
     replay shares the per-round optimized link (which is independent of the
-    model parameters).  Per-round series are averaged over replays.
+    model parameters).  Per-round series are averaged over replays.  Raises
+    ``NumericError`` when the task's optimal loss, a round's loss or loss gap,
+    or (for a task with curvature constants) a round's bound is not finite.
     """
     pam_cfg = pam_cfg if pam_cfg is not None else PamConfig()
     train_cfg = train_cfg if train_cfg is not None else LocalTrainConfig()
@@ -524,6 +524,11 @@ def run_experiment(
     weights = AggregationWeights(task.dataset_sizes)
     step = train_cfg.resolve_step(task)
     lambda_star = task.optimum()[1]
+    if not np.isfinite(lambda_star):
+        raise NumericError(
+            f"the task's optimal loss is {lambda_star:g}: its data are too large for "
+            "float64 (try a smaller task.target_scale)"
+        )
     try:
         consts = task.curvature()
     except ValueError:
@@ -557,6 +562,12 @@ def run_experiment(
                         mse_history[:, : i + 1], task.n_users, consts.smoothness,
                         consts.strong_convexity, total,
                     ).mean()
+                gap = loss[i] - lambda_star
+                if not np.isfinite(gap) or (consts is not None and not np.isfinite(bound[i])):
+                    raise NumericError(
+                        f"seed {seed} {mode} round {i}: the loss gap ({gap:g}) or its bound "
+                        f"({bound[i]:g}) is not finite"
+                    )
                 for k in range(task.n_users):
                     decoded_gap[i, k] = task.global_loss_batch(x_batch[:, k, :]).mean() - lambda_star
             trajectories[(seed, mode)] = ModeTrajectory(

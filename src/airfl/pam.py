@@ -128,7 +128,7 @@ def update_r(f_matrix, t_all, chan, weights, cfg):
     """Per-user closed-form equalizer given the relay matrix and transmit gains.
 
     r_k = sum_j alpha_j conj(g_k^H F h_j t_j) /
-          (sum_j |g_k^H F h_j t_j|^2 + noise_server ||g_k^H F||^2 + noise_user_k / gamma)
+          (sum_j |g_k^H F h_j t_j|^2 + noise_server ||g_k^H F||^2 + noise_user_k)
     """
     t_all = np.asarray(t_all, dtype=complex).reshape(-1)
     gains, row_norm_sq = _effective_gains(f_matrix, chan)
@@ -137,7 +137,7 @@ def update_r(f_matrix, t_all, chan, weights, cfg):
     denominator = (
         np.sum(np.abs(ct) ** 2, axis=1)
         + cfg.noise_power_server * row_norm_sq
-        + np.asarray(cfg.noise_power_user, dtype=float) / cfg.power_scaling
+        + np.asarray(cfg.noise_power_user, dtype=float)
     )
     if np.any(denominator <= 0):
         raise ValueError(

@@ -31,7 +31,6 @@ REFERENCE_RADIO = dict(
     noise_power_server=1e-11,
     noise_power_user=1e-11,
     power_budget=1.0,
-    power_scaling=1.0,
 )
 # Relay-optimization depth used for the multi-seed training runs; deep enough
 # to plateau at N=8 while keeping the suite's runtime in seconds per run.

@@ -38,8 +38,8 @@ def _complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _receive(x_batch, chan, f_matrix=None, t_all=None, power_scaling=1.0, eta=0.5,
-             relay_noise=None, user_noise=None):
+def _receive(x_batch, chan, f_matrix=None, t_all=None, eta=0.5, relay_noise=None,
+             user_noise=None):
     """Run the chain; F, t and the noises default to identity, ones and zeros.
 
     The default eta = 0.5 makes the encoding scale t / sqrt(2 eta) exactly t.
@@ -55,9 +55,7 @@ def _receive(x_batch, chan, f_matrix=None, t_all=None, power_scaling=1.0, eta=0.
         relay_noise = np.zeros((replays, chan.n_antennas, n_symbols), dtype=complex)
     if user_noise is None:
         user_noise = np.zeros((replays, k_users, n_symbols), dtype=complex)
-    return over_the_air(
-        x_batch, f_matrix, t_all, chan, power_scaling, eta, relay_noise, user_noise
-    )
+    return over_the_air(x_batch, f_matrix, t_all, chan, eta, relay_noise, user_noise)
 
 
 def _relay_view(rng, n):
@@ -81,8 +79,7 @@ def _random_state(rng, n, k, pathloss_db=0.0, noise_server=0.01, noise_user=0.02
     return cfg, chan, f_matrix, r_all, t_all, weights
 
 
-def _over_the_air_einsum(x_batch, f_matrix, t_all, chan, power_scaling, eta, relay_noise,
-                         user_noise):
+def _over_the_air_einsum(x_batch, f_matrix, t_all, chan, eta, relay_noise, user_noise):
     """The analog chain written as three einsum contractions, one per stage:
     the reference the matrix-product chain of ``over_the_air`` must match up
     to summation order."""
@@ -91,9 +88,7 @@ def _over_the_air_einsum(x_batch, f_matrix, t_all, chan, power_scaling, eta, rel
     t_all = np.asarray(t_all, dtype=complex).reshape(-1)
     signal = (t_all[None, :, None] / root) * (x_batch[..., 0::2] + 1j * x_batch[..., 1::2])
     signal = np.einsum("rks,kn->rns", signal, chan.uplink) + relay_noise
-    signal = np.sqrt(power_scaling) * np.einsum(
-        "nm,rms->rns", np.asarray(f_matrix, dtype=complex), signal
-    )
+    signal = np.einsum("nm,rms->rns", np.asarray(f_matrix, dtype=complex), signal)
     return np.einsum("kn,rns->rks", chan.downlink.conj(), signal) + user_noise
 
 
@@ -115,9 +110,7 @@ def _monte_carlo_one_shot(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_sym
         + 1j * rng_user.standard_normal((draws, k_users, n_symbols))
     )
     target = global_target(x_draws[..., 0::2] + 1j * x_draws[..., 1::2], weights)
-    received = over_the_air(
-        x_draws, f_matrix, t_all, chan, cfg.power_scaling, eta, relay_noise, user_noise
-    )
+    received = over_the_air(x_draws, f_matrix, t_all, chan, eta, relay_noise, user_noise)
     r_all = np.asarray(r_all, dtype=complex).reshape(-1)
     err = np.sqrt(2.0 * eta) * r_all[None, :, None] * received - target[:, None, :]
     sq = np.sum(np.abs(err) ** 2, axis=2)
@@ -174,7 +167,7 @@ class TestEncodeDecode:
         _, chan = _perfect_link()
         with pytest.raises(ValueError):
             over_the_air(
-                np.ones((1, 1, 5)), np.eye(1), np.ones(1), chan, 1.0, 1.0,
+                np.ones((1, 1, 5)), np.eye(1), np.ones(1), chan, 1.0,
                 np.zeros((1, 1, 2)), np.zeros((1, 1, 2)),
             )
 
@@ -258,9 +251,6 @@ class TestChainOperations:
         r_mat = _complex(rng, (1, 3, 4))
         x = np.zeros((1, 3, 8))
         np.testing.assert_array_equal(_receive(x, chan, relay_noise=r_mat), r_mat)
-        np.testing.assert_allclose(
-            _receive(x, chan, power_scaling=4.0, relay_noise=r_mat), 2.0 * r_mat, rtol=1e-15
-        )
         f = _complex(rng, (3, 3))
         np.testing.assert_allclose(
             _receive(x, chan, f_matrix=f, relay_noise=r_mat), f @ r_mat, rtol=1e-12
@@ -290,22 +280,21 @@ class TestChainOperations:
     @pytest.mark.parametrize("replays", [1, 7, 2051])
     def test_matches_einsum_reference(self, n, k, replays):
         # BLAS sums in its own order, so the chain matches the per-stage
-        # einsums to rounding, at every size, eta layout, gain and noise.
+        # einsums to rounding, at every size, eta layout and noise.
         rng = substream(30, "einsum-reference", n, k, replays)
         chan = sample_channels(RadioConfig(n_antennas=n, n_users=k), int(rng.integers(1 << 31)))
         x = rng.standard_normal((replays, k, 10))
         f = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, n)))
         t = _complex(rng, k)
         for eta in (0.7, rng.uniform(0.5, 2.0, replays)):
-            for power_scaling in (1.0, 2.0):
-                for noise in (0.0, 0.1):
-                    relay = noise * _complex(rng, (replays, n, 5))
-                    user = noise * _complex(rng, (replays, k, 5))
-                    args = (x, f, t, chan, power_scaling, eta, relay, user)
-                    ref = _over_the_air_einsum(*args)
-                    out = over_the_air(*args)
-                    assert out.shape == ref.shape
-                    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+            for noise in (0.0, 0.1):
+                relay = noise * _complex(rng, (replays, n, 5))
+                user = noise * _complex(rng, (replays, k, 5))
+                args = (x, f, t, chan, eta, relay, user)
+                ref = _over_the_air_einsum(*args)
+                out = over_the_air(*args)
+                assert out.shape == ref.shape
+                np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
     def test_global_target(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -383,7 +372,6 @@ class TestAnalyticMse:
         # Independent elementwise recomputation of the bracket.
         rng = substream(31, "mse-brute")
         cfg, chan, f, r, t, w = _random_state(rng, 4, 3)
-        gamma = cfg.power_scaling
         out = mse_bracket_terms(f, r, t, chan, w, cfg)
         for k in range(3):
             g_row = chan.downlink[k].conj() @ f
@@ -394,7 +382,7 @@ class TestAnalyticMse:
                 )
             noise_fwd = cfg.noise_power_server * abs(r[k]) ** 2 * np.sum(np.abs(g_row) ** 2)
             noise_user = cfg.noise_power_user[k] * abs(r[k]) ** 2
-            expected = gamma * signal + gamma * noise_fwd + noise_user
+            expected = signal + noise_fwd + noise_user
             np.testing.assert_allclose(out[k], expected, rtol=1e-12)
 
     def test_equalizer_transmit_scaling_identity(self):

@@ -31,7 +31,6 @@ class TestRadioConfig:
         np.testing.assert_allclose(cfg.noise_power_user, 1e-11)
         assert cfg.noise_power_server == 1e-11
         assert cfg.power_budget == 1.0
-        assert cfg.power_scaling == 1.0
 
     def test_scalar_broadcast_and_per_user(self):
         cfg = RadioConfig(n_users=3, pathloss_db=[-40.0, -30.0, -20.0], noise_power_user=2e-11)
@@ -55,9 +54,16 @@ class TestRadioConfig:
         with pytest.raises(ValueError):
             RadioConfig(power_budget=0.0)
         with pytest.raises(ValueError):
-            RadioConfig(power_scaling=0.0)
-        with pytest.raises(ValueError):
             RadioConfig(n_users=3, pathloss_db=[-40.0, -40.0])  # wrong length
+
+
+    @pytest.mark.parametrize("key", ["pathloss_db", "downlink_pathloss_db"])
+    def test_overflowing_pathloss_rejected(self, key):
+        # 10^(dB/10) leaves float64 above about 3082.5 dB; the check itself
+        # must not warn (the suite turns RuntimeWarning into an error).
+        assert np.isfinite(RadioConfig(n_users=2, **{key: 3082.0}).downlink_pathloss_linear).all()
+        with pytest.raises(ValueError, match=f"^{key} 4000 dB has no finite linear gain$"):
+            RadioConfig(n_users=2, **{key: [0.0, 4000.0]})
 
 
 class TestSubstream:

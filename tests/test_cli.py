@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airfl import checks
+from airfl import checks, flsim
 from airfl.aircomp import analytic_mse
 from airfl.channel import sample_channels, substream
 from airfl.cli import (
@@ -41,6 +41,68 @@ def _tiny_config(**overrides):
     return base
 
 
+# (config overrides, argv, expected message) of inputs that must exit with
+# the configuration-error code.  A case's id is its message, except that the
+# first POSITIONAL_ID_CASES cases keep the position-based ids pytest gave them
+# before the ids were explicit, so test ids recorded elsewhere stay valid.
+CONFIG_ERROR_CASES = [
+    ({}, ["mse-check", "--draws", "1"], "--draws: must be at least 2"),
+    ({}, ["mse-check", "--instances", "0"], "--instances: must be at least 1"),
+    ({}, ["simulate", "--rounds", "-3"], "--rounds: must be at least 1"),
+    ({}, ["simulate", "--rounds", "0"], "--rounds: must be at least 1"),
+    ({}, ["simulate", "--replays", "0"], "--replays: must be at least 1"),
+    ({"task": {"dim": 0}}, ["optimize"], "task.dim: must be at least 1"),
+    ({"task": {"samples_per_user": 0}}, ["optimize"], "task.samples_per_user"),
+    ({"task": {"rows_per_sample": 0}}, ["simulate"], "task.rows_per_sample"),
+    ({"pam": {"u_block": "exact"}}, ["optimize"], "pam.u_block: unknown key"),
+    ({"pam": {"u_ridge": "full"}}, ["optimize"], "pam.u_ridge: unknown key"),
+    (
+        {"task": {"dim": 5, "samples_per_user": 6}},
+        ["simulate"],
+        "train.step_size: null needs a strongly convex task, but task.dim 5 is odd",
+    ),
+    ({"radio": {"noise_power_server": float("nan")}}, ["optimize"], "radio.noise_power_server: must be finite"),
+    ({"radio": {"power_budget": float("inf")}}, ["optimize"], "radio.power_budget: must be finite"),
+    (
+        {"radio": {"n_users": 2, "noise_power_user": [0.01, float("nan")]}},
+        ["optimize"],
+        "radio.noise_power_user[1]: must be finite",
+    ),
+    ({"rounds": float("inf")}, ["simulate"], "rounds: expected int, got inf"),
+    (
+        {"task": {"kind": "logistic", "l2": 0}},
+        ["simulate"],
+        "task.l2: must be strictly positive for a logistic task",
+    ),
+    ({"pam": {"t_solver_iters": 2000}}, ["optimize"], "pam.t_solver_iters: unknown key"),
+    ({"pam": {"t_solver_tol": 1e-12}}, ["optimize"], "pam.t_solver_tol: unknown key"),
+    ({"seeds": [7, 7]}, ["simulate"], "seeds: must not repeat"),
+    ({"pam": {"rho_growth": 1.3}}, ["optimize"], "pam.rho_growth: unknown key"),
+    ({"pam": {"init_strategy": "all-ones"}}, ["optimize"], "pam.init_strategy: unknown key"),
+    (
+        {"task": {"dim": 4, "samples_per_user": 1, "rows_per_sample": 1}},
+        ["simulate"],
+        "task: degenerate sample draw",
+    ),
+    ({"radio": {"power_scaling": 1.0}}, ["optimize"], "radio.power_scaling: unknown key"),
+    (
+        {"radio": dict(_tiny_config()["radio"], pathloss_db=4000)},
+        ["optimize"],
+        "radio: pathloss_db 4000 dB has no finite linear gain",
+    ),
+    (
+        {"radio": dict(_tiny_config()["radio"], downlink_pathloss_db=4000)},
+        ["optimize"],
+        "radio: downlink_pathloss_db 4000 dB has no finite linear gain",
+    ),
+]
+POSITIONAL_ID_CASES = 22
+CONFIG_ERROR_IDS = [
+    f"overrides{i}-argv{i}-{message}" if i < POSITIONAL_ID_CASES else message
+    for i, (_, _, message) in enumerate(CONFIG_ERROR_CASES)
+]
+
+
 class TestParseConfig:
     def test_empty_gives_reference_defaults(self):
         cfg = parse_config(None)
@@ -48,7 +110,6 @@ class TestParseConfig:
         assert cfg.radio.n_users == 3
         assert cfg.rounds == 15
         assert cfg.radio.power_budget == 1.0
-        assert cfg.radio.power_scaling == 1.0
         np.testing.assert_allclose(cfg.radio.pathloss_linear, 1e-4)
         assert cfg.radio.noise_power_server == 1e-11
         np.testing.assert_allclose(cfg.radio.noise_power_user, 1e-11)
@@ -149,14 +210,13 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
 
-    def test_validation_failure_exit(self, tmp_path, capsys):
-        # With a forward gain other than 1 the closed form is the stated
-        # bracket, not the simulated chain's second moment; the cross-check
-        # must flag the mismatch and exit with the validation code.
+    def test_validation_failure_exit(self, tmp_path, capsys, monkeypatch):
+        # A closed form that doubles the chain's second moment must be
+        # flagged by the cross-check and exit with the validation code.
+        monkeypatch.setattr(checks, "analytic_mse", lambda *args: 2.0 * analytic_mse(*args))
         cfg = _tiny_config()
-        cfg["radio"]["power_scaling"] = 4.0
         cfg["task"] = {"dim": 6}
-        path = tmp_path / "gamma4.json"
+        path = tmp_path / "doubled.json"
         path.write_text(json.dumps(cfg))
         code = main(
             ["--config", str(path), "mse-check", "--draws", "3000",
@@ -165,51 +225,7 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert "disagree" in capsys.readouterr().err
 
-
-    @pytest.mark.parametrize(
-        "overrides, argv, message",
-        [
-            ({}, ["mse-check", "--draws", "1"], "--draws: must be at least 2"),
-            ({}, ["mse-check", "--instances", "0"], "--instances: must be at least 1"),
-            ({}, ["simulate", "--rounds", "-3"], "--rounds: must be at least 1"),
-            ({}, ["simulate", "--rounds", "0"], "--rounds: must be at least 1"),
-            ({}, ["simulate", "--replays", "0"], "--replays: must be at least 1"),
-            ({"task": {"dim": 0}}, ["optimize"], "task.dim: must be at least 1"),
-            ({"task": {"samples_per_user": 0}}, ["optimize"], "task.samples_per_user"),
-            ({"task": {"rows_per_sample": 0}}, ["simulate"], "task.rows_per_sample"),
-            ({"pam": {"u_block": "exact"}}, ["optimize"], "pam.u_block: unknown key"),
-            ({"pam": {"u_ridge": "full"}}, ["optimize"], "pam.u_ridge: unknown key"),
-            (
-                {"task": {"dim": 5, "samples_per_user": 6}},
-                ["simulate"],
-                "train.step_size: null needs a strongly convex task, but task.dim 5 is odd",
-            ),
-            ({"radio": {"noise_power_server": float("nan")}}, ["optimize"], "radio.noise_power_server: must be finite"),
-            ({"radio": {"power_budget": float("inf")}}, ["optimize"], "radio.power_budget: must be finite"),
-            (
-                {"radio": {"n_users": 2, "noise_power_user": [0.01, float("nan")]}},
-                ["optimize"],
-                "radio.noise_power_user[1]: must be finite",
-            ),
-            ({"rounds": float("inf")}, ["simulate"], "rounds: expected int, got inf"),
-            (
-                {"task": {"kind": "logistic", "l2": 0}},
-                ["simulate"],
-                "task.l2: must be strictly positive for a logistic task",
-            ),
-            ({"pam": {"t_solver_iters": 2000}}, ["optimize"], "pam.t_solver_iters: unknown key"),
-            ({"pam": {"t_solver_tol": 1e-12}}, ["optimize"], "pam.t_solver_tol: unknown key"),
-            ({"seeds": [7, 7]}, ["simulate"], "seeds: must not repeat"),
-            # Appended, not grouped by key, so the earlier rows keep their ids.
-            ({"pam": {"rho_growth": 1.3}}, ["optimize"], "pam.rho_growth: unknown key"),
-            ({"pam": {"init_strategy": "all-ones"}}, ["optimize"], "pam.init_strategy: unknown key"),
-            (
-                {"task": {"dim": 4, "samples_per_user": 1, "rows_per_sample": 1}},
-                ["simulate"],
-                "task: degenerate sample draw",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("overrides, argv, message", CONFIG_ERROR_CASES, ids=CONFIG_ERROR_IDS)
     def test_bad_inputs_are_config_errors(self, tmp_path, capsys, overrides, argv, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(_tiny_config(**overrides)))
@@ -278,12 +294,6 @@ class TestSubcommands:
             # A huge step overflows the first local update's power
             # normalization (and makes the next update NaN, not zero).
             ({"train": {"step_size": 1e300}}, "round 0: the local gradient steps diverged"),
-            # A huge forward gain overflows the closed-form MSE once the
-            # decoded parameters grow; it must not reach the outputs as Infinity.
-            (
-                {"radio": dict(_tiny_config()["radio"], power_scaling=1e300)},
-                "round 1: the closed-form MSE of the round's link is not finite",
-            ),
         ],
     )
     def test_simulate_non_finite_round_is_numeric_error(self, tmp_path, capsys, overrides, message):
@@ -293,12 +303,32 @@ class TestSubcommands:
         assert f"numeric failure: {message}" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    def test_simulate_non_finite_mse_is_numeric_error(self, tmp_path, capsys, monkeypatch):
+        # An overflowing closed-form MSE must not reach the outputs as Infinity.
+        monkeypatch.setattr(flsim, "analytic_mse", lambda *args: np.full_like(analytic_mse(*args), np.inf))
+        out = tmp_path / "sim"
+        argv = ["--config", self._write(tmp_path, _tiny_config(rounds=2)), "simulate", "--out", str(out)]
+        assert main(argv) == EXIT_NUMERIC
+        assert "numeric failure: round 0: the closed-form MSE of the round's link is not finite" in (
+            capsys.readouterr().err
+        )
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_mse_check_non_finite_is_numeric_error(self, tmp_path, capsys):
-        # The Monte Carlo chain overflows at a forward gain of 1e300, so its
-        # standard error is inf and every z reads 0: that is no agreement.
-        radio = dict(_tiny_config()["radio"], power_scaling=1e300)
-        argv = ["--config", self._write(tmp_path, _tiny_config(radio=radio)), "mse-check",
+    def test_simulate_overflowing_task_is_numeric_error(self, tmp_path, capsys):
+        # Targets this large overflow the task's optimal loss, so every loss
+        # gap would be written as NaN and every loss as Infinity.
+        cfg = _tiny_config(rounds=2, task={"dim": 4, "samples_per_user": 6, "target_scale": 1e154})
+        out = tmp_path / "sim"
+        assert main(["--config", self._write(tmp_path, cfg), "simulate", "--out", str(out)]) == EXIT_NUMERIC
+        assert "numeric failure: the task's optimal loss is inf" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_mse_check_non_finite_is_numeric_error(self, tmp_path, capsys, monkeypatch):
+        # An overflowing closed form makes every z infinite or NaN: that is
+        # a numeric failure, not a verdict on agreement.
+        monkeypatch.setattr(checks, "analytic_mse", lambda *args: np.full_like(analytic_mse(*args), np.inf))
+        argv = ["--config", self._write(tmp_path, _tiny_config()), "mse-check",
                 "--draws", "300", "--instances", "1", "--out", str(tmp_path / "mse")]
         assert main(argv) == EXIT_NUMERIC
         captured = capsys.readouterr()

@@ -5,6 +5,7 @@ import pytest
 
 from airfl.aircomp import AggregationWeights, analytic_mse
 from airfl.channel import ChannelRealization, RadioConfig, sample_awgn, sample_channels, substream
+from airfl import flsim
 from airfl.flsim import (
     BoundAssumptionWarning,
     LocalTrainConfig,
@@ -19,6 +20,7 @@ from airfl.flsim import (
     theorem1_bound,
     transmit_batch,
 )
+from airfl.linalg import NumericError
 from airfl.pam import PamConfig, update_r
 
 
@@ -492,6 +494,29 @@ class TestRunExperiment:
         assert np.all(tr.bound_ok[final_third]), (
             f"bound={tr.bound[final_third]}, gap={tr.decoded_gap[final_third].max(axis=1)}"
         )
+
+    @pytest.mark.parametrize(
+        "overflow, message",
+        [
+            ("optimum", "the task's optimal loss is inf"),
+            ("loss", r"seed 0 pam round 0: the loss gap \(inf\) or its bound"),
+            ("bound", r"seed 0 pam round 0: the loss gap \(.*\) or its bound \(inf\)"),
+        ],
+        ids=["optimum", "loss", "bound"],
+    )
+    def test_non_finite_series_are_numeric_errors(self, monkeypatch, overflow, message):
+        task = make_quadratic_task(n_users=2, dim=4, samples_per_user=6, seed=21)
+        radio = RadioConfig(n_antennas=2, n_users=2, pathloss_db=0.0, noise_power_user=0.01)
+        x_star, lambda_star = task.optimum()
+        if overflow == "optimum":
+            monkeypatch.setattr(task, "optimum", lambda: (x_star, np.inf))
+        elif overflow == "loss":
+            monkeypatch.setattr(task, "optimum", lambda: (x_star, lambda_star))
+            monkeypatch.setattr(task, "global_loss_batch", lambda x: np.full(len(x), np.inf))
+        else:
+            monkeypatch.setattr(flsim, "theorem1_bound", lambda *args: np.float64(np.inf))
+        with pytest.raises(NumericError, match=message):
+            run_experiment(task, radio, PamConfig(n_outer=1, m_inner=2), rounds=2, modes=("pam",))
 
     def test_validation(self):
         task = make_quadratic_task(n_users=2, dim=4, samples_per_user=6, seed=20)

@@ -431,7 +431,9 @@ def round_step(x_batch, task, weights, chan, radio, solution, step, local_update
         [local_gd(task, k, x_batch[:, k, :], step, local_updates) for k in range(task.n_users)],
         axis=1,
     )
-    eta_batch = np.mean(np.sum(x_batch * x_batch, axis=2), axis=1) / task.dim
+    # Diverged parameters overflow here; the check below reports them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta_batch = np.mean(np.sum(x_batch * x_batch, axis=2), axis=1) / task.dim
     if not np.all(np.isfinite(eta_batch)):
         raise NumericError(
             f"round {round_index}: the local gradient steps diverged: the updated parameters "

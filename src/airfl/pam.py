@@ -18,7 +18,8 @@ U_k = F + g_k v_k^T, and the systems reduce to K x K Woodbury capacitances
 I + beta_k P that share one matrix P (see :func:`_factor_u_step`).
 :func:`inner_pam` decomposes P once per call; a cycle then costs
 O(K N^2 + K^2 N) in a fixed number of matrix products, and never forms the
-copies or any K x K x N^2 array.
+copies or any K x K x N^2 array.  The merit trajectory is a diagnostic no
+iterate reads, so it is evaluated once per call from the recorded rows.
 """
 
 from __future__ import annotations
@@ -29,7 +30,14 @@ import numpy as np
 
 from .aircomp import _effective_gains, mse_bracket_terms
 from .channel import substream
-from .linalg import CONDITION_LIMIT, IllConditionedError, mat_of_vector, phase_project, vec_of_matrix
+from .linalg import (
+    CONDITION_LIMIT,
+    IllConditionedError,
+    NumericError,
+    mat_of_vector,
+    phase_project,
+    vec_of_matrix,
+)
 
 __all__ = [
     "PamConfig",
@@ -129,6 +137,8 @@ def update_r(f_matrix, t_all, chan, weights, cfg):
 
     r_k = sum_j alpha_j conj(g_k^H F h_j t_j) /
           (sum_j |g_k^H F h_j t_j|^2 + noise_server ||g_k^H F||^2 + noise_user_k)
+
+    Raises ``NumericError`` when some user's denominator is zero.
     """
     t_all = np.asarray(t_all, dtype=complex).reshape(-1)
     gains, row_norm_sq = _effective_gains(f_matrix, chan)
@@ -140,17 +150,20 @@ def update_r(f_matrix, t_all, chan, weights, cfg):
         + np.asarray(cfg.noise_power_user, dtype=float)
     )
     if np.any(denominator <= 0):
-        raise ValueError(
-            "equalizer denominator is zero for some user (all-zero effective channel "
-            "with zero noise); the update is undefined"
+        k = int(np.argmax(denominator <= 0))
+        raise NumericError(
+            f"equalizer denominator of user {k} is zero: its effective gains g_k^H F h_j t_j "
+            "are all zero (a pathloss whose linear gain underflows to 0, or a zero channel) "
+            "and no noise reaches it (zero noise powers), so the equalizer is undefined"
         )
     return numerator / denominator
 
 
-def _transmit_rows(coeff, alpha, t_all):
-    """Per-user misfits sum_j |coeff[k, j] t_j - alpha_j|^2."""
-    resid = coeff * np.asarray(t_all, dtype=complex)[None, :] - alpha[None, :]
-    return np.sum(np.abs(resid) ** 2, axis=1)
+def _transmit_rows(coeff, alpha_row, t_all):
+    """Per-user misfits sum_j |coeff[k, j] t_j - alpha_j|^2 of a complex
+    vector t; ``alpha_row`` is alpha as a (1, K) row."""
+    resid = coeff * t_all[None, :] - alpha_row
+    return (np.abs(resid) ** 2).sum(axis=1)
 
 
 def transmit_objective(coeff, alpha, t_all):
@@ -159,13 +172,13 @@ def transmit_objective(coeff, alpha, t_all):
     ``coeff[k, j] = r_k g_k^H F h_j``; value is
     max_k sum_j |coeff[k, j] t_j - alpha_j|^2.
     """
-    return float(np.max(_transmit_rows(coeff, alpha, t_all)))
+    return float(np.max(_transmit_rows(coeff, alpha[None, :], np.asarray(t_all, dtype=complex))))
 
 
 def _simplex_project(v):
     """Euclidean projection onto the probability simplex (sort-based)."""
     u = np.sort(v)[::-1]
-    excess = np.cumsum(u) - 1.0
+    excess = u.cumsum() - 1.0
     support = np.count_nonzero(u * np.arange(1, v.size + 1) > excess)
     return np.maximum(v - excess[support - 1] / support, 0.0)
 
@@ -197,6 +210,7 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
     coeff = r_all[:, None] * gains
     coeff_sq = np.abs(coeff) ** 2
     alpha = weights.alpha
+    alpha_row = alpha[None, :]
     cap = np.sqrt(cfg.power_budget)
     k_users = alpha.size
     if t_init is None:
@@ -207,12 +221,16 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
 
     def weighted_minimizer(lam):
         scale = lam @ coeff_sq
-        t = t_init.copy()  # entries with no weighted curvature do not matter
         live = scale > 0
-        t[live] = alpha[live] * (lam @ coeff)[live].conj() / scale[live]
+        if live.all():
+            t = alpha * (lam @ coeff).conj() / scale
+        else:
+            t = t_init.copy()  # entries with no weighted curvature do not matter
+            t[live] = alpha[live] * (lam @ coeff)[live].conj() / scale[live]
         mag = np.abs(t)
         over = mag > cap
-        t[over] *= cap / mag[over]
+        if over.any():
+            t[over] *= cap / mag[over]
         return t
 
     def gap(primal, dual):
@@ -220,21 +238,21 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
         return max(primal - dual, 0.0) / primal if primal > 0 else 0.0
 
     best_t = t_init
-    best_val = float(np.max(_transmit_rows(coeff, alpha, t_init)))
+    best_val = float(np.max(_transmit_rows(coeff, alpha_row, t_init)))
     lam = np.full(k_users, 1.0 / k_users)
     t = weighted_minimizer(lam)
-    rows = _transmit_rows(coeff, alpha, t)
+    rows = _transmit_rows(coeff, alpha_row, t)
     dual = float(lam @ rows)
     # Each simplex vertex is a dual point too: user k's own least-squares
     # optimum over the discs, sum_j max(alpha_j - |c_kj| sqrt(P), 0)^2.  It
     # closes the gap at once when one user's value cannot be improved (a
     # zero row of coeff), where ascent only creeps towards the vertex.
-    vertices = np.sum(np.maximum(alpha[None, :] - np.abs(coeff) * cap, 0.0) ** 2, axis=1)
+    vertices = np.sum(np.maximum(alpha_row - np.abs(coeff) * cap, 0.0) ** 2, axis=1)
     best_dual = max(dual, float(np.max(vertices)))
     step = 1.0 / max(float(np.max(rows)), np.finfo(float).tiny)
     stalled = 0
     for ascent in range(T_MAX_ITERS + 1):
-        val = float(np.max(rows))
+        val = float(rows.max())
         if val < best_val:
             best_t, best_val, stalled = t, val, 0
         if gap(best_val, best_dual) <= T_GAP_TOL or ascent == T_MAX_ITERS or stalled == T_STALL_STEPS:
@@ -245,7 +263,7 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
         while True:
             lam_new = _simplex_project(lam + step * rows)
             t_new = weighted_minimizer(lam_new)
-            rows_new = _transmit_rows(coeff, alpha, t_new)
+            rows_new = _transmit_rows(coeff, alpha_row, t_new)
             dual_new = float(lam_new @ rows_new)
             move = lam_new - lam
             if dual_new >= dual + rows @ move - (move @ move) / (2.0 * step):
@@ -360,26 +378,47 @@ def update_u(workspace, f, rho):
     return _copies(f_matrix, v, workspace.downlink)
 
 
-def _merit(workspace, g_u, spread, tether, rho):
-    """Inner-loop merit from the rows g_k^H U_k: the worst user's data cost
+def _merit(workspace, g_u, v, row_steps, f_steps, tethers, rho):
+    """Inner-loop merit of every cycle, from the rows the loop recorded.
+
+    Cycle c leaves the copies U_k = F + g_k v_k^T of its incoming F (rows
+    ``g_u[c]`` = g_k^H U_k and ``v[c]``), then the new consensus F' and its
+    projection Z'.  Its merit is the worst user's data cost
     sum_j |r_k t_j g_k^H U_k h_j - alpha_j|^2 + kron_scale_k ||g_k^H U_k||^2
-    plus rho times the consensus penalties (spread + tether)."""
-    fit = workspace.r[:, None] * (g_u @ workspace.uplink.T) * workspace.t[None, :] - workspace.alpha
-    data = np.sum(np.abs(fit) ** 2, axis=1) + workspace.kron_scale * np.sum(np.abs(g_u) ** 2, axis=1)
-    return float(np.max(data) + rho * (spread + tether))
+    plus rho times the consensus penalties: the spread mean_k ||U_k - F'||^2
+    = ||D||^2 + 2 Re<g_k^H D, v_k> + ||g_k||^2 ||v_k||^2 with D = F - F'
+    (``row_steps[c]`` = g_k^H D, ``f_steps[c]`` = ||D||^2), and the tether
+    ``tethers[c]`` = ||Z' - F'||^2.  ``row_steps`` is conjugated in place.
+    Every reduction runs along the axis a single cycle's does, so each entry
+    equals that cycle's merit exactly.
+    """
+    g_sq = np.sum(np.abs(workspace.downlink) ** 2, axis=1)
+    np.conjugate(row_steps, out=row_steps)  # in place: no second (m, K, N) array
+    spread = np.mean(
+        f_steps[:, None]
+        + 2.0 * np.real(np.sum(row_steps * v, axis=2))
+        + g_sq * np.sum(np.abs(v) ** 2, axis=2),
+        axis=1,
+    )
+    noise = workspace.kron_scale * np.sum(np.abs(g_u) ** 2, axis=2)
+    # r and t as 3-D rows: a (1, 1, 1) product with a 2-D factor would take
+    # numpy's other complex-multiply kernel, which rounds differently.
+    fit = workspace.r[None, :, None] * (g_u @ workspace.uplink.T) * workspace.t[None, None, :] - workspace.alpha
+    data = np.sum(np.abs(fit) ** 2, axis=2) + noise
+    return np.max(data, axis=1) + rho * (spread + tethers)
 
 
 def inner_pam(workspace, f_matrix_init, rho, m_inner):
     """Penalized alternating minimization for the relay matrix.
 
     Starts every block variable at F_init and cycles copies (the
-    :func:`update_u` step) -> consensus -> projection, recording the merit
-    after each full cycle.  The copies' systems do not depend on f, so they
-    are decomposed once per call.  A cycle never forms the copies
-    U_k = F + g_k v_k^T: it needs the rows g_k^H F, two K x N by N x K
-    products for the copies, G^T V for their mean, and the merit, whose
-    spread ||U_k - F'||^2 = ||D||^2 + 2 Re<g_k^H D, v_k> + ||g_k||^2 ||v_k||^2
-    with D = F - F' reuses the next cycle's rows g_k^H F'.
+    :func:`update_u` step) -> consensus -> projection, m_inner times.  The
+    copies' systems do not depend on f, so they are decomposed once per
+    call.  A cycle never forms the copies U_k = F + g_k v_k^T: it needs the
+    rows g_k^H F, two K x N by N x K products for the copies, G^T V for
+    their mean, and the projection.  It records three K x N rows and two
+    scalars, and :func:`_merit` evaluates every cycle's merit from them
+    after the loop, so the loop holds O(m K N) history and no N x N one.
     Returns the unit-modulus matrix recovered from the final projection, the
     merit trajectory, and the final state.
     """
@@ -387,30 +426,34 @@ def inner_pam(workspace, f_matrix_init, rho, m_inner):
     n = workspace.downlink.shape[1]
     if f_matrix.shape != (n, n):
         raise ValueError("initial matrix shape does not match the workspace")
+    m_inner = int(m_inner)
+    if m_inner < 1:
+        raise ValueError("m_inner must be at least 1")
     k_users = workspace.n_users
     downlink = workspace.downlink
     g_conj = downlink.conj()
-    g_sq = np.sum(np.abs(downlink) ** 2, axis=1)
+    g_t = downlink.T
     solve = _factor_u_step(workspace, rho)
-    f_prev, z_matrix = f_matrix, f_matrix.copy()
+    z_matrix = f_matrix.copy()
     g_f = g_conj @ f_matrix
-    v = np.zeros((k_users, n), dtype=complex)
-    trajectory = np.empty(int(m_inner))
-    for cycle in range(int(m_inner)):
-        g_u, v = solve(g_f)
+    g_u = np.empty((m_inner, k_users, n), dtype=complex)
+    v = np.empty_like(g_u)
+    row_steps = np.empty_like(g_u)
+    f_steps = np.empty(m_inner)
+    tethers = np.empty(m_inner)
+    for cycle in range(m_inner):
+        g_u[cycle], v[cycle] = solve(g_f)
         f_prev, g_f_prev = f_matrix, g_f
-        f_matrix = 0.5 * (f_prev + (downlink.T @ v) / k_users + z_matrix)
+        f_matrix = 0.5 * (f_prev + (g_t @ v[cycle]) / k_users + z_matrix)
         z_matrix = phase_project(f_matrix)
         g_f = g_conj @ f_matrix
-        spread = np.mean(
-            np.sum(np.abs(f_prev - f_matrix) ** 2)
-            + 2.0 * np.real(np.sum((g_f_prev - g_f).conj() * v, axis=1))
-            + g_sq * np.sum(np.abs(v) ** 2, axis=1)
-        )
-        tether = np.sum(np.abs(z_matrix - f_matrix) ** 2)
-        trajectory[cycle] = _merit(workspace, g_u, spread, tether, rho)
+        np.subtract(g_f_prev, g_f, out=row_steps[cycle])
+        f_steps[cycle] = np.sum(np.abs(f_prev - f_matrix) ** 2)
+        tethers[cycle] = np.sum(np.abs(z_matrix - f_matrix) ** 2)
+    trajectory = _merit(workspace, g_u, v, row_steps, f_steps, tethers, rho)
+    del g_u, row_steps  # only the last cycle's v is left to use
     state = PhaseShiftState(
-        f=vec_of_matrix(f_matrix), u_all=_copies(f_prev, v, downlink), z=vec_of_matrix(z_matrix)
+        f=vec_of_matrix(f_matrix), u_all=_copies(f_prev, v[-1], downlink), z=vec_of_matrix(z_matrix)
     )
     return z_matrix, trajectory, state
 

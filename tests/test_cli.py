@@ -287,7 +287,6 @@ class TestSubcommands:
             capsys.readouterr().err
         )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "overrides, message",
         [
@@ -344,6 +343,44 @@ class TestSubcommands:
         argv = ["--config", self._write(tmp_path, cfg), "optimize", "--out", str(tmp_path / "opt")]
         assert main(argv) == EXIT_NUMERIC
         assert "numeric failure: Woodbury capacitance matrix condition estimate" in capsys.readouterr().err
+
+    def test_optimize_underflowing_noiseless_link_is_numeric_error(self, tmp_path, capsys):
+        # A -2000 dB pathloss underflows every gain to 0, and with both noise
+        # powers 0 the closed-form equalizer's denominator is 0.
+        radio = dict(_tiny_config()["radio"], pathloss_db=-2000, noise_power_server=0, noise_power_user=0)
+        argv = ["--config", self._write(tmp_path, {"radio": radio}), "optimize", "--out", str(tmp_path / "opt")]
+        assert main(argv) == EXIT_NUMERIC
+        assert "numeric failure: equalizer denominator of user 0 is zero" in capsys.readouterr().err
+
+    def test_optimize_golden_numbers(self, tmp_path):
+        # The default radio and optimizer against recorded outputs: any drift
+        # in the alternating loop's arithmetic, its inner merit included,
+        # fails here.
+        out = tmp_path / "opt"
+        assert main(["optimize", "--seed", "0", "--mode", "both", "--out", str(out)]) == EXIT_OK
+        results = json.loads((out / "solution_seed0.json").read_text())["results"]
+        expected = {
+            "pam": (
+                4.073982471200979e-06,
+                [
+                    0.20188344396299707, 0.09103761074268896, 0.00652290806407037,
+                    0.00158939024673368, 0.0005810088191950183, 0.0002271025167867008,
+                    9.534667203115108e-05, 4.1948058962546636e-05, 1.92584840421224e-05,
+                    8.957080306346748e-06, 4.1846049322962305e-06, 1.9708565664532086e-06,
+                    9.38955663034721e-07, 4.5434924458768565e-07, 2.2470568528753737e-07,
+                    1.1481853519252691e-07, 6.207540658559667e-08, 3.667196700058993e-08,
+                    2.5553306332092468e-08, 2.0782140792171247e-08,
+                ],
+            ),
+            "baseline": (0.16629852982331386, []),
+        }
+        assert sorted(results) == sorted(expected)
+        for mode, (objective, merits) in expected.items():
+            result = results[mode]
+            np.testing.assert_allclose(result["objective"], objective, rtol=1e-12)
+            np.testing.assert_allclose(result["outer_objectives"][-1], objective, rtol=1e-12)
+            assert len(result["inner_final_merit"]) == len(merits)
+            np.testing.assert_allclose(result["inner_final_merit"], merits, rtol=1e-12)
 
     def test_simulate_golden_numbers(self, tmp_path):
         # Criterion 10's tiny config against recorded outputs: any drift in

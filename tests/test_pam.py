@@ -10,7 +10,7 @@ from airfl import pam as pam_module
 from airfl.aircomp import AggregationWeights
 from airfl.channel import ChannelRealization, RadioConfig, sample_channels, substream
 from airfl.checks import dense_u_step
-from airfl.linalg import IllConditionedError, mat_of_vector, phase_project, vec_of_matrix
+from airfl.linalg import IllConditionedError, NumericError, mat_of_vector, phase_project, vec_of_matrix
 from airfl.pam import (
     T_GAP_TOL,
     PamConfig,
@@ -147,7 +147,7 @@ class TestUpdateR:
         chan = ChannelRealization(
             uplink=np.zeros((1, 1), dtype=complex), downlink=np.zeros((1, 1), dtype=complex)
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericError, match="equalizer denominator of user 0 is zero"):
             update_r(
                 np.eye(1, dtype=complex),
                 np.ones(1, dtype=complex),
@@ -704,6 +704,36 @@ def _reference_inner_pam(ws, f_matrix_init, rho, m_inner):
     return mat_of_vector(z, n, n), trajectory, u_all, f, z
 
 
+def _per_cycle_inner_pam(ws, f_matrix_init, rho, m_inner):
+    """The factored inner loop with its merit evaluated inside every cycle:
+    the spread from the next cycle's rows, the tether, then the worst-user
+    data cost plus rho times both (``inner_pam`` records the rows and
+    evaluates every cycle's merit after the loop)."""
+    downlink = ws.downlink
+    g_conj = downlink.conj()
+    g_sq = np.sum(np.abs(downlink) ** 2, axis=1)
+    solve = pam_module._factor_u_step(ws, rho)
+    f_matrix, z_matrix = f_matrix_init, f_matrix_init.copy()
+    g_f = g_conj @ f_matrix
+    trajectory = np.empty(m_inner)
+    for cycle in range(m_inner):
+        g_u, v = solve(g_f)
+        f_prev, g_f_prev = f_matrix, g_f
+        f_matrix = 0.5 * (f_prev + (downlink.T @ v) / ws.n_users + z_matrix)
+        z_matrix = phase_project(f_matrix)
+        g_f = g_conj @ f_matrix
+        spread = np.mean(
+            np.sum(np.abs(f_prev - f_matrix) ** 2)
+            + 2.0 * np.real(np.sum((g_f_prev - g_f).conj() * v, axis=1))
+            + g_sq * np.sum(np.abs(v) ** 2, axis=1)
+        )
+        tether = np.sum(np.abs(z_matrix - f_matrix) ** 2)
+        fit = ws.r[:, None] * (g_u @ ws.uplink.T) * ws.t[None, :] - ws.alpha
+        data = np.sum(np.abs(fit) ** 2, axis=1) + ws.kron_scale * np.sum(np.abs(g_u) ** 2, axis=1)
+        trajectory[cycle] = float(np.max(data) + rho * (spread + tether))
+    return z_matrix, trajectory
+
+
 def _ill_conditioned_workspace():
     """Two users on two nearly collinear uplinks with a large equalizer and
     no relay noise: with a tiny rho every capacitance I + beta_k A^H A has a
@@ -754,6 +784,24 @@ class TestFactoredUStep:
         expected = _reference_inner_pam(ws, f0, rho, 8)
         for got, want in zip((f_new, trajectory, state.u_all, state.f, state.z), expected):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("m_inner", [1, 8, 50])
+    @pytest.mark.parametrize(
+        "n, k, zero_user", [(1, 1, False), (8, 3, False), (8, 13, False), (32, 16, False), (8, 3, True)]
+    )
+    def test_batched_merit_matches_per_cycle_merit(self, n, k, zero_user, m_inner):
+        # The merit evaluated once after the loop equals, bit for bit, the
+        # merit evaluated inside every cycle, and so do the iterates.
+        rng = substream(69, f"batched-merit-{n}-{k}-{zero_user}")
+        cfg, chan, f0, r, t, w = _random_instance(rng, n, k)
+        if zero_user:
+            r[1] = 0.0
+        ws = build_workspace(r, t, chan, w, cfg)
+        rho = float(rng.uniform(0.2, 3.0))
+        f_new, trajectory, _ = inner_pam(ws, f0, rho, m_inner)
+        f_want, trajectory_want = _per_cycle_inner_pam(ws, f0, rho, m_inner)
+        np.testing.assert_array_equal(trajectory, trajectory_want)
+        np.testing.assert_array_equal(f_new, f_want)
 
     def test_factor_built_once_per_call(self, monkeypatch):
         # Structural guard, no timing: the u-step's one eigendecomposition

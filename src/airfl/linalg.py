@@ -95,7 +95,7 @@ def phase_project(v):
     output always has unit modulus everywhere.
     """
     v = np.asarray(v, dtype=complex)
-    out = np.exp(1j * np.arctan2(v.imag, v.real))  # np.angle without its wrapper
+    out = np.exp(1j * np.angle(v))
     if out.ndim == 0:
         return np.complex128(1.0) if v == 0 else np.complex128(out)
     out[v == 0] = 1.0

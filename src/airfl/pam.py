@@ -159,11 +159,10 @@ def update_r(f_matrix, t_all, chan, weights, cfg):
     return numerator / denominator
 
 
-def _transmit_rows(coeff, alpha_row, t_all):
-    """Per-user misfits sum_j |coeff[k, j] t_j - alpha_j|^2 of a complex
-    vector t; ``alpha_row`` is alpha as a (1, K) row."""
-    resid = coeff * t_all[None, :] - alpha_row
-    return (np.abs(resid) ** 2).sum(axis=1)
+def _transmit_rows(coeff, alpha, t_all):
+    """Per-user misfits sum_j |coeff[k, j] t_j - alpha_j|^2."""
+    resid = coeff * np.asarray(t_all, dtype=complex)[None, :] - alpha[None, :]
+    return np.sum(np.abs(resid) ** 2, axis=1)
 
 
 def transmit_objective(coeff, alpha, t_all):
@@ -172,13 +171,13 @@ def transmit_objective(coeff, alpha, t_all):
     ``coeff[k, j] = r_k g_k^H F h_j``; value is
     max_k sum_j |coeff[k, j] t_j - alpha_j|^2.
     """
-    return float(np.max(_transmit_rows(coeff, alpha[None, :], np.asarray(t_all, dtype=complex))))
+    return float(np.max(_transmit_rows(coeff, alpha, t_all)))
 
 
 def _simplex_project(v):
     """Euclidean projection onto the probability simplex (sort-based)."""
     u = np.sort(v)[::-1]
-    excess = u.cumsum() - 1.0
+    excess = np.cumsum(u) - 1.0
     support = np.count_nonzero(u * np.arange(1, v.size + 1) > excess)
     return np.maximum(v - excess[support - 1] / support, 0.0)
 
@@ -210,7 +209,6 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
     coeff = r_all[:, None] * gains
     coeff_sq = np.abs(coeff) ** 2
     alpha = weights.alpha
-    alpha_row = alpha[None, :]
     cap = np.sqrt(cfg.power_budget)
     k_users = alpha.size
     if t_init is None:
@@ -221,16 +219,12 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
 
     def weighted_minimizer(lam):
         scale = lam @ coeff_sq
+        t = t_init.copy()  # entries with no weighted curvature do not matter
         live = scale > 0
-        if live.all():
-            t = alpha * (lam @ coeff).conj() / scale
-        else:
-            t = t_init.copy()  # entries with no weighted curvature do not matter
-            t[live] = alpha[live] * (lam @ coeff)[live].conj() / scale[live]
+        t[live] = alpha[live] * (lam @ coeff)[live].conj() / scale[live]
         mag = np.abs(t)
         over = mag > cap
-        if over.any():
-            t[over] *= cap / mag[over]
+        t[over] *= cap / mag[over]
         return t
 
     def gap(primal, dual):
@@ -238,21 +232,21 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
         return max(primal - dual, 0.0) / primal if primal > 0 else 0.0
 
     best_t = t_init
-    best_val = float(np.max(_transmit_rows(coeff, alpha_row, t_init)))
+    best_val = float(np.max(_transmit_rows(coeff, alpha, t_init)))
     lam = np.full(k_users, 1.0 / k_users)
     t = weighted_minimizer(lam)
-    rows = _transmit_rows(coeff, alpha_row, t)
+    rows = _transmit_rows(coeff, alpha, t)
     dual = float(lam @ rows)
     # Each simplex vertex is a dual point too: user k's own least-squares
     # optimum over the discs, sum_j max(alpha_j - |c_kj| sqrt(P), 0)^2.  It
     # closes the gap at once when one user's value cannot be improved (a
     # zero row of coeff), where ascent only creeps towards the vertex.
-    vertices = np.sum(np.maximum(alpha_row - np.abs(coeff) * cap, 0.0) ** 2, axis=1)
+    vertices = np.sum(np.maximum(alpha[None, :] - np.abs(coeff) * cap, 0.0) ** 2, axis=1)
     best_dual = max(dual, float(np.max(vertices)))
     step = 1.0 / max(float(np.max(rows)), np.finfo(float).tiny)
     stalled = 0
     for ascent in range(T_MAX_ITERS + 1):
-        val = float(rows.max())
+        val = float(np.max(rows))
         if val < best_val:
             best_t, best_val, stalled = t, val, 0
         if gap(best_val, best_dual) <= T_GAP_TOL or ascent == T_MAX_ITERS or stalled == T_STALL_STEPS:
@@ -263,7 +257,7 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
         while True:
             lam_new = _simplex_project(lam + step * rows)
             t_new = weighted_minimizer(lam_new)
-            rows_new = _transmit_rows(coeff, alpha_row, t_new)
+            rows_new = _transmit_rows(coeff, alpha, t_new)
             dual_new = float(lam_new @ rows_new)
             move = lam_new - lam
             if dual_new >= dual + rows @ move - (move @ move) / (2.0 * step):
@@ -432,7 +426,6 @@ def inner_pam(workspace, f_matrix_init, rho, m_inner):
     k_users = workspace.n_users
     downlink = workspace.downlink
     g_conj = downlink.conj()
-    g_t = downlink.T
     solve = _factor_u_step(workspace, rho)
     z_matrix = f_matrix.copy()
     g_f = g_conj @ f_matrix
@@ -444,7 +437,7 @@ def inner_pam(workspace, f_matrix_init, rho, m_inner):
     for cycle in range(m_inner):
         g_u[cycle], v[cycle] = solve(g_f)
         f_prev, g_f_prev = f_matrix, g_f
-        f_matrix = 0.5 * (f_prev + (g_t @ v[cycle]) / k_users + z_matrix)
+        f_matrix = 0.5 * (f_prev + (downlink.T @ v[cycle]) / k_users + z_matrix)
         z_matrix = phase_project(f_matrix)
         g_f = g_conj @ f_matrix
         np.subtract(g_f_prev, g_f, out=row_steps[cycle])

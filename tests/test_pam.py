@@ -836,20 +836,30 @@ class TestFactoredUStep:
         assert np.all(np.isfinite(update_u(ws, np.ones(4, dtype=complex), 1e4)))
 
     def test_memory_is_linear_in_the_copies(self):
-        # Structural guard, no timing: one inner_pam call at N=32, K=16 peaks
-        # under 2 MB, the size of a few (K, N^2) complex arrays (256 KiB
-        # each); a (K, K, N^2) complex array alone takes 4 MiB.
+        # Structural guard, no timing: one inner_pam call at N=32, K=16 and
+        # m=50 peaks under 2 MB. That is a few (K, N^2) complex arrays for
+        # the copies (256 KiB each) plus the O(m K N) history the merit is
+        # evaluated from: three (K, N) complex rows per cycle (1.2 MiB at
+        # m=50). A (K, K, N^2) complex array alone takes 4 MiB.
         rng = substream(68, "factored-memory")
-        cfg, chan, f0, r, t, w = _random_instance(rng, 32, 16)
+        n, k = 32, 16
+        cfg, chan, f0, r, t, w = _random_instance(rng, n, k)
         ws = build_workspace(r, t, chan, w, cfg)
         inner_pam(ws, f0, 1.0, 3)  # warm-up: first-call allocations
-        tracemalloc.start()
-        try:
-            inner_pam(ws, f0, 1.0, 50)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 1024 * 1024, f"inner_pam peaked at {peak} bytes"
+        peaks = {}
+        for m_inner in (50, 100):
+            tracemalloc.start()
+            try:
+                inner_pam(ws, f0, 1.0, m_inner)
+                peaks[m_inner] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[50] < 2 * 1024 * 1024, f"inner_pam peaked at {peaks[50]} bytes"
+        # Each further cycle adds the three recorded rows and one temporary
+        # row of the batched merit. An N x N complex history (two rows' worth
+        # here) or a fifth (m, K, N) array would exceed five rows.
+        per_cycle = (peaks[100] - peaks[50]) / 50
+        assert per_cycle < 5 * k * n * 16, f"inner_pam grew by {per_cycle} bytes per cycle"
 
 
 class TestRunPam:

@@ -6,8 +6,10 @@ receive equalizers r.  The objective is the worst user's MSE bracket (see
 ``aircomp.mse_bracket_terms``).  Blocks are updated alternately:
 
 * r: per-user closed form (exact minimizer of the user's bracket),
-* t: exact solve of the pointwise-max least-squares objective by dual ascent
-  over the simplex, with a duality-gap certificate,
+* t: exact solve of the pointwise-max least-squares objective through its
+  dual over the simplex of user weights, by active-set Newton ascent with a
+  closed-form Hessian (projected gradient as the fallback), with a
+  duality-gap certificate,
 * F: an inner penalized alternating-minimization loop over per-user copies
   u_k, the consensus vector f = vec(F), and its unit-modulus projection z.
 
@@ -25,6 +27,7 @@ iterate reads, so it is evaluated once per call from the recorded rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,11 +60,16 @@ __all__ = [
 
 # Transmit-gain solve (update_t): stop at this relative duality gap, after
 # this many dual ascent steps, or after this many steps in a row that improve
-# neither the best t nor the dual bound; an accepted step's length grows by
-# this factor.
+# neither the best t nor the dual bound.  A Newton step's KKT system carries
+# a ridge of T_RIDGE times its scale, and its Armijo backtrack accepts a
+# T_ARMIJO share of the predicted gain within T_HALVINGS halvings.  An
+# accepted projected-gradient step's length grows by T_STEP_GROWTH.
 T_GAP_TOL = 1e-6
 T_MAX_ITERS = 5000
 T_STALL_STEPS = 50
+T_RIDGE = 1e-12
+T_ARMIJO = 1e-4
+T_HALVINGS = 10
 T_STEP_GROWTH = 1.5
 
 
@@ -97,11 +105,17 @@ class PamConfig:
 
 @dataclass
 class PhaseShiftState:
-    """Inner-loop state: consensus vector f, per-user copies, projection z."""
+    """Inner-loop state: consensus vector f, projection z, and the last copies.
+
+    The copies are kept in factored form: user k's is U_k = F_copy + g_k v_k^T,
+    where ``f_copy`` is the consensus matrix the last cycle took them at and
+    ``v`` is K x N (``_copies`` forms them).
+    """
 
     f: np.ndarray
-    u_all: np.ndarray
     z: np.ndarray
+    f_copy: np.ndarray
+    v: np.ndarray
 
 
 @dataclass
@@ -138,17 +152,24 @@ def update_r(f_matrix, t_all, chan, weights, cfg):
     r_k = sum_j alpha_j conj(g_k^H F h_j t_j) /
           (sum_j |g_k^H F h_j t_j|^2 + noise_server ||g_k^H F||^2 + noise_user_k)
 
-    Raises ``NumericError`` when some user's denominator is zero.
+    Raises ``NumericError`` when some user's denominator is zero or overflows.
     """
     t_all = np.asarray(t_all, dtype=complex).reshape(-1)
     gains, row_norm_sq = _effective_gains(f_matrix, chan)
     ct = gains * t_all[None, :]
     numerator = ct.conj() @ weights.alpha
-    denominator = (
-        np.sum(np.abs(ct) ** 2, axis=1)
-        + cfg.noise_power_server * row_norm_sq
-        + np.asarray(cfg.noise_power_user, dtype=float)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        denominator = (
+            np.sum(np.abs(ct) ** 2, axis=1)
+            + cfg.noise_power_server * row_norm_sq
+            + np.asarray(cfg.noise_power_user, dtype=float)
+        )
+    if not np.all(np.isfinite(denominator)):
+        k = int(np.argmax(~np.isfinite(denominator)))
+        raise NumericError(
+            f"equalizer denominator of user {k} overflows: its effective gains g_k^H F h_j t_j "
+            "are too large to square (a pathloss whose linear gain is near the largest float)"
+        )
     if np.any(denominator <= 0):
         k = int(np.argmax(denominator <= 0))
         raise NumericError(
@@ -182,27 +203,156 @@ def _simplex_project(v):
     return np.maximum(v - excess[support - 1] / support, 0.0)
 
 
-def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
+class _DualPoint(NamedTuple):
+    """A point lam of the transmit solve's dual: its weighted minimizer t, which
+    entries of t the disc clips, the per-user misfits at t (the dual gradient)
+    and the dual value lam . rows."""
+
+    lam: np.ndarray
+    t: np.ndarray
+    clipped: np.ndarray
+    rows: np.ndarray
+    value: float
+
+
+def _weighted_minimizer(lam, coeff, coeff_sq, alpha, cap, t_fill):
+    """Minimizer of the lam-weighted transmit problem, and which entries the disc clips.
+
+    Per user j the weighted objective is a_j |t_j|^2 - 2 alpha_j Re(t_j conj(b_j))
+    + const with a_j = sum_k lam_k |c_kj|^2 and b_j = sum_k lam_k conj(c_kj),
+    minimized by alpha_j b_j / a_j radially projected onto the disc.  Entries
+    with a_j = 0 do not matter and keep ``t_fill``.
+    """
+    scale = lam @ coeff_sq
+    t = np.divide(alpha * (lam @ coeff).conj(), scale, out=t_fill.copy(), where=scale > 0)
+    mag = np.abs(t)
+    clipped = mag > cap
+    t[clipped] *= cap / mag[clipped]
+    return t, clipped
+
+
+def _dual_hessian(lam, t, clipped, coeff, coeff_sq, alpha, cap):
+    """Closed-form Hessian of the simplex dual at lam, t = _weighted_minimizer(lam).
+
+    Each user j adds a term of rank two or less.  Unclipped, its dual term
+    is alpha_j^2 sum(lam) - alpha_j^2 |b_j|^2 / a_j, with Hessian
+    -(2 / a_j) Re(m_j m_j^H), m_kj = conj(c_kj) (c_kj t_j - alpha_j).  Clipped,
+    it is a_j P - 2 alpha_j sqrt(P) |b_j| + alpha_j^2 sum(lam), with Hessian
+    -(2 sqrt(P) alpha_j / |b_j|) x x^T, x_k = Im(conj(c_kj) conj(b_j) / |b_j|);
+    as b_j / |b_j| = t_j / sqrt(P) there, x_k = -Im(c_kj t_j) / sqrt(P).  The
+    dual is homogeneous of degree one, so every term annihilates lam.  Rows
+    of users with zero weight may be left out: the result is then the
+    Hessian's block on the remaining users.
+    """
+    scale = lam @ coeff_sq
+    live = scale > 0
+    ct = coeff * t
+    m = coeff.conj() * (ct - alpha)
+    free = np.divide(2.0, scale, out=np.zeros_like(scale), where=live & ~clipped)
+    edge = np.divide(2.0 * alpha, cap * np.abs(lam @ coeff), out=np.zeros_like(scale), where=live & clipped)
+    x = np.imag(ct)
+    return -np.real((m * free) @ m.conj().T) - (x * edge) @ x.T
+
+
+def _kkt_direction(hess, grad):
+    """Maximizer d of grad.d + d^T hess d / 2 under sum(d) = 0, or None.
+
+    Solves the KKT system [-hess 1; 1^T 0].  The dual is flat along lam, so
+    -hess is only semidefinite; a ridge of ``T_RIDGE`` times its scale keeps
+    the system regular.
+    """
+    n = grad.size
+    if n < 2:
+        return None
+    kkt = np.ones((n + 1, n + 1))
+    kkt[n, n] = 0.0
+    ridge = T_RIDGE * max(-np.trace(hess), float(np.max(grad)), np.finfo(float).tiny)
+    kkt[:n, :n] = ridge * np.eye(n) - hess
+    try:
+        d = np.linalg.solve(kkt, np.append(grad, 0.0))[:n]
+    except np.linalg.LinAlgError:
+        return None
+    return d if np.all(np.isfinite(d)) else None
+
+
+def _newton_step(point, coeff, coeff_sq, alpha, cap, evaluate):
+    """One active-set Newton ascent step from ``point``, or None when it fails.
+
+    The working set is the support of lam plus the zero-weight user whose
+    gradient entry exceeds the dual value most (the worst violator of the
+    optimality conditions); the step maximizes the quadratic model of the
+    dual on that face (see :func:`_dual_hessian`, :func:`_kkt_direction`).
+    A violator whose step component is not positive would leave the simplex
+    at once, so the step is then taken on the support alone.  A ratio test
+    keeps lam >= 0 (the blocking user leaves the support), and an Armijo
+    backtrack over ``T_HALVINGS`` halvings accepts the first step that raises
+    the dual by ``T_ARMIJO`` times its predicted first-order gain.
+    """
+    lam, t, clipped, rows, dual = point
+    work = lam > 0
+    outside = np.where(work, -np.inf, rows)
+    enter = int(np.argmax(outside))
+    if outside[enter] > dual:
+        work[enter] = True
+    w = np.flatnonzero(work)
+    hess = _dual_hessian(lam[w], t, clipped, coeff[w], coeff_sq[w], alpha, cap)
+    d = _kkt_direction(hess, rows[w])
+    if d is not None and np.any(d[lam[w] == 0] <= 0):
+        keep = lam[w] > 0
+        w = w[keep]
+        d = _kkt_direction(hess[keep][:, keep], rows[w])
+    if d is None:
+        return None
+    slope = float(rows[w] @ d)
+    if not slope > 0:
+        return None
+    size, block = 1.0, None
+    shrink = np.flatnonzero(d < 0)
+    if shrink.size:
+        ratios = lam[w[shrink]] / -d[shrink]
+        first = int(np.argmin(ratios))
+        if ratios[first] < 1.0:
+            size, block = float(ratios[first]), w[shrink[first]]
+    for _ in range(T_HALVINGS):
+        lam_new = lam.copy()
+        lam_new[w] += size * d
+        if block is not None:
+            lam_new[block] = 0.0
+        np.maximum(lam_new, 0.0, out=lam_new)
+        new = evaluate(lam_new / np.sum(lam_new))
+        if new.value > dual and new.value >= dual + T_ARMIJO * size * slope:
+            return new
+        size, block = 0.5 * size, None
+    return None
+
+
+def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, evals=None):
     """Transmit coefficients minimizing the worst user's least-squares misfit.
 
     Solves min_{|t_j|^2 <= power_budget} max_k sum_j |c_kj t_j - alpha_j|^2,
     c_kj = r_k g_k^H F h_j, through its dual over the simplex: the max over
     users is a max over weights lam >= 0 with sum(lam) = 1, and the minimax
     swap holds (Sion).  For fixed lam the weighted problem separates per
-    user j into an isotropic scalar quadratic, minimized by
-    t_j = alpha_j sum_k lam_k conj(c_kj) / sum_k lam_k |c_kj|^2 radially
-    projected onto the disc.  The per-user objective vector at that t is the
-    dual gradient (Danskin), and projected-gradient ascent on lam with
-    backtracking runs until the relative duality gap is at most
-    ``T_GAP_TOL``, ``T_MAX_ITERS`` ascent steps have been taken, or
-    ``T_STALL_STEPS`` steps in a row have improved neither the best t nor
-    the dual bound.  Such a run means the ascent has reached the rounding
-    of the dual: its sufficient-increase test fails on noise and the step
-    shrinks without end, so later steps could change (t, gap) only by noise.
+    user j into an isotropic scalar quadratic (see
+    :func:`_weighted_minimizer`).  The per-user objective vector at its
+    minimizer is the dual gradient (Danskin), and the dual Hessian is closed
+    form (see :func:`_dual_hessian`).
+
+    The ascent starts at uniform weights and takes active-set Newton steps
+    on the support of lam (see :func:`_newton_step`, after Bertsekas,
+    "Projected Newton Methods for Optimization Problems with Simple
+    Constraints", 1982).  When a Newton step does not raise the dual, it
+    takes a projected-gradient step with backtracking instead.  It runs
+    until the relative duality gap is at most ``T_GAP_TOL``, ``T_MAX_ITERS``
+    ascent steps have been taken, or ``T_STALL_STEPS`` steps in a row have
+    improved neither the best t nor the dual bound.  Such a run means the
+    ascent has reached the rounding of the dual, so later steps could change
+    (t, gap) only by noise.
 
     Returns ``(t, gap)``: the best primal point seen, never worse than the
     incoming t, and (objective(t) - best dual value) / objective(t), which
-    bounds the relative excess of t over the optimum.
+    bounds the relative excess of t over the optimum.  When ``evals`` is a
+    list, the number of dual evaluations the solve took is appended to it.
     """
     r_all = np.asarray(r_all, dtype=complex).reshape(-1)
     gains, _ = _effective_gains(f_matrix, chan)
@@ -215,17 +365,9 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
         t_init = np.full(k_users, cap, dtype=complex)
     t_init = np.asarray(t_init, dtype=complex).reshape(-1)
     if float(np.max(coeff_sq)) == 0.0:
+        if evals is not None:
+            evals.append(0)
         return t_init, 0.0
-
-    def weighted_minimizer(lam):
-        scale = lam @ coeff_sq
-        t = t_init.copy()  # entries with no weighted curvature do not matter
-        live = scale > 0
-        t[live] = alpha[live] * (lam @ coeff)[live].conj() / scale[live]
-        mag = np.abs(t)
-        over = mag > cap
-        t[over] *= cap / mag[over]
-        return t
 
     def gap(primal, dual):
         # Rounding can put a tight dual bound a few ulps above the primal.
@@ -233,42 +375,53 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
 
     best_t = t_init
     best_val = float(np.max(_transmit_rows(coeff, alpha, t_init)))
-    lam = np.full(k_users, 1.0 / k_users)
-    t = weighted_minimizer(lam)
-    rows = _transmit_rows(coeff, alpha, t)
-    dual = float(lam @ rows)
     # Each simplex vertex is a dual point too: user k's own least-squares
-    # optimum over the discs, sum_j max(alpha_j - |c_kj| sqrt(P), 0)^2.  It
-    # closes the gap at once when one user's value cannot be improved (a
-    # zero row of coeff), where ascent only creeps towards the vertex.
+    # optimum over the discs, sum_j max(alpha_j - |c_kj| sqrt(P), 0)^2.  A
+    # user with a zero row of coeff has the misfit sum(alpha^2) at every t,
+    # which its vertex certifies; its weight cannot inform t (at its vertex
+    # the weighted problem is empty), so the ascent runs over the others.
     vertices = np.sum(np.maximum(alpha[None, :] - np.abs(coeff) * cap, 0.0) ** 2, axis=1)
-    best_dual = max(dual, float(np.max(vertices)))
-    step = 1.0 / max(float(np.max(rows)), np.finfo(float).tiny)
+    heard = np.any(coeff_sq > 0, axis=1)
+    floor = float(np.max(vertices[~heard], initial=0.0))
+    coeff, coeff_sq = coeff[heard], coeff_sq[heard]
+    count = 0
+
+    def evaluate(lam):
+        nonlocal count
+        count += 1
+        t, clipped = _weighted_minimizer(lam, coeff, coeff_sq, alpha, cap, t_init)
+        rows = _transmit_rows(coeff, alpha, t)
+        return _DualPoint(lam, t, clipped, rows, float(lam @ rows))
+
+    point = evaluate(np.full(coeff.shape[0], 1.0 / coeff.shape[0]))
+    best_dual = max(point.value, float(np.max(vertices)))
+    step = 1.0 / max(float(np.max(point.rows)), np.finfo(float).tiny)
     stalled = 0
     for ascent in range(T_MAX_ITERS + 1):
-        val = float(np.max(rows))
+        lam, t, _, rows, dual = point
+        val = max(float(np.max(rows)), floor)
         if val < best_val:
             best_t, best_val, stalled = t, val, 0
         if gap(best_val, best_dual) <= T_GAP_TOL or ascent == T_MAX_ITERS or stalled == T_STALL_STEPS:
             break
-        # Backtrack until the step passes the sufficient-increase test of a
-        # gradient step with Lipschitz estimate 1/step; a step too small to
-        # move lam passes it trivially.
-        while True:
-            lam_new = _simplex_project(lam + step * rows)
-            t_new = weighted_minimizer(lam_new)
-            rows_new = _transmit_rows(coeff, alpha, t_new)
-            dual_new = float(lam_new @ rows_new)
-            move = lam_new - lam
-            if dual_new >= dual + rows @ move - (move @ move) / (2.0 * step):
-                break
-            step *= 0.5
-        lam, t, rows, dual = lam_new, t_new, rows_new, dual_new
-        if dual > best_dual:
-            best_dual, stalled = dual, 0
+        point = _newton_step(point, coeff, coeff_sq, alpha, cap, evaluate)
+        if point is None:
+            # Backtrack until the step passes the sufficient-increase test
+            # of a gradient step with Lipschitz estimate 1/step; a step
+            # too small to move lam passes it trivially.
+            while True:
+                point = evaluate(_simplex_project(lam + step * rows))
+                move = point.lam - lam
+                if point.value >= dual + rows @ move - (move @ move) / (2.0 * step):
+                    break
+                step *= 0.5
+            step *= T_STEP_GROWTH
+        if point.value > best_dual:
+            best_dual, stalled = point.value, 0
         else:
             stalled += 1
-        step *= T_STEP_GROWTH
+    if evals is not None:
+        evals.append(count)
     return best_t, gap(best_val, best_dual)
 
 
@@ -444,10 +597,7 @@ def inner_pam(workspace, f_matrix_init, rho, m_inner):
         f_steps[cycle] = np.sum(np.abs(f_prev - f_matrix) ** 2)
         tethers[cycle] = np.sum(np.abs(z_matrix - f_matrix) ** 2)
     trajectory = _merit(workspace, g_u, v, row_steps, f_steps, tethers, rho)
-    del g_u, row_steps  # only the last cycle's v is left to use
-    state = PhaseShiftState(
-        f=vec_of_matrix(f_matrix), u_all=_copies(f_prev, v[-1], downlink), z=vec_of_matrix(z_matrix)
-    )
+    state = PhaseShiftState(f=vec_of_matrix(f_matrix), z=vec_of_matrix(z_matrix), f_copy=f_prev, v=v[-1].copy())
     return z_matrix, trajectory, state
 
 
@@ -460,8 +610,9 @@ class Solution:
     full outer cycle.  The returned triple is the best recorded one, so
     ``objective <= outer_objectives[0]`` always holds.  ``r_update_pairs`` /
     ``t_update_pairs`` hold the subproblem objective immediately before and
-    after each r / t block for diagnostics, and ``t_gaps`` the relative
-    duality gap certified by each t block (see :func:`update_t`).
+    after each r / t block for diagnostics, ``t_gaps`` the relative duality
+    gap certified by each t block (see :func:`update_t`), and ``t_evals`` the
+    number of dual evaluations each t block took.
     """
 
     mode: str
@@ -474,6 +625,7 @@ class Solution:
     r_update_pairs: list = field(default_factory=list)
     t_update_pairs: list = field(default_factory=list)
     t_gaps: list = field(default_factory=list)
+    t_evals: list = field(default_factory=list)
 
 
 def _initial_matrix(n, pam_cfg):
@@ -495,6 +647,7 @@ def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
     r_pairs = []
     t_pairs = []
     t_gaps = []
+    t_evals = []
     for _ in range(pam_cfg.n_outer):
         if mode == "pam":
             workspace = build_workspace(r_all, t_all, chan, weights, cfg)
@@ -507,7 +660,7 @@ def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
         gains, _ = _effective_gains(f_matrix, chan)
         coeff = r_all[:, None] * gains
         before_t = transmit_objective(coeff, weights.alpha, t_all)
-        t_all, t_gap = update_t(f_matrix, r_all, chan, weights, cfg, t_init=t_all)
+        t_all, t_gap = update_t(f_matrix, r_all, chan, weights, cfg, t_init=t_all, evals=t_evals)
         t_gaps.append(t_gap)
         after_t = transmit_objective(coeff, weights.alpha, t_all)
         t_pairs.append((before_t, after_t))
@@ -526,6 +679,7 @@ def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
         r_update_pairs=r_pairs,
         t_update_pairs=t_pairs,
         t_gaps=t_gaps,
+        t_evals=t_evals,
     )
 
 

@@ -352,6 +352,20 @@ class TestSubcommands:
         assert main(argv) == EXIT_NUMERIC
         assert "numeric failure: equalizer denominator of user 0 is zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["pam", "baseline"])
+    def test_optimize_overflowing_link_is_numeric_error(self, tmp_path, capsys, mode):
+        # A 3000 dB pathloss is accepted, but squaring its effective gains
+        # overflows: the equalizer would be 0 and the link would receive
+        # nothing, so the run fails with a numeric error and no warning lines.
+        radio = dict(_tiny_config()["radio"], pathloss_db=3000)
+        cfg = _tiny_config(radio=radio, pam={"n_outer": 2, "m_inner": 5})
+        argv = ["--config", self._write(tmp_path, cfg), "optimize", "--mode", mode, "--out", str(tmp_path / "opt")]
+        assert main(argv) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure: equalizer denominator of user 0 overflows" in err
+        assert "overflow encountered" not in err
+        assert not (tmp_path / "opt" / "solution_seed0.json").exists()
+
     def test_optimize_golden_numbers(self, tmp_path):
         # The default radio and optimizer against recorded outputs: any drift
         # in the alternating loop's arithmetic, its inner merit included,
@@ -361,18 +375,18 @@ class TestSubcommands:
         results = json.loads((out / "solution_seed0.json").read_text())["results"]
         expected = {
             "pam": (
-                4.073982471200979e-06,
+                4.073981774203575e-06,
                 [
-                    0.20188344396299707, 0.09103761074268896, 0.00652290806407037,
-                    0.00158939024673368, 0.0005810088191950183, 0.0002271025167867008,
-                    9.534667203115108e-05, 4.1948058962546636e-05, 1.92584840421224e-05,
-                    8.957080306346748e-06, 4.1846049322962305e-06, 1.9708565664532086e-06,
-                    9.38955663034721e-07, 4.5434924458768565e-07, 2.2470568528753737e-07,
-                    1.1481853519252691e-07, 6.207540658559667e-08, 3.667196700058993e-08,
-                    2.5553306332092468e-08, 2.0782140792171247e-08,
+                    0.20188344396299707, 0.09103992039976011, 0.006522907854957282,
+                    0.001589381261558193, 0.0005810033150366364, 0.00022709942941037445,
+                    9.534510335939414e-05, 4.1947242107522476e-05, 1.9258001192614e-05,
+                    8.956822366006049e-06, 4.184468450969646e-06, 1.970785127870631e-06,
+                    9.389181782943982e-07, 4.543298073807688e-07, 2.2469546791313457e-07,
+                    1.148131752934672e-07, 6.207262863161712e-08, 3.6670466069056075e-08,
+                    2.5552670695264215e-08, 2.0781790644190126e-08,
                 ],
             ),
-            "baseline": (0.16629852982331386, []),
+            "baseline": (0.1662984930733633, []),
         }
         assert sorted(results) == sorted(expected)
         for mode, (objective, merits) in expected.items():
@@ -399,12 +413,12 @@ class TestSubcommands:
         np.testing.assert_allclose(
             [[float(v) for v in row[2:]] for row in rows],
             [
-                [0.10149718108077355, 0.057494295988922084, 0.0068991352922916612, 0.021333772266749516],
-                [0.054719774550800793, 0.01071688945894933, 0.018407082959297251, 0.064454593613522432],
-                [0.047634162400486069, 0.0036312773086346062, 0.07505222900117603, 0.25484600865764773],
-                [0.10149718108077355, 0.057494295988922084, 0.018138746444955878, 0.056089331411337394],
-                [0.053323617256744449, 0.0093207321648929864, 0.045567031101549443, 0.16071596972153196],
-                [0.049687411570670997, 0.0056845264788195349, 0.10759597744447275, 0.38948042587908965],
+                [0.10149718108077355, 0.057494295988922084, 0.006899135292291648, 0.021333772266749474],
+                [0.05471977455080079, 0.01071688945894933, 0.0184070829592973, 0.06445459361352257],
+                [0.04763416240048607, 0.003631277308634606, 0.07505222900117602, 0.2548460086576477],
+                [0.10149718108077355, 0.057494295988922084, 0.018138752007718736, 0.056089348612727276],
+                [0.05332361762125554, 0.009320732529404074, 0.04556711285472943, 0.1607162285977327],
+                [0.04968741320849471, 0.005684528116643245, 0.10759593512965454, 0.38948038647166616],
             ],
             rtol=1e-9,
         )
@@ -414,8 +428,8 @@ class TestSubcommands:
         assert (summary["rounds"], summary["replays"], summary["seeds"]) == (3, 2, [7])
         np.testing.assert_allclose(summary["lambda_star"], 0.04400288509185146, rtol=1e-9)
         expected = {
-            "pam": [0.04763416240048607, 0.003631277308634606, 0.07505222900117603, 0.09449751745004316],
-            "baseline": [0.049687411570671, 0.005684526478819535, 0.10759597744447275, 0.14183851837721584],
+            "pam": [0.04763416240048607, 0.003631277308634606, 0.07505222900117602, 0.09449751745004316],
+            "baseline": [0.04968741320849471, 0.005684528116643245, 0.10759593512965454, 0.14183846801310968],
         }
         keys = ["final_loss", "final_loss_gap", "final_max_mse", "final_objective"]
         assert list(summary["summary"]) == ["7"]

@@ -311,10 +311,13 @@ class TestUpdateT:
 
     def test_stalled_ascent_stops_with_the_same_result(self, monkeypatch):
         # A transmit solve met in a train_ref simulate job (3 users with
-        # nearly equal gains, misfits near 2e-7): the ascent reaches the
-        # rounding of the dual at a gap of 1.07e-6, and without the stall
-        # stop its backtracking spins through all T_MAX_ITERS steps.  With
-        # F = G = I and r = 1 the coefficients c_kj are uplink[j][k] exactly.
+        # nearly equal gains, misfits near 2e-7).  Projected-gradient ascent
+        # reaches the rounding of the dual at a gap of 1.07e-6; the Newton
+        # steps certify it.  With the Newton step switched off, the fallback
+        # path alone is the earlier solve: without the stall stop its
+        # backtracking spins through all T_MAX_ITERS steps, and the stall
+        # stop ends it with the same result.  With F = G = I and r = 1 the
+        # coefficients c_kj are uplink[j][k] exactly.
         coeff = np.array(
             [
                 [0.4450921310727021 - 0.12199459398973611j, -0.32446655485298614 + 0.2604816973378175j,
@@ -333,15 +336,18 @@ class TestUpdateT:
         chan = ChannelRealization(uplink=coeff.T.copy(), downlink=np.eye(3, dtype=complex))
         f, r, w = np.eye(3, dtype=complex), np.ones(3, dtype=complex), AggregationWeights(np.full(3, 1.0 / 3.0))
         np.testing.assert_array_equal(_transmit_coeff(f, r, chan), coeff)
-        steps = []
-        project = pam_module._simplex_project
-        monkeypatch.setattr(pam_module, "_simplex_project", lambda v: steps.append(1) or project(v))
 
         def solve():
-            steps.clear()
-            t, gap = update_t(f, r, chan, w, cfg, t_init=t_init)
-            return t, gap, len(steps)
+            evals = []
+            t, gap = update_t(f, r, chan, w, cfg, t_init=t_init, evals=evals)
+            return t, gap, evals[0]
 
+        t, gap, count = solve()
+        assert gap <= T_GAP_TOL and count <= 10
+        floor = (1.0 - gap) * transmit_objective(coeff, w.alpha, t)
+        assert transmit_objective(coeff, w.alpha, t_init) >= floor
+
+        monkeypatch.setattr(pam_module, "_newton_step", lambda *args: None)
         t, gap, stopped = solve()
         monkeypatch.setattr(pam_module, "T_STALL_STEPS", pam_module.T_MAX_ITERS + 1)
         t_full, gap_full, full = solve()
@@ -349,6 +355,73 @@ class TestUpdateT:
         assert T_GAP_TOL < gap < 2 * T_GAP_TOL
         np.testing.assert_array_equal(t, t_full)
         assert gap == gap_full
+
+    def test_dual_gradient_and_hessian_match_finite_differences(self):
+        # The dual D(lam) = sum_k lam_k rows_k(t(lam)) is smooth away from
+        # the disc's edge, with gradient rows (Danskin) and the closed-form
+        # Hessian; central differences over every lam_k agree with both, at
+        # points with clipped and unclipped users alike.
+        rng = substream(52, "t-dual-fd")
+        kinds = set()
+        for budget in (0.05, 1.0, 20.0):
+            for _ in range(4):
+                n, k = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+                _, chan, f, r, t0, w = _random_instance(rng, n, k)
+                coeff = _transmit_coeff(f, r, chan)
+                coeff_sq = np.abs(coeff) ** 2
+                cap = np.sqrt(budget)
+                lam = rng.uniform(0.2, 1.0, k)
+                lam /= lam.sum()
+
+                def dual_at(weights):
+                    t, clipped = pam_module._weighted_minimizer(weights, coeff, coeff_sq, w.alpha, cap, t0)
+                    rows = pam_module._transmit_rows(coeff, w.alpha, t)
+                    return float(weights @ rows), rows, t, clipped
+
+                _, rows, t, clipped = dual_at(lam)
+                # Stay inside one piece of the dual: no user within 1e-3 of the edge.
+                unclipped = w.alpha * np.conj(lam @ coeff) / (lam @ coeff_sq)
+                if np.any(np.abs(np.abs(unclipped) / cap - 1.0) < 1e-3):
+                    continue
+                kinds.update(clipped.tolist())
+                hess = pam_module._dual_hessian(lam, t, clipped, coeff, coeff_sq, w.alpha, cap)
+                h = 1e-6
+                for j in range(k):
+                    e = np.zeros(k)
+                    e[j] = h
+                    plus, minus = dual_at(lam + e), dual_at(lam - e)
+                    scale = np.max(np.abs(rows))
+                    assert abs((plus[0] - minus[0]) / (2 * h) - rows[j]) <= 1e-8 * scale
+                    column = (plus[1] - minus[1]) / (2 * h)
+                    np.testing.assert_allclose(hess[:, j], column, rtol=0, atol=1e-7 * np.max(np.abs(hess)))
+                np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-14 * np.max(np.abs(hess)))
+                np.testing.assert_allclose(hess @ lam, 0.0, atol=1e-12 * np.max(np.abs(hess)))
+                assert np.max(np.linalg.eigvalsh(hess)) <= 1e-12 * np.max(np.abs(hess))
+        assert kinds == {False, True}
+
+    @pytest.mark.parametrize("n, k", [(8, 13), (3, 8), (4, 16), (9, 7), (11, 16)])
+    def test_more_users_than_antennas_is_certified(self, n, k):
+        # Instances with more users than antennas, where plain projected
+        # gradient needed up to 1,573 dual evaluations (N=8, K=13): every
+        # solve certifies its gap within a few dozen evaluations, also with
+        # a user whose equalizer is zero.
+        rng = substream(53, f"t-wide-{n}-{k}")
+        links = [(0.0, 1.0), (0.0, 100.0), (0.0, 1e-3), (-40.0, 1.0), (-40.0, 100.0), (-100.0, 100.0), (0.0, 1.0)]
+        for trial, (pathloss, budget) in enumerate(links):
+            cfg = RadioConfig(n_antennas=n, n_users=k, pathloss_db=pathloss, power_budget=budget)
+            chan = sample_channels(cfg, int(rng.integers(1 << 30)))
+            f = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, n)))
+            w = AggregationWeights(rng.uniform(1.0, 5.0, k))
+            t0 = np.sqrt(budget) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
+            r = update_r(f, t0, chan, w, cfg)
+            if trial == len(links) - 1:
+                r[int(rng.integers(k))] = 0.0
+            evals = []
+            t, gap = update_t(f, r, chan, w, cfg, t_init=t0, evals=evals)
+            assert gap <= T_GAP_TOL, f"trial {trial}: gap {gap:.3e}"
+            assert evals[0] <= 60, f"trial {trial}: {evals[0]} dual evaluations"
+            coeff = _transmit_coeff(f, r, chan)
+            assert transmit_objective(coeff, w.alpha, t) <= transmit_objective(coeff, w.alpha, t0)
 
     def test_not_worse_than_subgradient(self):
         rng = substream(50, "t-vs-subgradient")
@@ -782,7 +855,8 @@ class TestFactoredUStep:
         rho = float(rng.uniform(0.2, 3.0))
         f_new, trajectory, state = inner_pam(ws, f0, rho, 8)
         expected = _reference_inner_pam(ws, f0, rho, 8)
-        for got, want in zip((f_new, trajectory, state.u_all, state.f, state.z), expected):
+        u_all = pam_module._copies(state.f_copy, state.v, ws.downlink)
+        for got, want in zip((f_new, trajectory, u_all, state.f, state.z), expected):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("m_inner", [1, 8, 50])
@@ -899,7 +973,18 @@ class TestRunPam:
         assert sol.objective <= sol.outer_objectives[0] + 1e-12
         assert len(sol.inner_trajectories) == 4
         assert len(sol.t_gaps) == 4 and max(sol.t_gaps) <= T_GAP_TOL
+        assert len(sol.t_evals) == 4 and min(sol.t_evals) >= 1
         assert sol.mode == "pam"
+
+    def test_default_config_certifies_every_transmit_solve(self):
+        # The default radio and optimizer on channel seed 2001: the earlier
+        # projected-gradient solve stopped three of its 20 t-blocks on the
+        # stall rule, at gaps of 1.10e-6, 1.83e-6 and 4.25e-6.
+        cfg, pc = RadioConfig(), PamConfig()
+        sol = run_pam(sample_channels(cfg, 2001), AggregationWeights(np.ones(cfg.n_users)), cfg, pc)
+        assert len(sol.t_gaps) == len(sol.t_evals) == pc.n_outer
+        assert max(sol.t_gaps) <= T_GAP_TOL
+        assert max(sol.t_evals) <= 20
 
     def test_block_updates_never_increase(self):
         rng = substream(66, "pam-blocks")

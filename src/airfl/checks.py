@@ -30,7 +30,7 @@ __all__ = [
     "phase_projection_excess",
     "random_link",
     "stationarity_slopes",
-    "structured_solve_error",
+    "u_step_error",
 ]
 
 
@@ -72,7 +72,7 @@ def dense_u_step(workspace, user, rho, dtype=complex):
     return matrix, workspace.alpha.astype(dtype) @ rank_one, rank_one
 
 
-def structured_solve_error(seed, count):
+def u_step_error(seed, count):
     """Worst relative error of the relay u-step against the dense solve.
 
     Each instance is one user's copy from ``update_u`` on a random

@@ -435,7 +435,7 @@ def _cmd_validate(cfg, args):
     # checks at the user's seed with small instance counts.
     table = [
         ("relay u-step matches dense oracle", "worst rel err",
-         lambda: checks.structured_solve_error(seed, 50), 1e-10),
+         lambda: checks.u_step_error(seed, 50), 1e-10),
         ("phase projection is the grid-verified minimizer", "worst excess over grid",
          lambda: checks.phase_projection_excess(seed, 64), 1e-9),
         ("closed-form equalizer is stationary", "worst scaled slope",

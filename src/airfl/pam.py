@@ -8,7 +8,7 @@ receive equalizers r.  The objective is the worst user's MSE bracket (see
 * r: per-user closed form (exact minimizer of the user's bracket),
 * t: exact solve of the pointwise-max least-squares objective through its
   dual over the simplex of user weights, by active-set Newton ascent with a
-  closed-form Hessian (projected gradient as the fallback), with a
+  closed-form Hessian, damped where the Newton model fails, with a
   duality-gap certificate,
 * F: an inner penalized alternating-minimization loop over per-user copies
   u_k, the consensus vector f = vec(F), and its unit-modulus projection z.
@@ -58,19 +58,20 @@ __all__ = [
     "update_u",
 ]
 
-# Transmit-gain solve (update_t): stop at this relative duality gap, after
-# this many dual ascent steps, or after this many steps in a row that improve
-# neither the best t nor the dual bound.  A Newton step's KKT system carries
-# a ridge of T_RIDGE times its scale, and its Armijo backtrack accepts a
-# T_ARMIJO share of the predicted gain within T_HALVINGS halvings.  An
-# accepted projected-gradient step's length grows by T_STEP_GROWTH.
+# Transmit-gain solve (update_t): stop at this relative duality gap or after
+# this many dual ascent steps.  A Newton step's KKT system carries a ridge of
+# T_RIDGE times its scale, and the step is accepted when it raises the dual
+# by a T_ARMIJO share of its predicted first-order gain.  On a failure its
+# damping grows T_DAMP_GROWTH-fold from T_DAMP_START times that scale, or to
+# the curvature the failed trial measured if that is larger, for
+# T_DAMP_TRIES tries in all.
 T_GAP_TOL = 1e-6
 T_MAX_ITERS = 5000
-T_STALL_STEPS = 50
 T_RIDGE = 1e-12
 T_ARMIJO = 1e-4
-T_HALVINGS = 10
-T_STEP_GROWTH = 1.5
+T_DAMP_START = 1e-3
+T_DAMP_GROWTH = 10.0
+T_DAMP_TRIES = 12
 
 
 @dataclass
@@ -195,14 +196,6 @@ def transmit_objective(coeff, alpha, t_all):
     return float(np.max(_transmit_rows(coeff, alpha, t_all)))
 
 
-def _simplex_project(v):
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    excess = np.cumsum(u) - 1.0
-    support = np.count_nonzero(u * np.arange(1, v.size + 1) > excess)
-    return np.maximum(v - excess[support - 1] / support, 0.0)
-
-
 class _DualPoint(NamedTuple):
     """A point lam of the transmit solve's dual: its weighted minimizer t, which
     entries of t the disc clips, the per-user misfits at t (the dual gradient)
@@ -254,20 +247,19 @@ def _dual_hessian(lam, t, clipped, coeff, coeff_sq, alpha, cap):
     return -np.real((m * free) @ m.conj().T) - (x * edge) @ x.T
 
 
-def _kkt_direction(hess, grad):
-    """Maximizer d of grad.d + d^T hess d / 2 under sum(d) = 0, or None.
+def _kkt_direction(hess, grad, shift):
+    """Maximizer d of grad.d + d^T (hess - shift I) d / 2 under sum(d) = 0, or None.
 
-    Solves the KKT system [-hess 1; 1^T 0].  The dual is flat along lam, so
-    -hess is only semidefinite; a ridge of ``T_RIDGE`` times its scale keeps
-    the system regular.
+    Solves the KKT system [-hess + shift I, 1; 1^T 0].  The dual is flat
+    along lam, so -hess is only semidefinite; a positive ``shift`` keeps the
+    system regular.
     """
     n = grad.size
     if n < 2:
         return None
     kkt = np.ones((n + 1, n + 1))
     kkt[n, n] = 0.0
-    ridge = T_RIDGE * max(-np.trace(hess), float(np.max(grad)), np.finfo(float).tiny)
-    kkt[:n, :n] = ridge * np.eye(n) - hess
+    kkt[:n, :n] = shift * np.eye(n) - hess
     try:
         d = np.linalg.solve(kkt, np.append(grad, 0.0))[:n]
     except np.linalg.LinAlgError:
@@ -275,18 +267,31 @@ def _kkt_direction(hess, grad):
     return d if np.all(np.isfinite(d)) else None
 
 
-def _newton_step(point, coeff, coeff_sq, alpha, cap, evaluate):
-    """One active-set Newton ascent step from ``point``, or None when it fails.
+def _newton_step(point, coeff, coeff_sq, alpha, cap, evaluate, damping):
+    """One damped active-set Newton ascent step from ``point``, or None when it fails.
 
     The working set is the support of lam plus the zero-weight user whose
     gradient entry exceeds the dual value most (the worst violator of the
     optimality conditions); the step maximizes the quadratic model of the
-    dual on that face (see :func:`_dual_hessian`, :func:`_kkt_direction`).
-    A violator whose step component is not positive would leave the simplex
-    at once, so the step is then taken on the support alone.  A ratio test
-    keeps lam >= 0 (the blocking user leaves the support), and an Armijo
-    backtrack over ``T_HALVINGS`` halvings accepts the first step that raises
-    the dual by ``T_ARMIJO`` times its predicted first-order gain.
+    dual on that face (see :func:`_dual_hessian`, :func:`_kkt_direction`),
+    with -H shifted by (``T_RIDGE`` + mu) s, s its scale.  A violator whose
+    step component is not positive would leave the simplex at once, so the
+    step is then taken on the support alone.  A ratio test keeps lam >= 0
+    (the blocking user leaves the support).  The step is accepted when the
+    dual rises by ``T_ARMIJO`` times the predicted first-order gain; by
+    concavity the rise is at least the new gradient times the step, a bound
+    that stays exact where the rise itself is lost in the rounding of the
+    dual values.
+
+    Each failure re-solves with a larger damping (Levenberg-Marquardt; More
+    & Sorensen, "Computing a Trust Region Step", 1983), which shortens the
+    step and turns it towards the projected gradient: the shift grows
+    ``T_DAMP_GROWTH``-fold from ``T_DAMP_START`` s, and at least to the extra
+    curvature along the failed step that its measured rise implies, for
+    ``T_DAMP_TRIES`` tries in all.  The first try takes mu = ``damping``; the
+    step returns the new point and the mu the next step starts from, one
+    growth factor below the accepted one, or 0 once that is at most
+    ``T_DAMP_START``.
     """
     lam, t, clipped, rows, dual = point
     work = lam > 0
@@ -294,35 +299,40 @@ def _newton_step(point, coeff, coeff_sq, alpha, cap, evaluate):
     enter = int(np.argmax(outside))
     if outside[enter] > dual:
         work[enter] = True
-    w = np.flatnonzero(work)
-    hess = _dual_hessian(lam[w], t, clipped, coeff[w], coeff_sq[w], alpha, cap)
-    d = _kkt_direction(hess, rows[w])
-    if d is not None and np.any(d[lam[w] == 0] <= 0):
-        keep = lam[w] > 0
-        w = w[keep]
-        d = _kkt_direction(hess[keep][:, keep], rows[w])
-    if d is None:
-        return None
-    slope = float(rows[w] @ d)
-    if not slope > 0:
-        return None
-    size, block = 1.0, None
-    shrink = np.flatnonzero(d < 0)
-    if shrink.size:
-        ratios = lam[w[shrink]] / -d[shrink]
-        first = int(np.argmin(ratios))
-        if ratios[first] < 1.0:
-            size, block = float(ratios[first]), w[shrink[first]]
-    for _ in range(T_HALVINGS):
-        lam_new = lam.copy()
-        lam_new[w] += size * d
-        if block is not None:
-            lam_new[block] = 0.0
-        np.maximum(lam_new, 0.0, out=lam_new)
-        new = evaluate(lam_new / np.sum(lam_new))
-        if new.value > dual and new.value >= dual + T_ARMIJO * size * slope:
-            return new
-        size, block = 0.5 * size, None
+    face = np.flatnonzero(work)
+    hess = _dual_hessian(lam[face], t, clipped, coeff[face], coeff_sq[face], alpha, cap)
+    support = lam[face] > 0
+    scale = max(-np.trace(hess), float(np.max(rows[face])), np.finfo(float).tiny)
+    shift = damping * scale
+    for _ in range(T_DAMP_TRIES):
+        w, h = face, hess
+        d = _kkt_direction(h, rows[w], T_RIDGE * scale + shift)
+        if d is not None and np.any(d[~support] <= 0):
+            w, h = face[support], hess[support][:, support]
+            d = _kkt_direction(h, rows[w], T_RIDGE * scale + shift)
+        slope = float(rows[w] @ d) if d is not None else 0.0
+        bend = 0.0
+        if slope > 0:
+            size, block = 1.0, None
+            shrink = np.flatnonzero(d < 0)
+            if shrink.size:
+                ratios = lam[w[shrink]] / -d[shrink]
+                first = int(np.argmin(ratios))
+                if ratios[first] < 1.0:
+                    size, block = float(ratios[first]), w[shrink[first]]
+            lam_new = lam.copy()
+            lam_new[w] += size * d
+            if block is not None:
+                lam_new[block] = 0.0
+            np.maximum(lam_new, 0.0, out=lam_new)
+            new = evaluate(lam_new / np.sum(lam_new))
+            rise = new.value - dual
+            gain = max(rise, float(new.rows @ (new.lam - lam)))
+            if gain > 0 and gain >= T_ARMIJO * size * slope:
+                mu = shift / scale
+                return new, mu / T_DAMP_GROWTH if mu > T_DAMP_START else 0.0
+            bend = (2.0 * (size * slope - rise) / size**2 + float(d @ h @ d)) / float(d @ d)
+        shift = max(T_DAMP_GROWTH * shift, bend if bend > shift else T_DAMP_START * scale)
     return None
 
 
@@ -338,16 +348,14 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, evals=None):
     minimizer is the dual gradient (Danskin), and the dual Hessian is closed
     form (see :func:`_dual_hessian`).
 
-    The ascent starts at uniform weights and takes active-set Newton steps
-    on the support of lam (see :func:`_newton_step`, after Bertsekas,
+    The ascent starts at uniform weights and takes damped active-set Newton
+    steps on the support of lam (see :func:`_newton_step`, after Bertsekas,
     "Projected Newton Methods for Optimization Problems with Simple
-    Constraints", 1982).  When a Newton step does not raise the dual, it
-    takes a projected-gradient step with backtracking instead.  It runs
-    until the relative duality gap is at most ``T_GAP_TOL``, ``T_MAX_ITERS``
-    ascent steps have been taken, or ``T_STALL_STEPS`` steps in a row have
-    improved neither the best t nor the dual bound.  Such a run means the
-    ascent has reached the rounding of the dual, so later steps could change
-    (t, gap) only by noise.
+    Constraints", 1982); each step starts from a relaxed form of the last
+    one's damping.  It runs until the relative duality gap is at most
+    ``T_GAP_TOL``, ``T_MAX_ITERS`` ascent steps have been taken, or no damped
+    step raises the dual, which means the ascent has reached the rounding
+    of the dual.
 
     Returns ``(t, gap)``: the best primal point seen, never worse than the
     incoming t, and (objective(t) - best dual value) / objective(t), which
@@ -395,31 +403,18 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, evals=None):
 
     point = evaluate(np.full(coeff.shape[0], 1.0 / coeff.shape[0]))
     best_dual = max(point.value, float(np.max(vertices)))
-    step = 1.0 / max(float(np.max(point.rows)), np.finfo(float).tiny)
-    stalled = 0
+    damping = 0.0
     for ascent in range(T_MAX_ITERS + 1):
-        lam, t, _, rows, dual = point
-        val = max(float(np.max(rows)), floor)
+        val = max(float(np.max(point.rows)), floor)
         if val < best_val:
-            best_t, best_val, stalled = t, val, 0
-        if gap(best_val, best_dual) <= T_GAP_TOL or ascent == T_MAX_ITERS or stalled == T_STALL_STEPS:
+            best_t, best_val = point.t, val
+        if gap(best_val, best_dual) <= T_GAP_TOL or ascent == T_MAX_ITERS:
             break
-        point = _newton_step(point, coeff, coeff_sq, alpha, cap, evaluate)
-        if point is None:
-            # Backtrack until the step passes the sufficient-increase test
-            # of a gradient step with Lipschitz estimate 1/step; a step
-            # too small to move lam passes it trivially.
-            while True:
-                point = evaluate(_simplex_project(lam + step * rows))
-                move = point.lam - lam
-                if point.value >= dual + rows @ move - (move @ move) / (2.0 * step):
-                    break
-                step *= 0.5
-            step *= T_STEP_GROWTH
-        if point.value > best_dual:
-            best_dual, stalled = point.value, 0
-        else:
-            stalled += 1
+        step = _newton_step(point, coeff, coeff_sq, alpha, cap, evaluate, damping)
+        if step is None:
+            break
+        point, damping = step
+        best_dual = max(best_dual, point.value)
     if evals is not None:
         evals.append(count)
     return best_t, gap(best_val, best_dual)

@@ -45,7 +45,7 @@ def _verdict(number, name, passed, detail):
 
 def test_criterion_01_structured_solver_matches_dense_oracle():
     t0 = time.time()
-    worst = checks.structured_solve_error(601, 200)
+    worst = checks.u_step_error(601, 200)
     elapsed = time.time() - t0
     _verdict(
         1,

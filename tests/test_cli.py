@@ -375,15 +375,15 @@ class TestSubcommands:
         results = json.loads((out / "solution_seed0.json").read_text())["results"]
         expected = {
             "pam": (
-                4.073981774203575e-06,
+                4.073981774659064e-06,
                 [
-                    0.20188344396299707, 0.09103992039976011, 0.006522907854957282,
-                    0.001589381261558193, 0.0005810033150366364, 0.00022709942941037445,
-                    9.534510335939414e-05, 4.1947242107522476e-05, 1.9258001192614e-05,
-                    8.956822366006049e-06, 4.184468450969646e-06, 1.970785127870631e-06,
-                    9.389181782943982e-07, 4.543298073807688e-07, 2.2469546791313457e-07,
-                    1.148131752934672e-07, 6.207262863161712e-08, 3.6670466069056075e-08,
-                    2.5552670695264215e-08, 2.0781790644190126e-08,
+                    0.20188344396299707, 0.09103991896660941, 0.006522907853426019,
+                    0.0015893812667359592, 0.0005810033185196031, 0.0002270994313371435,
+                    9.534510434853836e-05, 4.194724262168489e-05, 1.925800149849135e-05,
+                    8.956822526119535e-06, 4.184468534844135e-06, 1.970785171696724e-06,
+                    9.389182011430341e-07, 4.543298192864151e-07, 2.246954741277044e-07,
+                    1.1481317855239556e-07, 6.20726303244841e-08, 3.667046698607884e-08,
+                    2.555267108442248e-08, 2.0781790858681572e-08,
                 ],
             ),
             "baseline": (0.1662984930733633, []),

@@ -309,15 +309,13 @@ class TestUpdateT:
             assert gap <= T_GAP_TOL
             assert transmit_objective(coeff, w.alpha, t) >= np.sum(w.alpha**2)
 
-    def test_stalled_ascent_stops_with_the_same_result(self, monkeypatch):
+    def test_rounding_noise_instance_is_certified(self):
         # A transmit solve met in a train_ref simulate job (3 users with
-        # nearly equal gains, misfits near 2e-7).  Projected-gradient ascent
-        # reaches the rounding of the dual at a gap of 1.07e-6; the Newton
-        # steps certify it.  With the Newton step switched off, the fallback
-        # path alone is the earlier solve: without the stall stop its
-        # backtracking spins through all T_MAX_ITERS steps, and the stall
-        # stop ends it with the same result.  With F = G = I and r = 1 the
-        # coefficients c_kj are uplink[j][k] exactly.
+        # nearly equal gains, misfits near 2e-7), where the dual's rise per
+        # step soon falls below the rounding of its values: projected-
+        # gradient ascent stalled there at a gap of 1.07e-6, while the damped
+        # Newton steps certify it.  With F = G = I and r = 1 the coefficients
+        # c_kj are uplink[j][k] exactly.
         coeff = np.array(
             [
                 [0.4450921310727021 - 0.12199459398973611j, -0.32446655485298614 + 0.2604816973378175j,
@@ -336,25 +334,11 @@ class TestUpdateT:
         chan = ChannelRealization(uplink=coeff.T.copy(), downlink=np.eye(3, dtype=complex))
         f, r, w = np.eye(3, dtype=complex), np.ones(3, dtype=complex), AggregationWeights(np.full(3, 1.0 / 3.0))
         np.testing.assert_array_equal(_transmit_coeff(f, r, chan), coeff)
-
-        def solve():
-            evals = []
-            t, gap = update_t(f, r, chan, w, cfg, t_init=t_init, evals=evals)
-            return t, gap, evals[0]
-
-        t, gap, count = solve()
-        assert gap <= T_GAP_TOL and count <= 10
+        evals = []
+        t, gap = update_t(f, r, chan, w, cfg, t_init=t_init, evals=evals)
+        assert gap <= T_GAP_TOL and evals[0] <= 10
         floor = (1.0 - gap) * transmit_objective(coeff, w.alpha, t)
         assert transmit_objective(coeff, w.alpha, t_init) >= floor
-
-        monkeypatch.setattr(pam_module, "_newton_step", lambda *args: None)
-        t, gap, stopped = solve()
-        monkeypatch.setattr(pam_module, "T_STALL_STEPS", pam_module.T_MAX_ITERS + 1)
-        t_full, gap_full, full = solve()
-        assert full > pam_module.T_MAX_ITERS and 10 * stopped < full
-        assert T_GAP_TOL < gap < 2 * T_GAP_TOL
-        np.testing.assert_array_equal(t, t_full)
-        assert gap == gap_full
 
     def test_dual_gradient_and_hessian_match_finite_differences(self):
         # The dual D(lam) = sum_k lam_k rows_k(t(lam)) is smooth away from
@@ -422,6 +406,37 @@ class TestUpdateT:
             assert evals[0] <= 60, f"trial {trial}: {evals[0]} dual evaluations"
             coeff = _transmit_coeff(f, r, chan)
             assert transmit_objective(coeff, w.alpha, t) <= transmit_objective(coeff, w.alpha, t0)
+
+    def test_random_sweep_is_certified(self):
+        # 150 random links: N 1-11, K 1-16, pathloss 0/-40/-100 dB, power
+        # 1e-3/1/100, closed-form equalizers with one set to zero in 20% of
+        # them, and a random full-power t.  Every solve is certified within
+        # 60 dual evaluations, far short of T_MAX_ITERS.  The sweep covers the
+        # all-clipped corner, where full power reaches every receiver at under
+        # 3e-4 of its weight (|c_kj| sqrt(P) <= 3e-4 alpha_j): there the dual's
+        # curvature changes over a tiny region, so the undamped Newton model
+        # often fails, and damping by a fixed schedule alone took 158
+        # evaluations on one of these links.
+        rng = substream(55, "t-sweep")
+        corner = 0
+        for trial in range(150):
+            n, k = int(rng.integers(1, 12)), int(rng.integers(1, 17))
+            pathloss, budget = float(rng.choice([0.0, -40.0, -100.0])), float(rng.choice([1e-3, 1.0, 100.0]))
+            cfg = RadioConfig(n_antennas=n, n_users=k, pathloss_db=pathloss, power_budget=budget)
+            chan = sample_channels(cfg, int(rng.integers(1 << 30)))
+            f = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, n)))
+            w = AggregationWeights(rng.uniform(1.0, 5.0, k))
+            t0 = np.sqrt(budget) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
+            r = update_r(f, t0, chan, w, cfg)
+            if rng.uniform() < 0.2:
+                r[int(rng.integers(k))] = 0.0
+            evals = []
+            _, gap = update_t(f, r, chan, w, cfg, t_init=t0, evals=evals)
+            assert gap <= T_GAP_TOL, f"trial {trial}: gap {gap:.3e}"
+            assert evals[0] <= 60, f"trial {trial}: {evals[0]} dual evaluations"
+            clipped = np.all(np.abs(_transmit_coeff(f, r, chan)) * np.sqrt(budget) <= 3e-4 * w.alpha)
+            corner += bool(clipped) and evals[0] > 1
+        assert corner >= 5
 
     def test_not_worse_than_subgradient(self):
         rng = substream(50, "t-vs-subgradient")
@@ -976,12 +991,16 @@ class TestRunPam:
         assert len(sol.t_evals) == 4 and min(sol.t_evals) >= 1
         assert sol.mode == "pam"
 
-    def test_default_config_certifies_every_transmit_solve(self):
-        # The default radio and optimizer on channel seed 2001: the earlier
+    @pytest.mark.parametrize("seed", [2001, 2])
+    def test_default_config_certifies_every_transmit_solve(self, seed):
+        # The default radio and optimizer.  On channel seed 2001 the earlier
         # projected-gradient solve stopped three of its 20 t-blocks on the
-        # stall rule, at gaps of 1.10e-6, 1.83e-6 and 4.25e-6.
+        # stall rule, at gaps of 1.10e-6, 1.83e-6 and 4.25e-6.  On seed 2 the
+        # 18th t-block reaches the rounding of the dual after one Newton
+        # step: a projected-gradient fallback took 141 evaluations there, and
+        # stopping on the first failed Newton step left it at a gap of 1.43e-6.
         cfg, pc = RadioConfig(), PamConfig()
-        sol = run_pam(sample_channels(cfg, 2001), AggregationWeights(np.ones(cfg.n_users)), cfg, pc)
+        sol = run_pam(sample_channels(cfg, seed), AggregationWeights(np.ones(cfg.n_users)), cfg, pc)
         assert len(sol.t_gaps) == len(sol.t_evals) == pc.n_outer
         assert max(sol.t_gaps) <= T_GAP_TOL
         assert max(sol.t_evals) <= 20

@@ -18,7 +18,7 @@ import numpy as np
 from .aircomp import AggregationWeights, analytic_mse, monte_carlo_mse, mse_bracket_terms
 from .channel import RadioConfig, sample_channels, substream
 from .linalg import dense_solve, phase_project
-from .pam import PamConfig, baseline_optimize, build_workspace, inner_pam, run_pam, update_r, update_u
+from .pam import PamConfig, baseline_optimize, build_workspace, cycle_merit, inner_cycles, run_pam, update_r, update_u
 
 __all__ = [
     "block_rise",
@@ -206,8 +206,8 @@ def inner_merit_rises(seed, count):
         ws = build_workspace(r_all, t_all, chan, weights, radio)
         f0 = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 4)))
         for rho in (0.1, 1.0, 10.0):
-            _, trajectory, _ = inner_pam(ws, f0, rho, 50)
-            rises.append(np.diff(trajectory))
+            cycles = zip(range(50), inner_cycles(ws, f0, rho))
+            rises.append(np.diff([cycle_merit(ws, cycle, rho) for _, cycle in cycles]))
     return np.concatenate(rises)
 
 

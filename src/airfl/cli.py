@@ -305,7 +305,7 @@ def _cmd_optimize(cfg, args):
             "relay_matrix": _complex_list(sol.f_matrix),
             "receive_coefficients": _complex_list(sol.r_all),
             "transmit_coefficients": _complex_list(sol.t_all),
-            "inner_final_merit": [float(t[-1]) for t in sol.inner_trajectories],
+            "inner_final_merit": sol.inner_merits,
         }
         print(f"{mode:9s} objective: initial {_fmt(results[mode]['objective_initial'])} "
               f"-> final {_fmt(sol.objective)}")

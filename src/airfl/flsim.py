@@ -570,8 +570,8 @@ def run_experiment(
                         f"seed {seed} {mode} round {i}: the loss gap ({gap:g}) or its bound "
                         f"({bound[i]:g}) is not finite"
                     )
-                for k in range(task.n_users):
-                    decoded_gap[i, k] = task.global_loss_batch(x_batch[:, k, :]).mean() - lambda_star
+                decoded = task.global_loss_batch(x_batch.reshape(-1, task.dim)).reshape(replays, -1)
+                decoded_gap[i] = decoded.mean(axis=0) - lambda_star
             trajectories[(seed, mode)] = ModeTrajectory(
                 seed=seed,
                 mode=mode,

@@ -18,10 +18,12 @@ every rank-one term of user k carries its downlink g_k, which is also an
 eigenvector of the user's relay-noise block.  So each copy is
 U_k = F + g_k v_k^T, and the systems reduce to K x K Woodbury capacitances
 I + beta_k P that share one matrix P (see :func:`_factor_u_step`).
-:func:`inner_pam` decomposes P once per call; a cycle then costs
-O(K N^2 + K^2 N) in a fixed number of matrix products, and never forms the
-copies or any K x K x N^2 array.  The merit trajectory is a diagnostic no
-iterate reads, so it is evaluated once per call from the recorded rows.
+The loop is one generator, :func:`inner_cycles`: it decomposes P once, and
+each cycle then costs O(K N^2 + K^2 N) in a fixed number of matrix
+products, never forms the copies or any K x K x N^2 array, and is yielded
+with no history kept.  :func:`inner_pam` takes m cycles from it and
+evaluates only the last one's merit (:func:`cycle_merit`); the self-checks
+read whole merit trajectories from the same generator.
 """
 
 from __future__ import annotations
@@ -43,12 +45,14 @@ from .linalg import (
 )
 
 __all__ = [
+    "InnerCycle",
     "PamConfig",
     "PamWorkspace",
-    "PhaseShiftState",
     "Solution",
     "baseline_optimize",
     "build_workspace",
+    "cycle_merit",
+    "inner_cycles",
     "inner_pam",
     "objective_minmax",
     "run_pam",
@@ -102,21 +106,6 @@ class PamConfig:
         self.n_outer = int(self.n_outer)
         self.m_inner = int(self.m_inner)
         self.seed = int(self.seed)
-
-
-@dataclass
-class PhaseShiftState:
-    """Inner-loop state: consensus vector f, projection z, and the last copies.
-
-    The copies are kept in factored form: user k's is U_k = F_copy + g_k v_k^T,
-    where ``f_copy`` is the consensus matrix the last cycle took them at and
-    ``v`` is K x N (``_copies`` forms them).
-    """
-
-    f: np.ndarray
-    z: np.ndarray
-    f_copy: np.ndarray
-    v: np.ndarray
 
 
 @dataclass
@@ -508,7 +497,7 @@ def update_u(workspace, f, rho):
     in its rank-one form (see :func:`_factor_u_step`); u_k exactly minimizes
     user k's data cost plus its share (rho/K) ||u_k - f||^2 of the consensus
     penalty.  This one-shot form decomposes the systems and solves once;
-    :func:`inner_pam` decomposes once per call and reuses it every cycle.
+    :func:`inner_cycles` decomposes once per loop and reuses it every cycle.
     """
     solve = _factor_u_step(workspace, rho)
     n = workspace.downlink.shape[1]
@@ -520,80 +509,82 @@ def update_u(workspace, f, rho):
     return _copies(f_matrix, v, workspace.downlink)
 
 
-def _merit(workspace, g_u, v, row_steps, f_steps, tethers, rho):
-    """Inner-loop merit of every cycle, from the rows the loop recorded.
+class InnerCycle(NamedTuple):
+    """One inner cycle's fresh arrays: the copies U_k = F_prev + g_k v_k^T
+    (rows ``g_u`` = g_k^H U_k and ``v``), the new consensus F and its
+    projection Z, and the rows g_k^H F of F_prev and F."""
 
-    Cycle c leaves the copies U_k = F + g_k v_k^T of its incoming F (rows
-    ``g_u[c]`` = g_k^H U_k and ``v[c]``), then the new consensus F' and its
-    projection Z'.  Its merit is the worst user's data cost
-    sum_j |r_k t_j g_k^H U_k h_j - alpha_j|^2 + kron_scale_k ||g_k^H U_k||^2
-    plus rho times the consensus penalties: the spread mean_k ||U_k - F'||^2
-    = ||D||^2 + 2 Re<g_k^H D, v_k> + ||g_k||^2 ||v_k||^2 with D = F - F'
-    (``row_steps[c]`` = g_k^H D, ``f_steps[c]`` = ||D||^2), and the tether
-    ``tethers[c]`` = ||Z' - F'||^2.  ``row_steps`` is conjugated in place.
-    Every reduction runs along the axis a single cycle's does, so each entry
-    equals that cycle's merit exactly.
-    """
-    g_sq = np.sum(np.abs(workspace.downlink) ** 2, axis=1)
-    np.conjugate(row_steps, out=row_steps)  # in place: no second (m, K, N) array
-    spread = np.mean(
-        f_steps[:, None]
-        + 2.0 * np.real(np.sum(row_steps * v, axis=2))
-        + g_sq * np.sum(np.abs(v) ** 2, axis=2),
-        axis=1,
-    )
-    noise = workspace.kron_scale * np.sum(np.abs(g_u) ** 2, axis=2)
-    # r and t as 3-D rows: a (1, 1, 1) product with a 2-D factor would take
-    # numpy's other complex-multiply kernel, which rounds differently.
-    fit = workspace.r[None, :, None] * (g_u @ workspace.uplink.T) * workspace.t[None, None, :] - workspace.alpha
-    data = np.sum(np.abs(fit) ** 2, axis=2) + noise
-    return np.max(data, axis=1) + rho * (spread + tethers)
+    g_u: np.ndarray
+    v: np.ndarray
+    f_prev: np.ndarray
+    g_f_prev: np.ndarray
+    f: np.ndarray
+    z: np.ndarray
+    g_f: np.ndarray
 
 
-def inner_pam(workspace, f_matrix_init, rho, m_inner):
-    """Penalized alternating minimization for the relay matrix.
+def inner_cycles(workspace, f_matrix_init, rho):
+    """Penalized alternating minimization for the relay matrix, one cycle per item.
 
     Starts every block variable at F_init and cycles copies (the
-    :func:`update_u` step) -> consensus -> projection, m_inner times.  The
-    copies' systems do not depend on f, so they are decomposed once per
-    call.  A cycle never forms the copies U_k = F + g_k v_k^T: it needs the
-    rows g_k^H F, two K x N by N x K products for the copies, G^T V for
-    their mean, and the projection.  It records three K x N rows and two
-    scalars, and :func:`_merit` evaluates every cycle's merit from them
-    after the loop, so the loop holds O(m K N) history and no N x N one.
-    Returns the unit-modulus matrix recovered from the final projection, the
-    merit trajectory, and the final state.
+    :func:`update_u` step) -> consensus -> projection without end, yielding
+    each cycle as an :class:`InnerCycle`.  The copies' systems do not depend
+    on f, so they are decomposed once, before the first cycle.  A cycle
+    never forms the copies U_k = F + g_k v_k^T: it needs the rows g_k^H F,
+    two K x N by N x K products for the copies, G^T V for their mean, and
+    the projection.  It keeps no history; :func:`cycle_merit` evaluates a
+    cycle's merit.
     """
     f_matrix = np.asarray(f_matrix_init, dtype=complex)
     n = workspace.downlink.shape[1]
     if f_matrix.shape != (n, n):
         raise ValueError("initial matrix shape does not match the workspace")
-    m_inner = int(m_inner)
-    if m_inner < 1:
-        raise ValueError("m_inner must be at least 1")
-    k_users = workspace.n_users
-    downlink = workspace.downlink
-    g_conj = downlink.conj()
+    g_conj = workspace.downlink.conj()
     solve = _factor_u_step(workspace, rho)
     z_matrix = f_matrix.copy()
     g_f = g_conj @ f_matrix
-    g_u = np.empty((m_inner, k_users, n), dtype=complex)
-    v = np.empty_like(g_u)
-    row_steps = np.empty_like(g_u)
-    f_steps = np.empty(m_inner)
-    tethers = np.empty(m_inner)
-    for cycle in range(m_inner):
-        g_u[cycle], v[cycle] = solve(g_f)
+    while True:
+        g_u, v = solve(g_f)
         f_prev, g_f_prev = f_matrix, g_f
-        f_matrix = 0.5 * (f_prev + (downlink.T @ v[cycle]) / k_users + z_matrix)
+        f_matrix = 0.5 * (f_prev + (workspace.downlink.T @ v) / workspace.n_users + z_matrix)
         z_matrix = phase_project(f_matrix)
         g_f = g_conj @ f_matrix
-        np.subtract(g_f_prev, g_f, out=row_steps[cycle])
-        f_steps[cycle] = np.sum(np.abs(f_prev - f_matrix) ** 2)
-        tethers[cycle] = np.sum(np.abs(z_matrix - f_matrix) ** 2)
-    trajectory = _merit(workspace, g_u, v, row_steps, f_steps, tethers, rho)
-    state = PhaseShiftState(f=vec_of_matrix(f_matrix), z=vec_of_matrix(z_matrix), f_copy=f_prev, v=v[-1].copy())
-    return z_matrix, trajectory, state
+        yield InnerCycle(g_u, v, f_prev, g_f_prev, f_matrix, z_matrix, g_f)
+
+
+def cycle_merit(workspace, cycle, rho):
+    """Inner-loop merit after one :class:`InnerCycle`.
+
+    The worst user's data cost
+    sum_j |r_k t_j g_k^H U_k h_j - alpha_j|^2 + kron_scale_k ||g_k^H U_k||^2
+    plus rho times the consensus penalties: the spread mean_k ||U_k - F||^2
+    = ||D||^2 + 2 Re<g_k^H D, v_k> + ||g_k||^2 ||v_k||^2 with D = F_prev - F,
+    and the tether ||Z - F||^2.
+    """
+    g_sq = np.sum(np.abs(workspace.downlink) ** 2, axis=1)
+    spread = np.mean(
+        np.sum(np.abs(cycle.f_prev - cycle.f) ** 2)
+        + 2.0 * np.real(np.sum((cycle.g_f_prev - cycle.g_f).conj() * cycle.v, axis=1))
+        + g_sq * np.sum(np.abs(cycle.v) ** 2, axis=1)
+    )
+    tether = np.sum(np.abs(cycle.z - cycle.f) ** 2)
+    fit = workspace.r[:, None] * (cycle.g_u @ workspace.uplink.T) * workspace.t[None, :] - workspace.alpha
+    data = np.sum(np.abs(fit) ** 2, axis=1) + workspace.kron_scale * np.sum(np.abs(cycle.g_u) ** 2, axis=1)
+    return float(np.max(data) + rho * (spread + tether))
+
+
+def inner_pam(workspace, f_matrix_init, rho, m_inner):
+    """Run m_inner cycles of :func:`inner_cycles`.
+
+    Returns the unit-modulus matrix recovered from the final projection and
+    the merit after the last cycle.
+    """
+    m_inner = int(m_inner)
+    if m_inner < 1:
+        raise ValueError("m_inner must be at least 1")
+    for _, cycle in zip(range(m_inner), inner_cycles(workspace, f_matrix_init, rho)):
+        pass
+    return cycle.z, cycle_merit(workspace, cycle, rho)
 
 
 @dataclass
@@ -607,7 +598,9 @@ class Solution:
     ``t_update_pairs`` hold the subproblem objective immediately before and
     after each r / t block for diagnostics, ``t_gaps`` the relative duality
     gap certified by each t block (see :func:`update_t`), and ``t_evals`` the
-    number of dual evaluations each t block took.
+    number of dual evaluations each t block took.  ``inner_merits`` holds
+    the inner-loop merit after each relay block's last cycle (empty for the
+    baseline, which has no relay block).
     """
 
     mode: str
@@ -616,7 +609,7 @@ class Solution:
     t_all: np.ndarray
     objective: float
     outer_objectives: np.ndarray
-    inner_trajectories: list = field(default_factory=list)
+    inner_merits: list = field(default_factory=list)
     r_update_pairs: list = field(default_factory=list)
     t_update_pairs: list = field(default_factory=list)
     t_gaps: list = field(default_factory=list)
@@ -638,7 +631,7 @@ def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
     obj = objective_minmax(f_matrix, r_all, t_all, chan, weights, cfg)
     outer = [obj]
     best = (obj, f_matrix, r_all, t_all)
-    inner_trajectories = []
+    inner_merits = []
     r_pairs = []
     t_pairs = []
     t_gaps = []
@@ -646,8 +639,8 @@ def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
     for _ in range(pam_cfg.n_outer):
         if mode == "pam":
             workspace = build_workspace(r_all, t_all, chan, weights, cfg)
-            f_matrix, trajectory, _ = inner_pam(workspace, f_matrix, pam_cfg.rho, pam_cfg.m_inner)
-            inner_trajectories.append(trajectory)
+            f_matrix, merit = inner_pam(workspace, f_matrix, pam_cfg.rho, pam_cfg.m_inner)
+            inner_merits.append(merit)
         before_r = objective_minmax(f_matrix, r_all, t_all, chan, weights, cfg)
         r_all = update_r(f_matrix, t_all, chan, weights, cfg)
         after_r = objective_minmax(f_matrix, r_all, t_all, chan, weights, cfg)
@@ -670,7 +663,7 @@ def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
         t_all=best[3],
         objective=best[0],
         outer_objectives=np.asarray(outer, dtype=float),
-        inner_trajectories=inner_trajectories,
+        inner_merits=inner_merits,
         r_update_pairs=r_pairs,
         t_update_pairs=t_pairs,
         t_gaps=t_gaps,

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import fields
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from airfl.pam import (
     Solution,
     baseline_optimize,
     build_workspace,
+    cycle_merit,
+    inner_cycles,
     inner_pam,
     objective_minmax,
     run_pam,
@@ -716,6 +719,16 @@ class TestPenalizedObjective:
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
 
+def _cycles(ws, f_init, rho, m_inner):
+    """The first m_inner cycles of the inner loop."""
+    return list(islice(inner_cycles(ws, f_init, rho), m_inner))
+
+
+def _trajectory(ws, cycles, rho):
+    """The merit after each of ``cycles``."""
+    return np.array([cycle_merit(ws, cycle, rho) for cycle in cycles])
+
+
 class TestInnerPam:
     def test_zero_data_fixed_point(self):
         # With a zero equalizer the data terms reduce to the constant
@@ -725,12 +738,13 @@ class TestInnerPam:
         cfg, chan, _, _, t, w = _random_instance(rng, 2, 2)
         ws = build_workspace(np.zeros(2, dtype=complex), t, chan, w, cfg)
         f_init = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 2)))
-        f_new, trajectory, state = inner_pam(ws, f_init, rho=1.0, m_inner=3)
+        f_new, _ = inner_pam(ws, f_init, rho=1.0, m_inner=3)
+        cycles = _cycles(ws, f_init, 1.0, 3)
         np.testing.assert_allclose(f_new, f_init, rtol=1e-12)
         np.testing.assert_allclose(
-            trajectory, np.full(3, np.sum(w.alpha**2)), rtol=1e-12
+            _trajectory(ws, cycles, 1.0), np.full(3, np.sum(w.alpha**2)), rtol=1e-12
         )
-        np.testing.assert_allclose(state.z, vec_of_matrix(f_init), rtol=1e-12)
+        np.testing.assert_allclose(vec_of_matrix(cycles[-1].z), vec_of_matrix(f_init), rtol=1e-12)
 
     def test_monotone_default_mode(self):
         rng = substream(60, "inner-mono")
@@ -740,8 +754,7 @@ class TestInnerPam:
             t = t / np.abs(t)
             ws = build_workspace(r, t, chan, w, cfg)
             for rho in (0.1, 1.0, 10.0):
-                _, trajectory, _ = inner_pam(ws, f0, rho=rho, m_inner=50)
-                rises = np.diff(trajectory)
+                rises = np.diff(_trajectory(ws, _cycles(ws, f0, rho, 50), rho))
                 assert np.all(rises <= 1e-9), (
                     f"trial {trial} rho {rho}: worst rise {rises.max():.3e}"
                 )
@@ -749,17 +762,18 @@ class TestInnerPam:
     def test_output_unit_modulus(self):
         rng = substream(62, "inner-modulus")
         cfg, chan, f0, r, t, w = _random_instance(rng, 3, 2)
-        f_new, _, state = inner_pam(ws := build_workspace(r, t, chan, w, cfg), f0, 1.0, 10)
+        f_new, _ = inner_pam(ws := build_workspace(r, t, chan, w, cfg), f0, 1.0, 10)
         np.testing.assert_allclose(np.abs(f_new), 1.0, atol=1e-12)
-        np.testing.assert_allclose(np.abs(state.z), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(_cycles(ws, f0, 1.0, 10)[-1].z), 1.0, atol=1e-12)
         assert ws.n_users == 2
 
     def test_mode_validation(self):
         rng = substream(63, "inner-modes")
         cfg, chan, f0, r, t, w = _random_instance(rng, 2, 2)
         ws = build_workspace(r, t, chan, w, cfg)
-        with pytest.raises(ValueError):
-            inner_pam(ws, np.ones((3, 3), dtype=complex), 1.0, 5)
+        for f_init, m_inner in ((np.ones((3, 3), dtype=complex), 5), (f0, 0)):
+            with pytest.raises(ValueError):
+                inner_pam(ws, f_init, 1.0, m_inner)
 
 
 def _refined_solve(matrix, rhs):
@@ -793,10 +807,9 @@ def _reference_inner_pam(ws, f_matrix_init, rho, m_inner):
 
 
 def _per_cycle_inner_pam(ws, f_matrix_init, rho, m_inner):
-    """The factored inner loop with its merit evaluated inside every cycle:
-    the spread from the next cycle's rows, the tether, then the worst-user
-    data cost plus rho times both (``inner_pam`` records the rows and
-    evaluates every cycle's merit after the loop)."""
+    """The factored inner loop with its merit written out inside every
+    cycle: the spread from the next cycle's rows, the tether, then the
+    worst-user data cost plus rho times both."""
     downlink = ws.downlink
     g_conj = downlink.conj()
     g_sq = np.sum(np.abs(downlink) ** 2, axis=1)
@@ -868,10 +881,13 @@ class TestFactoredUStep:
             r[1] = 0.0
         ws = build_workspace(r, t, chan, w, cfg)
         rho = float(rng.uniform(0.2, 3.0))
-        f_new, trajectory, state = inner_pam(ws, f0, rho, 8)
+        f_new, _ = inner_pam(ws, f0, rho, 8)
+        cycles = _cycles(ws, f0, rho, 8)
+        last = cycles[-1]
         expected = _reference_inner_pam(ws, f0, rho, 8)
-        u_all = pam_module._copies(state.f_copy, state.v, ws.downlink)
-        for got, want in zip((f_new, trajectory, u_all, state.f, state.z), expected):
+        u_all = pam_module._copies(last.f_prev, last.v, ws.downlink)
+        got_all = (f_new, _trajectory(ws, cycles, rho), u_all, vec_of_matrix(last.f), vec_of_matrix(last.z))
+        for got, want in zip(got_all, expected):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("m_inner", [1, 8, 50])
@@ -879,17 +895,19 @@ class TestFactoredUStep:
         "n, k, zero_user", [(1, 1, False), (8, 3, False), (8, 13, False), (32, 16, False), (8, 3, True)]
     )
     def test_batched_merit_matches_per_cycle_merit(self, n, k, zero_user, m_inner):
-        # The merit evaluated once after the loop equals, bit for bit, the
-        # merit evaluated inside every cycle, and so do the iterates.
+        # The merit of every yielded cycle, and inner_pam's final merit,
+        # equal the merit written out inside every cycle bit for bit, and so
+        # do the iterates.
         rng = substream(69, f"batched-merit-{n}-{k}-{zero_user}")
         cfg, chan, f0, r, t, w = _random_instance(rng, n, k)
         if zero_user:
             r[1] = 0.0
         ws = build_workspace(r, t, chan, w, cfg)
         rho = float(rng.uniform(0.2, 3.0))
-        f_new, trajectory, _ = inner_pam(ws, f0, rho, m_inner)
+        f_new, merit = inner_pam(ws, f0, rho, m_inner)
         f_want, trajectory_want = _per_cycle_inner_pam(ws, f0, rho, m_inner)
-        np.testing.assert_array_equal(trajectory, trajectory_want)
+        np.testing.assert_array_equal(_trajectory(ws, _cycles(ws, f0, rho, m_inner), rho), trajectory_want)
+        np.testing.assert_array_equal(merit, trajectory_want[-1])
         np.testing.assert_array_equal(f_new, f_want)
 
     def test_factor_built_once_per_call(self, monkeypatch):
@@ -927,9 +945,9 @@ class TestFactoredUStep:
     def test_memory_is_linear_in_the_copies(self):
         # Structural guard, no timing: one inner_pam call at N=32, K=16 and
         # m=50 peaks under 2 MB. That is a few (K, N^2) complex arrays for
-        # the copies (256 KiB each) plus the O(m K N) history the merit is
-        # evaluated from: three (K, N) complex rows per cycle (1.2 MiB at
-        # m=50). A (K, K, N^2) complex array alone takes 4 MiB.
+        # the copies (256 KiB each) and one cycle's (K, N) rows and N x N
+        # matrices; the loop keeps no history. A (K, K, N^2) complex array
+        # alone takes 4 MiB.
         rng = substream(68, "factored-memory")
         n, k = 32, 16
         cfg, chan, f0, r, t, w = _random_instance(rng, n, k)
@@ -944,11 +962,11 @@ class TestFactoredUStep:
             finally:
                 tracemalloc.stop()
         assert peaks[50] < 2 * 1024 * 1024, f"inner_pam peaked at {peaks[50]} bytes"
-        # Each further cycle adds the three recorded rows and one temporary
-        # row of the batched merit. An N x N complex history (two rows' worth
-        # here) or a fifth (m, K, N) array would exceed five rows.
-        per_cycle = (peaks[100] - peaks[50]) / 50
-        assert per_cycle < 5 * k * n * 16, f"inner_pam grew by {per_cycle} bytes per cycle"
+        # The peak does not grow with m: 50 more cycles add less than one
+        # (K, N) complex row in all, where any per-cycle history would add
+        # at least one row per cycle.
+        growth = peaks[100] - peaks[50]
+        assert growth < k * n * 16, f"inner_pam's peak grew by {growth} bytes from m=50 to m=100"
 
 
 class TestRunPam:
@@ -986,7 +1004,7 @@ class TestRunPam:
             objective_minmax(sol.f_matrix, sol.r_all, sol.t_all, chan, w, cfg), rel=1e-12
         )
         assert sol.objective <= sol.outer_objectives[0] + 1e-12
-        assert len(sol.inner_trajectories) == 4
+        assert len(sol.inner_merits) == 4 and all(np.isfinite(sol.inner_merits))
         assert len(sol.t_gaps) == 4 and max(sol.t_gaps) <= T_GAP_TOL
         assert len(sol.t_evals) == 4 and min(sol.t_evals) >= 1
         assert sol.mode == "pam"

@@ -12,7 +12,9 @@ unpacks.  Any relay amplification is part of the downlink gains.
 to received symbols; the training loop and the Monte Carlo check both run
 it.  ``analytic_mse`` is the closed-form per-user MSE of the chain against
 the weighted aggregate of the transmitted parameters; ``monte_carlo_mse``
-is the simulation twin used to validate it.
+is the simulation twin used to validate it.  It streams the chain in
+chunks, and one helper thread draws the next chunk's noise while the
+caller runs the current one; the draws are the same as drawn all at once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 from .channel import substream
 
 # Draws per pass of the Monte Carlo chain: bounds its memory, not its draws.
-_MC_CHUNK = 2048
+# Two chunks of noise are held at once, the one in use and the one read ahead.
+_MC_CHUNK = 1024
 
 __all__ = [
     "AggregationWeights",
@@ -154,14 +157,27 @@ def _noise_chunks(seed, label, scale, draws, shape):
     second generator on the same stream is first moved past the real parts
     by drawing and discarding them (the ziggurat sampler uses a variable
     number of words per sample, so the stream cannot be advanced by count).
+
+    Every draw goes into one reused real buffer, and each chunk is
+    assembled in place into one of two complex buffers, taken in turn: a
+    yielded chunk stays valid until the one after it has been requested.
     """
     rng_re = substream(seed, label)
     rng_im = substream(seed, label)
-    sizes = [(min(_MC_CHUNK, draws - start), *shape) for start in range(0, draws, _MC_CHUNK)]
+    sizes = [min(_MC_CHUNK, draws - start) for start in range(0, draws, _MC_CHUNK)]
+    parts = np.empty((sizes[0], *shape))
+    slots = (np.empty(parts.shape, dtype=complex), np.empty(parts.shape, dtype=complex))
+    # Spread to a whole chunk: multiplying by a broadcast operand makes
+    # numpy allocate a 64 KiB ufunc buffer for the call, and on a helper
+    # thread that would move the peak memory with the threads' timing.
+    scale = np.broadcast_to(scale, parts.shape).copy()
     for size in sizes:
-        rng_im.standard_normal(size)
-    for size in sizes:
-        yield scale * (rng_re.standard_normal(size) + 1j * rng_im.standard_normal(size))
+        rng_im.standard_normal(out=parts[:size])
+    for index, size in enumerate(sizes):
+        chunk = slots[index % 2][:size]
+        np.multiply(rng_re.standard_normal(out=parts[:size]), scale[:size], out=chunk.real)
+        np.multiply(rng_im.standard_normal(out=parts[:size]), scale[:size], out=chunk.imag)
+        yield chunk
 
 
 def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, draws, seed):
@@ -173,18 +189,25 @@ def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, 
     draws, equalizes, and averages ||decoded_k - target||^2 (pairwise
     packing is an isometry, so the error is taken on the symbols).
 
-    The chain runs on ``_MC_CHUNK`` draws at a time, so memory is
-    O(_MC_CHUNK * N * S + draws * K): only the (draws, K) squared errors are
-    kept, and the mean and standard error are reduced from them once.  The
-    draws do not depend on the chunk size: parameters come in order from
-    the "mc-parameters" substream, and each noise substream
-    ("mc-relay-noise", "mc-user-noise") holds all real parts, then all
-    imaginary parts, read by two generators (see :func:`_noise_chunks`).
+    The chain runs on ``_MC_CHUNK`` draws at a time.  One helper thread
+    draws the next chunk's noise while the calling thread draws the
+    parameters, runs the chain and reduces the errors of the current one;
+    each generator stays on one thread and keeps its order.  Memory is
+    O(2 * _MC_CHUNK * N * S + draws * K): the chunk in use and the one read
+    ahead, and the (draws, K) squared errors, from which the mean and
+    standard error are reduced once.  The draws do not depend on the chunk
+    size or on the threads: parameters come in order from the
+    "mc-parameters" substream, and each noise substream ("mc-relay-noise",
+    "mc-user-noise") holds all real parts, then all imaginary parts, read
+    by two generators (see :func:`_noise_chunks`).
 
     Returns
     -------
     (mean, stderr) : pair of (K,) arrays
     """
+    # Imported on first use, so that ``import airfl`` does not pay for it.
+    from concurrent.futures import ThreadPoolExecutor
+
     if not eta > 0:
         raise ValueError("eta must be strictly positive")
     draws = int(draws)
@@ -204,13 +227,20 @@ def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, 
     user_noise = _noise_chunks(seed, "mc-user-noise", user_scale, draws, (k_users, n_symbols))
     r_all = np.asarray(r_all, dtype=complex).reshape(-1)
     sq = np.empty((draws, k_users))
-    for start, relay, user in zip(range(0, draws, _MC_CHUNK), relay_noise, user_noise):
-        stop = min(start + _MC_CHUNK, draws)
-        x_draws = np.sqrt(eta) * rng_x.standard_normal((stop - start, k_users, model_dim))
-        target = global_target(x_draws[..., 0::2] + 1j * x_draws[..., 1::2], weights)
-        received = over_the_air(x_draws, f_matrix, t_all, chan, eta, relay, user)
-        err = np.sqrt(2.0 * eta) * r_all[None, :, None] * received - target[:, None, :]
-        sq[start:stop] = np.sum(np.abs(err) ** 2, axis=2)
+    noise = zip(relay_noise, user_noise)
+    with ThreadPoolExecutor(1) as helper:
+        pending = helper.submit(next, noise, None)
+        for start in range(0, draws, _MC_CHUNK):
+            relay, user = pending.result()
+            # The helper refills the buffers of the chunk before this one,
+            # which is done with; past the last chunk it returns None.
+            pending = helper.submit(next, noise, None)
+            stop = min(start + _MC_CHUNK, draws)
+            x_draws = np.sqrt(eta) * rng_x.standard_normal((stop - start, k_users, model_dim))
+            target = global_target(x_draws[..., 0::2] + 1j * x_draws[..., 1::2], weights)
+            received = over_the_air(x_draws, f_matrix, t_all, chan, eta, relay, user)
+            err = np.sqrt(2.0 * eta) * r_all[None, :, None] * received - target[:, None, :]
+            sq[start:stop] = np.sum(np.abs(err) ** 2, axis=2)
     mean = sq.mean(axis=0)
     stderr = sq.std(axis=0, ddof=1) / np.sqrt(draws)
     return mean, stderr

@@ -1,5 +1,6 @@
 """Tests for the analog aggregation chain and its closed-form MSE."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -536,6 +537,50 @@ class TestMonteCarlo:
                 tracemalloc.stop()
         error_growth = (32 - 4) * chunk * 3 * 8
         assert peaks[1] - peaks[0] <= error_growth + 64 * 1024
+
+    def test_no_helper_thread_outlives_the_call(self, monkeypatch):
+        # The noise is drawn on a helper thread.  It is joined on every way
+        # out of the call, and an error raised in the chain or in the helper
+        # reaches the caller as the same type.
+        class ChainError(Exception):
+            pass
+
+        chunk = aircomp._MC_CHUNK
+        rng = substream(40, "mc-threads")
+        cfg, chan, f, r, t, w = _random_state(rng, 3, 2)
+        before = threading.active_count()
+        for draws in (3 * chunk + 1, chunk - 1):
+            monte_carlo_mse(f, r, t, chan, w, cfg, 1.0, 3, draws, 5)
+            assert threading.active_count() == before
+
+        chain = aircomp.over_the_air
+        calls = []
+
+        def chain_failing_on_second_chunk(*args):
+            calls.append(len(args[0]))
+            if len(calls) == 2:
+                raise ChainError("second chunk")
+            return chain(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(aircomp, "over_the_air", chain_failing_on_second_chunk)
+            with pytest.raises(ChainError) as raised:
+                monte_carlo_mse(f, r, t, chan, w, cfg, 1.0, 3, 3 * chunk, 5)
+        assert type(raised.value) is ChainError
+        assert calls == [chunk, chunk]
+        assert threading.active_count() == before
+
+        def substream_failing_on_user_noise(seed, *labels):
+            if labels == ("mc-user-noise",):
+                raise ChainError("user noise")
+            return substream(seed, *labels)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(aircomp, "substream", substream_failing_on_user_noise)
+            with pytest.raises(ChainError) as raised:
+                monte_carlo_mse(f, r, t, chan, w, cfg, 1.0, 3, 3 * chunk, 5)
+        assert type(raised.value) is ChainError
+        assert threading.active_count() == before
 
     def test_draws_validation(self):
         rng = substream(37, "mc-draws")

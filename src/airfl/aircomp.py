@@ -129,9 +129,15 @@ def mse_bracket_terms(f_matrix, r_all, t_all, chan, weights, cfg):
     gains, row_norm_sq = _effective_gains(f_matrix, chan)
     misalign = r_all[:, None] * gains * t_all[None, :] - alpha[None, :]
     signal = np.sum(np.abs(misalign) ** 2, axis=1)
+    relay_noise, local_noise = _noise_terms(r_all, row_norm_sq, cfg)
+    return signal + relay_noise + local_noise
+
+
+def _noise_terms(r_all, row_norm_sq, cfg):
+    """The bracket's per-user (relay, local) noise terms, which t does not change."""
     relay_noise = cfg.noise_power_server * np.abs(r_all) ** 2 * row_norm_sq
     local_noise = cfg.noise_power_user * np.abs(r_all) ** 2
-    return signal + relay_noise + local_noise
+    return relay_noise, local_noise
 
 
 def analytic_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols):

@@ -214,10 +214,12 @@ def inner_merit_rises(seed, count):
 def block_rise(solution):
     """Worst rise of a block update in ``solution``.
 
-    Covers every equalizer and transmit step (objective before and after)
-    and the end-to-end pair (initial objective, returned objective).
+    Covers every equalizer and transmit step (objective before and after; a
+    transmit step ends at the next outer objective) and the end-to-end pair
+    (initial objective, returned objective).
     """
-    pairs = solution.r_update_pairs + solution.t_update_pairs
+    after_r = [after for _, after in solution.r_update_pairs]
+    pairs = solution.r_update_pairs + list(zip(after_r, solution.outer_objectives[1:]))
     pairs.append((solution.outer_objectives[0], solution.objective))
     return max(after - before for before, after in pairs)
 
@@ -240,7 +242,7 @@ def paired_block_rise(seeds):
             baseline_optimize(chan, weights, radio, PamConfig(n_outer=8, m_inner=15)),
         ):
             worst = max(worst, block_rise(run))
-            n_pairs += len(run.r_update_pairs) + len(run.t_update_pairs)
+            n_pairs += 2 * len(run.r_update_pairs)
     return worst, n_pairs
 
 

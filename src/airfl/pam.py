@@ -6,10 +6,10 @@ receive equalizers r.  The objective is the worst user's MSE bracket (see
 ``aircomp.mse_bracket_terms``).  Blocks are updated alternately:
 
 * r: per-user closed form (exact minimizer of the user's bracket),
-* t: exact solve of the pointwise-max least-squares objective through its
-  dual over the simplex of user weights, by active-set Newton ascent with a
-  closed-form Hessian, damped where the Newton model fails, with a
-  duality-gap certificate,
+* t: exact solve of the same worst-user bracket through its dual over the
+  simplex of user weights, by active-set Newton ascent with a closed-form
+  Hessian, damped where the Newton model fails, with a duality-gap
+  certificate,
 * F: an inner penalized alternating-minimization loop over per-user copies
   u_k, the consensus vector f = vec(F), and its unit-modulus projection z.
 
@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aircomp import _effective_gains, mse_bracket_terms
+from .aircomp import _effective_gains, _noise_terms, mse_bracket_terms
 from .channel import substream
 from .linalg import (
     CONDITION_LIMIT,
@@ -56,7 +56,6 @@ __all__ = [
     "inner_pam",
     "objective_minmax",
     "run_pam",
-    "transmit_objective",
     "update_r",
     "update_t",
     "update_u",
@@ -170,25 +169,18 @@ def update_r(f_matrix, t_all, chan, weights, cfg):
     return numerator / denominator
 
 
-def _transmit_rows(coeff, alpha, t_all):
-    """Per-user misfits sum_j |coeff[k, j] t_j - alpha_j|^2."""
-    resid = coeff * np.asarray(t_all, dtype=complex)[None, :] - alpha[None, :]
-    return np.sum(np.abs(resid) ** 2, axis=1)
-
-
-def transmit_objective(coeff, alpha, t_all):
-    """Pointwise-max least-squares objective of the transmit-gain subproblem.
-
-    ``coeff[k, j] = r_k g_k^H F h_j``; value is
-    max_k sum_j |coeff[k, j] t_j - alpha_j|^2.
-    """
-    return float(np.max(_transmit_rows(coeff, alpha, t_all)))
+def _transmit_rows(coeff, alpha, t_all, noise):
+    """Per-user brackets sum_j |coeff[k, j] t_j - alpha_j|^2 + relay_k + local_k,
+    bit for bit as :func:`aircomp.mse_bracket_terms` adds them; ``noise``
+    stacks the rows (relay, local)."""
+    resid = coeff * t_all[None, :] - alpha[None, :]
+    return np.sum(np.abs(resid) ** 2, axis=1) + noise[0] + noise[1]
 
 
 class _DualPoint(NamedTuple):
     """A point lam of the transmit solve's dual: its weighted minimizer t, which
-    entries of t the disc clips, the per-user misfits at t (the dual gradient)
-    and the dual value lam . rows."""
+    entries of t the disc clips, the per-user brackets at t (the dual
+    gradient) and the dual value lam . rows."""
 
     lam: np.ndarray
     t: np.ndarray
@@ -326,16 +318,17 @@ def _newton_step(point, coeff, coeff_sq, alpha, cap, evaluate, damping):
 
 
 def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, evals=None):
-    """Transmit coefficients minimizing the worst user's least-squares misfit.
+    """Transmit coefficients minimizing the worst user's MSE bracket.
 
-    Solves min_{|t_j|^2 <= power_budget} max_k sum_j |c_kj t_j - alpha_j|^2,
-    c_kj = r_k g_k^H F h_j, through its dual over the simplex: the max over
+    Solves min_{|t_j|^2 <= power_budget} max_k sum_j |c_kj t_j - alpha_j|^2 + n_k
+    (:func:`objective_minmax` in t), c_kj = r_k g_k^H F h_j, with n_k the
+    user's noise terms, through its dual over the simplex: the max over
     users is a max over weights lam >= 0 with sum(lam) = 1, and the minimax
     swap holds (Sion).  For fixed lam the weighted problem separates per
     user j into an isotropic scalar quadratic (see
-    :func:`_weighted_minimizer`).  The per-user objective vector at its
-    minimizer is the dual gradient (Danskin), and the dual Hessian is closed
-    form (see :func:`_dual_hessian`).
+    :func:`_weighted_minimizer`); n only adds lam . n, linear in lam.  The
+    per-user brackets at its minimizer are the dual gradient (Danskin), and
+    the dual Hessian is closed form (see :func:`_dual_hessian`).
 
     The ascent starts at uniform weights and takes damped active-set Newton
     steps on the support of lam (see :func:`_newton_step`, after Bertsekas,
@@ -352,7 +345,7 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, evals=None):
     list, the number of dual evaluations the solve took is appended to it.
     """
     r_all = np.asarray(r_all, dtype=complex).reshape(-1)
-    gains, _ = _effective_gains(f_matrix, chan)
+    gains, row_norm_sq = _effective_gains(f_matrix, chan)
     coeff = r_all[:, None] * gains
     coeff_sq = np.abs(coeff) ** 2
     alpha = weights.alpha
@@ -370,24 +363,25 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, evals=None):
         # Rounding can put a tight dual bound a few ulps above the primal.
         return max(primal - dual, 0.0) / primal if primal > 0 else 0.0
 
+    noise = np.stack(_noise_terms(r_all, row_norm_sq, cfg))
     best_t = t_init
-    best_val = float(np.max(_transmit_rows(coeff, alpha, t_init)))
-    # Each simplex vertex is a dual point too: user k's own least-squares
-    # optimum over the discs, sum_j max(alpha_j - |c_kj| sqrt(P), 0)^2.  A
-    # user with a zero row of coeff has the misfit sum(alpha^2) at every t,
-    # which its vertex certifies; its weight cannot inform t (at its vertex
-    # the weighted problem is empty), so the ascent runs over the others.
-    vertices = np.sum(np.maximum(alpha[None, :] - np.abs(coeff) * cap, 0.0) ** 2, axis=1)
+    best_val = float(np.max(_transmit_rows(coeff, alpha, t_init, noise)))
+    # Each simplex vertex is a dual point too: user k's own optimum over the
+    # discs, sum_j max(alpha_j - |c_kj| sqrt(P), 0)^2 + n_k.  A user with a
+    # zero row of coeff has the bracket sum(alpha^2) + n_k at every t, which
+    # its vertex certifies; its weight cannot inform t (at its vertex the
+    # weighted problem is empty), so the ascent runs over the others.
+    vertices = np.sum(np.maximum(alpha - np.abs(coeff) * cap, 0.0) ** 2, axis=1) + noise[0] + noise[1]
     heard = np.any(coeff_sq > 0, axis=1)
     floor = float(np.max(vertices[~heard], initial=0.0))
-    coeff, coeff_sq = coeff[heard], coeff_sq[heard]
+    coeff, coeff_sq, noise = coeff[heard], coeff_sq[heard], noise[:, heard]
     count = 0
 
     def evaluate(lam):
         nonlocal count
         count += 1
         t, clipped = _weighted_minimizer(lam, coeff, coeff_sq, alpha, cap, t_init)
-        rows = _transmit_rows(coeff, alpha, t)
+        rows = _transmit_rows(coeff, alpha, t, noise)
         return _DualPoint(lam, t, clipped, rows, float(lam @ rows))
 
     point = evaluate(np.full(coeff.shape[0], 1.0 / coeff.shape[0]))
@@ -594,13 +588,12 @@ class Solution:
     ``outer_objectives[0]`` is the objective right after initialization (with
     the closed-form equalizer already applied); subsequent entries follow each
     full outer cycle.  The returned triple is the best recorded one, so
-    ``objective <= outer_objectives[0]`` always holds.  ``r_update_pairs`` /
-    ``t_update_pairs`` hold the subproblem objective immediately before and
-    after each r / t block for diagnostics, ``t_gaps`` the relative duality
-    gap certified by each t block (see :func:`update_t`), and ``t_evals`` the
-    number of dual evaluations each t block took.  ``inner_merits`` holds
-    the inner-loop merit after each relay block's last cycle (empty for the
-    baseline, which has no relay block).
+    ``objective <= outer_objectives[0]`` always holds.  ``r_update_pairs[c]``
+    holds the objective right before and after cycle c's r block; its t
+    block then takes it to ``outer_objectives[c + 1]``.  ``t_gaps`` holds the
+    duality gap each t block certified (see :func:`update_t`), ``t_evals``
+    its dual evaluations, and ``inner_merits`` the inner-loop merit after
+    each relay block's last cycle (empty for the baseline, which has none).
     """
 
     mode: str
@@ -611,7 +604,6 @@ class Solution:
     outer_objectives: np.ndarray
     inner_merits: list = field(default_factory=list)
     r_update_pairs: list = field(default_factory=list)
-    t_update_pairs: list = field(default_factory=list)
     t_gaps: list = field(default_factory=list)
     t_evals: list = field(default_factory=list)
 
@@ -633,7 +625,6 @@ def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
     best = (obj, f_matrix, r_all, t_all)
     inner_merits = []
     r_pairs = []
-    t_pairs = []
     t_gaps = []
     t_evals = []
     for _ in range(pam_cfg.n_outer):
@@ -645,13 +636,8 @@ def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
         r_all = update_r(f_matrix, t_all, chan, weights, cfg)
         after_r = objective_minmax(f_matrix, r_all, t_all, chan, weights, cfg)
         r_pairs.append((before_r, after_r))
-        gains, _ = _effective_gains(f_matrix, chan)
-        coeff = r_all[:, None] * gains
-        before_t = transmit_objective(coeff, weights.alpha, t_all)
         t_all, t_gap = update_t(f_matrix, r_all, chan, weights, cfg, t_init=t_all, evals=t_evals)
         t_gaps.append(t_gap)
-        after_t = transmit_objective(coeff, weights.alpha, t_all)
-        t_pairs.append((before_t, after_t))
         obj = objective_minmax(f_matrix, r_all, t_all, chan, weights, cfg)
         outer.append(obj)
         if obj <= best[0]:
@@ -665,7 +651,6 @@ def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
         outer_objectives=np.asarray(outer, dtype=float),
         inner_merits=inner_merits,
         r_update_pairs=r_pairs,
-        t_update_pairs=t_pairs,
         t_gaps=t_gaps,
         t_evals=t_evals,
     )

@@ -375,24 +375,25 @@ class TestSubcommands:
         results = json.loads((out / "solution_seed0.json").read_text())["results"]
         expected = {
             "pam": (
-                4.073981774659064e-06,
+                4.0658799411973835e-06,
+                4.068356550823936e-06,
                 [
-                    0.20188344396299707, 0.09103991896660941, 0.006522907853426019,
-                    0.0015893812667359592, 0.0005810033185196031, 0.0002270994313371435,
-                    9.534510434853836e-05, 4.194724262168489e-05, 1.925800149849135e-05,
-                    8.956822526119535e-06, 4.184468534844135e-06, 1.970785171696724e-06,
-                    9.389182011430341e-07, 4.543298192864151e-07, 2.246954741277044e-07,
-                    1.1481317855239556e-07, 6.20726303244841e-08, 3.667046698607884e-08,
-                    2.555267108442248e-08, 2.0781790858681572e-08,
+                    0.20188344396299707, 0.09103987385587714, 0.0065231350841706915,
+                    0.0015895848074134965, 0.0005812257664038695, 0.0002273370477507407,
+                    9.56228945006699e-05, 4.2274678333818216e-05, 1.9584142027238204e-05,
+                    9.344148340625212e-06, 4.6264558879239675e-06, 2.4755975086793513e-06,
+                    1.5390682003149091e-06, 1.1002549596064407e-06, 7.48790995125613e-07,
+                    4.984132403497312e-07, 3.27248094622193e-07, 2.1359541183140194e-07,
+                    1.3960342404572666e-07, 9.206616746639774e-08,
                 ],
             ),
-            "baseline": (0.1662984930733633, []),
+            "baseline": (0.16629679146179163, 0.16629679146179163, []),
         }
         assert sorted(results) == sorted(expected)
-        for mode, (objective, merits) in expected.items():
+        for mode, (objective, last_outer, merits) in expected.items():
             result = results[mode]
             np.testing.assert_allclose(result["objective"], objective, rtol=1e-12)
-            np.testing.assert_allclose(result["outer_objectives"][-1], objective, rtol=1e-12)
+            np.testing.assert_allclose(result["outer_objectives"][-1], last_outer, rtol=1e-12)
             assert len(result["inner_final_merit"]) == len(merits)
             np.testing.assert_allclose(result["inner_final_merit"], merits, rtol=1e-12)
 
@@ -416,9 +417,9 @@ class TestSubcommands:
                 [0.10149718108077355, 0.057494295988922084, 0.006899135292291648, 0.021333772266749474],
                 [0.05471977455080079, 0.01071688945894933, 0.0184070829592973, 0.06445459361352257],
                 [0.04763416240048607, 0.003631277308634606, 0.07505222900117602, 0.2548460086576477],
-                [0.10149718108077355, 0.057494295988922084, 0.018138752007718736, 0.056089348612727276],
-                [0.05332361762125554, 0.009320732529404074, 0.04556711285472943, 0.1607162285977327],
-                [0.04968741320849471, 0.005684528116643245, 0.10759593512965454, 0.38948038647166616],
+                [0.10149718108077355, 0.057494295988922084, 0.016085078342196905, 0.049738899689162189],
+                [0.053144796969145203, 0.0091419118772937402, 0.043617126112623764, 0.15244330278568291],
+                [0.049614624877726388, 0.0056117397858749252, 0.10450287568079679, 0.37699375106197253],
             ],
             rtol=1e-9,
         )
@@ -429,7 +430,7 @@ class TestSubcommands:
         np.testing.assert_allclose(summary["lambda_star"], 0.04400288509185146, rtol=1e-9)
         expected = {
             "pam": [0.04763416240048607, 0.003631277308634606, 0.07505222900117602, 0.09449751745004316],
-            "baseline": [0.04968741320849471, 0.005684528116643245, 0.10759593512965454, 0.14183846801310968],
+            "baseline": [0.04961462487772639, 0.005611739785874925, 0.10450287568079679, 0.13755406735471667],
         }
         keys = ["final_loss", "final_loss_gap", "final_max_mse", "final_objective"]
         assert list(summary["summary"]) == ["7"]

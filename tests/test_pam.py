@@ -23,7 +23,6 @@ from airfl.pam import (
     inner_pam,
     objective_minmax,
     run_pam,
-    transmit_objective,
     update_r,
     update_t,
     update_u,
@@ -197,27 +196,37 @@ def _transmit_coeff(f, r, chan):
     return r[:, None] * _effective_gains(f, chan)[0]
 
 
+def _noise_offsets(f, r, chan, cfg):
+    """Each user's noise terms n_k = noise_server |r_k|^2 ||g_k^H F||^2 + noise_user_k |r_k|^2."""
+    row_sq = np.sum(np.abs(chan.downlink.conj() @ f) ** 2, axis=1)
+    return np.abs(r) ** 2 * (cfg.noise_power_server * row_sq + cfg.noise_power_user)
+
+
 def _project_disc(t, cap):
     mag = np.abs(t)
     return np.where(mag > cap, t * cap / np.maximum(mag, cap), t)
 
 
-def _subgradient_reference(coeff, alpha, cap, t_init, iters=2000):
-    """The earlier transmit solve: per-user least-squares seeds, then
-    ``iters`` projected-subgradient steps of length 1/(L sqrt(it + 1)),
-    returning the best point evaluated."""
+def _subgradient_reference(f, r, chan, w, cfg, t_init, iters=2000):
+    """The earlier transmit solve on the worst-user bracket: per-user
+    least-squares seeds, then ``iters`` projected-subgradient steps of
+    length 1/(L sqrt(it + 1)) on the user whose misfit plus noise terms is
+    largest, returning the best point evaluated."""
+    coeff, alpha = _transmit_coeff(f, r, chan), w.alpha
+    cap = np.sqrt(cfg.power_budget)
+    offsets = _noise_offsets(f, r, chan, cfg)
     candidates = [t_init]
     for row in coeff:
         candidates.append(_project_disc(alpha * row.conj() / np.abs(row) ** 2, cap))
-    values = [transmit_objective(coeff, alpha, t) for t in candidates]
+    values = [objective_minmax(f, r, t, chan, w, cfg) for t in candidates]
     best_t = x = candidates[int(np.argmin(values))]
     best_val = min(values)
     step0 = 1.0 / float(np.max(np.abs(coeff) ** 2))
     for it in range(iters):
         resid = coeff * x[None, :] - alpha[None, :]
-        worst = int(np.argmax(np.sum(np.abs(resid) ** 2, axis=1)))
+        worst = int(np.argmax(np.sum(np.abs(resid) ** 2, axis=1) + offsets))
         x = _project_disc(x - step0 / np.sqrt(it + 1.0) * coeff[worst].conj() * resid[worst], cap)
-        val = transmit_objective(coeff, alpha, x)
+        val = objective_minmax(f, r, x, chan, w, cfg)
         if val < best_val:
             best_t, best_val = x, val
     return best_t
@@ -270,11 +279,12 @@ class TestUpdateT:
             cfg, chan, f, r, _, w = _random_instance(rng, 2, 2)
             r = r / np.abs(r)  # keep coefficients O(1) for a fair grid
             coeff = _transmit_coeff(f, r, chan)
+            offsets = _noise_offsets(f, r, chan, cfg)
             t, _ = update_t(f, r, chan, w, cfg)
-            got = transmit_objective(coeff, w.alpha, t)
+            got = objective_minmax(f, r, t, chan, w, cfg)
             best = np.inf
             for ta in grid_pts:
-                vals = np.abs(coeff[:, 0] * ta - w.alpha[0]) ** 2
+                vals = np.abs(coeff[:, 0] * ta - w.alpha[0]) ** 2 + offsets
                 resid_b = coeff[:, 1][:, None] * grid_pts[None, :] - w.alpha[1]
                 total = vals[:, None] + np.abs(resid_b) ** 2
                 best = min(best, float(np.max(total, axis=0).min()))
@@ -288,29 +298,28 @@ class TestUpdateT:
         rng = substream(49, f"t-gap-{n}-{k}")
         for _ in range(5):
             cfg, chan, f, r, t0, w = _random_instance(rng, n, k)
-            coeff = _transmit_coeff(f, r, chan)
             cap = np.sqrt(cfg.power_budget)
             t, gap = update_t(f, r, chan, w, cfg)
             assert 0.0 <= gap <= T_GAP_TOL
             assert np.all(np.abs(t) <= cap * (1 + 1e-12))
-            floor = (1.0 - gap) * transmit_objective(coeff, w.alpha, t)
-            others = [_project_disc(t0, cap), _subgradient_reference(coeff, w.alpha, cap, t0, 200)]
+            floor = (1.0 - gap) * objective_minmax(f, r, t, chan, w, cfg)
+            others = [_project_disc(t0, cap), _subgradient_reference(f, r, chan, w, cfg, t0, 200)]
             others += list(cap * np.exp(1j * rng.uniform(0, 2 * np.pi, (20, k))))
             for other in others:
-                assert transmit_objective(coeff, w.alpha, other) >= floor * (1 - 1e-12)
+                assert objective_minmax(f, r, other, chan, w, cfg) >= floor * (1 - 1e-12)
 
     def test_zero_equalizer_user_is_certified(self):
-        # A user with r_k = 0 has the constant value sum(alpha^2), which the
-        # dual reaches only at its simplex vertex; the vertex bound closes
-        # the gap whenever the other users can be brought below it.
+        # A user with r_k = 0 has the constant bracket sum(alpha^2) (its
+        # noise terms vanish with r_k), which the dual reaches only at its
+        # simplex vertex; the vertex bound closes the gap whenever the other
+        # users can be brought below it.
         rng = substream(51, "t-zero-row")
         for _ in range(5):
             cfg, chan, f, r, _, w = _random_instance(rng, 6, 8)
             r[3] = 0.0
-            coeff = _transmit_coeff(f, r, chan)
             t, gap = update_t(f, r, chan, w, cfg)
             assert gap <= T_GAP_TOL
-            assert transmit_objective(coeff, w.alpha, t) >= np.sum(w.alpha**2)
+            assert objective_minmax(f, r, t, chan, w, cfg) >= np.sum(w.alpha**2)
 
     def test_rounding_noise_instance_is_certified(self):
         # A transmit solve met in a train_ref simulate job (3 users with
@@ -340,8 +349,8 @@ class TestUpdateT:
         evals = []
         t, gap = update_t(f, r, chan, w, cfg, t_init=t_init, evals=evals)
         assert gap <= T_GAP_TOL and evals[0] <= 10
-        floor = (1.0 - gap) * transmit_objective(coeff, w.alpha, t)
-        assert transmit_objective(coeff, w.alpha, t_init) >= floor
+        floor = (1.0 - gap) * objective_minmax(f, r, t, chan, w, cfg)
+        assert objective_minmax(f, r, t_init, chan, w, cfg) >= floor
 
     def test_dual_gradient_and_hessian_match_finite_differences(self):
         # The dual D(lam) = sum_k lam_k rows_k(t(lam)) is smooth away from
@@ -353,16 +362,17 @@ class TestUpdateT:
         for budget in (0.05, 1.0, 20.0):
             for _ in range(4):
                 n, k = int(rng.integers(2, 6)), int(rng.integers(2, 7))
-                _, chan, f, r, t0, w = _random_instance(rng, n, k)
+                cfg, chan, f, r, t0, w = _random_instance(rng, n, k)
                 coeff = _transmit_coeff(f, r, chan)
                 coeff_sq = np.abs(coeff) ** 2
+                noise = np.stack([np.zeros(k), _noise_offsets(f, r, chan, cfg)])
                 cap = np.sqrt(budget)
                 lam = rng.uniform(0.2, 1.0, k)
                 lam /= lam.sum()
 
                 def dual_at(weights):
                     t, clipped = pam_module._weighted_minimizer(weights, coeff, coeff_sq, w.alpha, cap, t0)
-                    rows = pam_module._transmit_rows(coeff, w.alpha, t)
+                    rows = pam_module._transmit_rows(coeff, w.alpha, t, noise)
                     return float(weights @ rows), rows, t, clipped
 
                 _, rows, t, clipped = dual_at(lam)
@@ -407,8 +417,7 @@ class TestUpdateT:
             t, gap = update_t(f, r, chan, w, cfg, t_init=t0, evals=evals)
             assert gap <= T_GAP_TOL, f"trial {trial}: gap {gap:.3e}"
             assert evals[0] <= 60, f"trial {trial}: {evals[0]} dual evaluations"
-            coeff = _transmit_coeff(f, r, chan)
-            assert transmit_objective(coeff, w.alpha, t) <= transmit_objective(coeff, w.alpha, t0)
+            assert objective_minmax(f, r, t, chan, w, cfg) <= objective_minmax(f, r, t0, chan, w, cfg)
 
     def test_random_sweep_is_certified(self):
         # 150 random links: N 1-11, K 1-16, pathloss 0/-40/-100 dB, power
@@ -444,23 +453,50 @@ class TestUpdateT:
     def test_not_worse_than_subgradient(self):
         rng = substream(50, "t-vs-subgradient")
         cfg, chan, f, r, _, w = _random_instance(rng, 8, 3)
-        coeff = _transmit_coeff(f, r, chan)
         t_init = np.full(3, np.sqrt(cfg.power_budget), dtype=complex)
         t, _ = update_t(f, r, chan, w, cfg, t_init=t_init)
-        reference = _subgradient_reference(coeff, w.alpha, np.sqrt(cfg.power_budget), t_init)
-        assert transmit_objective(coeff, w.alpha, t) <= transmit_objective(coeff, w.alpha, reference)
+        reference = _subgradient_reference(f, r, chan, w, cfg, t_init)
+        assert objective_minmax(f, r, t, chan, w, cfg) <= objective_minmax(f, r, reference, chan, w, cfg)
 
     def test_feasible_and_never_increases(self):
         rng = substream(46, "t-noninc")
         for _ in range(20):
             cfg, chan, f, r, t0, w = _random_instance(rng, 3, 3)
             t0 = t0 / np.maximum(1.0, np.abs(t0) / np.sqrt(cfg.power_budget))
-            coeff = _transmit_coeff(f, r, chan)
-            before = transmit_objective(coeff, w.alpha, t0)
+            before = objective_minmax(f, r, t0, chan, w, cfg)
             t1, _ = update_t(f, r, chan, w, cfg, t_init=t0)
-            after = transmit_objective(coeff, w.alpha, t1)
+            after = objective_minmax(f, r, t1, chan, w, cfg)
             assert np.all(np.abs(t1) ** 2 <= cfg.power_budget + 1e-9)
             assert after <= before + 1e-12
+
+    def test_unequal_noise_never_raises_the_worst_user_bracket(self):
+        # The noise terms n_k do not depend on t but differ from user to
+        # user, so they change which user is worst: a t-step that minimized
+        # the misfits alone raised objective_minmax on 4 of these 120 steps,
+        # by up to 4.8%.  Each link alternates r and t three times, as the
+        # outer loop does, with per-user noise lists drawn from
+        # {0, 1e-11, 1e-3, 1}.
+        levels = [0.0, 1e-11, 1e-3, 1.0]
+        rng = substream(56, "t-noise-sweep")
+        for trial in range(40):
+            n, k = int(rng.integers(1, 9)), int(rng.integers(2, 9))
+            cfg = RadioConfig(
+                n_antennas=n,
+                n_users=k,
+                pathloss_db=0.0,
+                noise_power_server=float(rng.choice(levels)),
+                noise_power_user=[float(v) for v in rng.choice(levels, k)],
+            )
+            chan = sample_channels(cfg, int(rng.integers(1 << 30)))
+            f = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, n)))
+            w = AggregationWeights(rng.uniform(1.0, 5.0, k))
+            t = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
+            for step in range(3):
+                r = update_r(f, t, chan, w, cfg)
+                before = objective_minmax(f, r, t, chan, w, cfg)
+                t, gap = update_t(f, r, chan, w, cfg, t_init=t)
+                assert gap <= T_GAP_TOL, f"trial {trial} step {step}: gap {gap:.3e}"
+                assert objective_minmax(f, r, t, chan, w, cfg) <= before, f"trial {trial} step {step}"
 
     def test_zero_coefficients_returns_input(self):
         cfg = RadioConfig(n_antennas=2, n_users=1, pathloss_db=0.0, noise_power_user=0.1)
@@ -1038,7 +1074,8 @@ class TestRunPam:
             sol = run_pam(chan, w, cfg, PamConfig(n_outer=5, m_inner=15, seed=seed))
             for before, after in sol.r_update_pairs:
                 assert after <= before + 1e-9
-            for before, after in sol.t_update_pairs:
+            # Each t block runs from the r block's result to the next outer objective.
+            for (_, before), after in zip(sol.r_update_pairs, sol.outer_objectives[1:]):
                 assert after <= before + 1e-9
 
     def test_deterministic(self):

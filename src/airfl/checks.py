@@ -17,8 +17,17 @@ import numpy as np
 
 from .aircomp import AggregationWeights, analytic_mse, monte_carlo_mse, mse_bracket_terms
 from .channel import RadioConfig, sample_channels, substream
-from .linalg import dense_solve, phase_project
-from .pam import PamConfig, baseline_optimize, build_workspace, cycle_merit, inner_cycles, run_pam, update_r, update_u
+from .linalg import dense_solve, mat_of_vector, phase_project, vec_of_matrix
+from .pam import (
+    PamConfig,
+    _factor_u_step,
+    baseline_optimize,
+    build_workspace,
+    cycle_merit,
+    inner_cycles,
+    run_pam,
+    update_r,
+)
 
 __all__ = [
     "block_rise",
@@ -31,6 +40,7 @@ __all__ = [
     "random_link",
     "stationarity_slopes",
     "u_step_error",
+    "update_u",
 ]
 
 
@@ -70,6 +80,35 @@ def dense_u_step(workspace, user, rho, dtype=complex):
     matrix += workspace.kron_scale[user] * np.kron(np.eye(n, dtype=dtype), np.outer(g, g.conj()))
     matrix += (rho / workspace.n_users) * np.eye(n * n, dtype=dtype)
     return matrix, workspace.alpha.astype(dtype) @ rank_one, rank_one
+
+
+def _copies(f_matrix, v, downlink):
+    """Rows vec(F + g_k v_k^T) of every user's copy (column-major vec)."""
+    k_users, n = v.shape
+    outer = v[:, :, None] * downlink[:, None, :]
+    return vec_of_matrix(f_matrix)[None, :] + outer.reshape(k_users, n * n)
+
+
+def update_u(workspace, f, rho):
+    """Every user's copy after one u-step of the inner loop, as explicit rows.
+
+    Solves, for each user k,
+        (sum_j a_{k,j} a_{k,j}^H + G_k + (rho/K) I) u_k
+            = sum_j alpha_j a_{k,j} + (rho/K) f
+    with the rank-one solve the inner loop runs (``pam._factor_u_step``);
+    u_k exactly minimizes user k's data cost plus its share
+    (rho/K) ||u_k - f||^2 of the consensus penalty.  The loop never forms
+    the copies; this one-shot form does, for comparison with
+    :func:`dense_u_step`.
+    """
+    solve = _factor_u_step(workspace, rho)
+    n = workspace.downlink.shape[1]
+    f = np.asarray(f, dtype=complex).reshape(-1)
+    if f.size != n * n:
+        raise ValueError(f"f must have length {n * n}")
+    f_matrix = mat_of_vector(f, n, n)
+    _, v = solve(workspace.downlink.conj() @ f_matrix)
+    return _copies(f_matrix, v, workspace.downlink)
 
 
 def u_step_error(seed, count):

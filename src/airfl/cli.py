@@ -356,10 +356,10 @@ def _cmd_simulate(cfg, args):
         )
         summary[str(seed)] = {
             mode: {
-                "final_loss": traj.final_loss,
+                "final_loss": float(traj.loss[-1]),
                 "final_loss_gap": float(traj.loss_gap[-1]),
                 "final_max_mse": float(traj.max_mse[-1]),
-                "final_objective": traj.final_objective,
+                "final_objective": float(traj.objective[-1]),
                 "bound_ok_final_third": None
                 if np.isnan(traj.bound[-1])
                 else bool(np.all(traj.bound_ok[-max(1, rounds // 3) :])),

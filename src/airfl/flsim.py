@@ -114,14 +114,17 @@ class QuadraticTask:
         self.dim = dim + (1 if self.padded else 0)
         self.dataset_sizes = np.array([blk.shape[0] for blk in self.features], dtype=float)
         # Per-user summed Hessian and linear term; averages divide by n_k.
-        self._hess_sum = [np.einsum("npi,npj->ij", blk, blk) for blk in self.features]
-        self._lin_sum = [
-            np.einsum("npi,np->i", blk, tgt) for blk, tgt in zip(self.features, self.targets)
-        ]
-        total = self.dataset_sizes.sum()
-        self._global_hess = sum(self._hess_sum) / total
-        self._global_lin = sum(self._lin_sum) / total
-        self._const = sum(float(np.sum(tgt * tgt)) for tgt in self.targets) / (2.0 * total)
+        # Data near the float range overflow here and in optimum(); the
+        # non-finite optimal loss or solve that follows raises NumericError.
+        with np.errstate(over="ignore"):
+            self._hess_sum = [np.einsum("npi,npj->ij", blk, blk) for blk in self.features]
+            self._lin_sum = [
+                np.einsum("npi,np->i", blk, tgt) for blk, tgt in zip(self.features, self.targets)
+            ]
+            total = self.dataset_sizes.sum()
+            self._global_hess = sum(self._hess_sum) / total
+            self._global_lin = sum(self._lin_sum) / total
+            self._const = sum(float(np.sum(tgt * tgt)) for tgt in self.targets) / (2.0 * total)
 
     @property
     def n_users(self):
@@ -147,7 +150,8 @@ class QuadraticTask:
             x_star[:-1] = dense_solve(core, self._global_lin[:-1])
         else:
             x_star = dense_solve(self._global_hess, self._global_lin)
-        return x_star, self.global_loss(x_star)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return x_star, self.global_loss(x_star)
 
     def curvature(self):
         mu = float(np.linalg.eigvalsh(self._global_hess)[0])
@@ -470,23 +474,11 @@ class ModeTrajectory:
     bound_ok: np.ndarray
     solutions: list = field(default_factory=list)
 
-    @property
-    def final_loss(self):
-        return float(self.loss[-1])
-
-    @property
-    def final_objective(self):
-        return float(self.objective[-1])
-
 
 @dataclass
 class ExperimentReport:
     """All trajectories of a run plus the reference optimum."""
 
-    rounds: int
-    replays: int
-    seeds: list
-    modes: list
     lambda_star: float
     trajectories: dict
 
@@ -585,11 +577,4 @@ def run_experiment(
                 bound_ok=decoded_gap.max(axis=1) <= bound,
                 solutions=solutions,
             )
-    return ExperimentReport(
-        rounds=rounds,
-        replays=replays,
-        seeds=[int(s) for s in seeds],
-        modes=list(modes),
-        lambda_star=lambda_star,
-        trajectories=trajectories,
-    )
+    return ExperimentReport(lambda_star=lambda_star, trajectories=trajectories)

@@ -35,14 +35,7 @@ import numpy as np
 
 from .aircomp import _effective_gains, _noise_terms, mse_bracket_terms
 from .channel import substream
-from .linalg import (
-    CONDITION_LIMIT,
-    IllConditionedError,
-    NumericError,
-    mat_of_vector,
-    phase_project,
-    vec_of_matrix,
-)
+from .linalg import CONDITION_LIMIT, IllConditionedError, NumericError, phase_project
 
 __all__ = [
     "InnerCycle",
@@ -58,7 +51,6 @@ __all__ = [
     "run_pam",
     "update_r",
     "update_t",
-    "update_u",
 ]
 
 # Transmit-gain solve (update_t): stop at this relative duality gap or after
@@ -85,11 +77,13 @@ class PamConfig:
     initial relay matrix.
 
     Inside the inner loop every user's copy takes the regularized
-    least-squares step simultaneously (see :func:`update_u`): the exact
-    minimizer of the sum of the per-user costs plus their proximal terms.
-    On unit-scale instances it also decreases the worst-user merit every
-    cycle; in regimes with very uneven per-user scales the merit may rise
-    transiently while the outer objective keeps improving.
+    least-squares step simultaneously (see :func:`_factor_u_step`): the
+    exact minimizer of the sum of the per-user costs plus their proximal
+    terms.  On unit-scale instances it also decreases the worst-user merit
+    every cycle; in regimes with very uneven per-user scales the merit may
+    rise transiently.  The relay block as a whole is a penalized surrogate
+    step, not a minimizer of :func:`objective_minmax`, so it can raise the
+    outer objective; the r and t blocks never do.
     """
 
     rho: float = 1.0
@@ -317,7 +311,7 @@ def _newton_step(point, coeff, coeff_sq, alpha, cap, evaluate, damping):
     return None
 
 
-def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, evals=None):
+def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
     """Transmit coefficients minimizing the worst user's MSE bracket.
 
     Solves min_{|t_j|^2 <= power_budget} max_k sum_j |c_kj t_j - alpha_j|^2 + n_k
@@ -339,10 +333,11 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, evals=None):
     step raises the dual, which means the ascent has reached the rounding
     of the dual.
 
-    Returns ``(t, gap)``: the best primal point seen, never worse than the
-    incoming t, and (objective(t) - best dual value) / objective(t), which
-    bounds the relative excess of t over the optimum.  When ``evals`` is a
-    list, the number of dual evaluations the solve took is appended to it.
+    Returns ``(t, gap, value, evals)``: the best primal point seen, never
+    worse than the incoming t; (value - best dual value) / value, which
+    bounds the relative excess of t over the optimum; value, the worst-user
+    bracket at t, equal bit for bit to :func:`objective_minmax` there; and
+    the number of dual evaluations the solve took.
     """
     r_all = np.asarray(r_all, dtype=complex).reshape(-1)
     gains, row_norm_sq = _effective_gains(f_matrix, chan)
@@ -354,18 +349,16 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, evals=None):
     if t_init is None:
         t_init = np.full(k_users, cap, dtype=complex)
     t_init = np.asarray(t_init, dtype=complex).reshape(-1)
+    noise = np.stack(_noise_terms(r_all, row_norm_sq, cfg))
+    best_t = t_init
+    best_val = float(np.max(_transmit_rows(coeff, alpha, t_init, noise)))
     if float(np.max(coeff_sq)) == 0.0:
-        if evals is not None:
-            evals.append(0)
-        return t_init, 0.0
+        return t_init, 0.0, best_val, 0
 
     def gap(primal, dual):
         # Rounding can put a tight dual bound a few ulps above the primal.
         return max(primal - dual, 0.0) / primal if primal > 0 else 0.0
 
-    noise = np.stack(_noise_terms(r_all, row_norm_sq, cfg))
-    best_t = t_init
-    best_val = float(np.max(_transmit_rows(coeff, alpha, t_init, noise)))
     # Each simplex vertex is a dual point too: user k's own optimum over the
     # discs, sum_j max(alpha_j - |c_kj| sqrt(P), 0)^2 + n_k.  A user with a
     # zero row of coeff has the bracket sum(alpha^2) + n_k at every t, which
@@ -398,9 +391,7 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, evals=None):
             break
         point, damping = step
         best_dual = max(best_dual, point.value)
-    if evals is not None:
-        evals.append(count)
-    return best_t, gap(best_val, best_dual)
+    return best_t, gap(best_val, best_dual), best_val, count
 
 
 def build_workspace(r_all, t_all, chan, weights, cfg):
@@ -475,34 +466,6 @@ def _factor_u_step(workspace, rho):
     return solve
 
 
-def _copies(f_matrix, v, downlink):
-    """Rows vec(F + g_k v_k^T) of every user's copy (column-major vec)."""
-    k_users, n = v.shape
-    outer = v[:, :, None] * downlink[:, None, :]
-    return vec_of_matrix(f_matrix)[None, :] + outer.reshape(k_users, n * n)
-
-
-def update_u(workspace, f, rho):
-    """Per-user regularized least-squares step of the inner loop.
-
-    Solves, for each user k,
-        (sum_j a_{k,j} a_{k,j}^H + G_k + (rho/K) I) u_k
-            = sum_j alpha_j a_{k,j} + (rho/K) f
-    in its rank-one form (see :func:`_factor_u_step`); u_k exactly minimizes
-    user k's data cost plus its share (rho/K) ||u_k - f||^2 of the consensus
-    penalty.  This one-shot form decomposes the systems and solves once;
-    :func:`inner_cycles` decomposes once per loop and reuses it every cycle.
-    """
-    solve = _factor_u_step(workspace, rho)
-    n = workspace.downlink.shape[1]
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    if f.size != n * n:
-        raise ValueError(f"f must have length {n * n}")
-    f_matrix = mat_of_vector(f, n, n)
-    _, v = solve(workspace.downlink.conj() @ f_matrix)
-    return _copies(f_matrix, v, workspace.downlink)
-
-
 class InnerCycle(NamedTuple):
     """One inner cycle's fresh arrays: the copies U_k = F_prev + g_k v_k^T
     (rows ``g_u`` = g_k^H U_k and ``v``), the new consensus F and its
@@ -521,13 +484,13 @@ def inner_cycles(workspace, f_matrix_init, rho):
     """Penalized alternating minimization for the relay matrix, one cycle per item.
 
     Starts every block variable at F_init and cycles copies (the
-    :func:`update_u` step) -> consensus -> projection without end, yielding
-    each cycle as an :class:`InnerCycle`.  The copies' systems do not depend
-    on f, so they are decomposed once, before the first cycle.  A cycle
-    never forms the copies U_k = F + g_k v_k^T: it needs the rows g_k^H F,
-    two K x N by N x K products for the copies, G^T V for their mean, and
-    the projection.  It keeps no history; :func:`cycle_merit` evaluates a
-    cycle's merit.
+    :func:`_factor_u_step` solve) -> consensus -> projection without end,
+    yielding each cycle as an :class:`InnerCycle`.  The copies' systems do
+    not depend on f, so they are decomposed once, before the first cycle.
+    A cycle never forms the copies U_k = F + g_k v_k^T: it needs the rows
+    g_k^H F, two K x N by N x K products for the copies, G^T V for their
+    mean, and the projection.  It keeps no history; :func:`cycle_merit`
+    evaluates a cycle's merit.
     """
     f_matrix = np.asarray(f_matrix_init, dtype=complex)
     n = workspace.downlink.shape[1]
@@ -596,7 +559,6 @@ class Solution:
     each relay block's last cycle (empty for the baseline, which has none).
     """
 
-    mode: str
     f_matrix: np.ndarray
     r_all: np.ndarray
     t_all: np.ndarray
@@ -615,7 +577,12 @@ def _initial_matrix(n, pam_cfg):
 
 
 def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
-    """Shared outer loop: [relay block, in "pam" mode] -> r -> t, tracking the best triple."""
+    """Shared outer loop: [relay block, in "pam" mode] -> r -> t, tracking the best triple.
+
+    ``obj`` is always the objective at the current (F, r, t).  The t block
+    returns it for its own result, so only a relay block, which changes F,
+    and the r block need :func:`objective_minmax` evaluated.
+    """
     k_users = chan.n_users
     f_matrix = f_init
     t_all = np.full(k_users, np.sqrt(cfg.power_budget), dtype=complex)
@@ -632,18 +599,17 @@ def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
             workspace = build_workspace(r_all, t_all, chan, weights, cfg)
             f_matrix, merit = inner_pam(workspace, f_matrix, pam_cfg.rho, pam_cfg.m_inner)
             inner_merits.append(merit)
-        before_r = objective_minmax(f_matrix, r_all, t_all, chan, weights, cfg)
+            obj = objective_minmax(f_matrix, r_all, t_all, chan, weights, cfg)
         r_all = update_r(f_matrix, t_all, chan, weights, cfg)
         after_r = objective_minmax(f_matrix, r_all, t_all, chan, weights, cfg)
-        r_pairs.append((before_r, after_r))
-        t_all, t_gap = update_t(f_matrix, r_all, chan, weights, cfg, t_init=t_all, evals=t_evals)
+        r_pairs.append((obj, after_r))
+        t_all, t_gap, obj, evals = update_t(f_matrix, r_all, chan, weights, cfg, t_init=t_all)
         t_gaps.append(t_gap)
-        obj = objective_minmax(f_matrix, r_all, t_all, chan, weights, cfg)
+        t_evals.append(evals)
         outer.append(obj)
         if obj <= best[0]:
             best = (obj, f_matrix, r_all, t_all)
     return Solution(
-        mode=mode,
         f_matrix=best[1],
         r_all=best[2],
         t_all=best[3],

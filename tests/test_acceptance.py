@@ -122,7 +122,7 @@ def test_criterion_06_transmit_solver_matches_grid_search():
         coeff = r_all[:, None] * gains
         # Each user's noise terms, which no t changes, complete its bracket.
         offsets = np.abs(r_all) ** 2 * (radio.noise_power_server * row_norm_sq + radio.noise_power_user)
-        t_all, _ = update_t(f_matrix, r_all, chan, weights, radio)
+        t_all = update_t(f_matrix, r_all, chan, weights, radio)[0]
         achieved = objective_minmax(f_matrix, r_all, t_all, chan, weights, radio)
         res_a = np.abs(coeff[:, 0][:, None] * grid[None, :] - weights.alpha[0]) ** 2 + offsets[:, None]
         if k == 1:
@@ -225,8 +225,8 @@ def test_criterion_09_relay_optimization_beats_fixed_relay():
             assert max(sol.t_gaps) <= T_GAP_TOL, f"criterion 9 seed {seed}: a transmit solve is uncertified"
         wins += pam_traj.objective[-1] < base_traj.objective[-1]
         ratios.append(pam_traj.objective[-1] / base_traj.objective[-1])
-    pam_mean_loss = float(np.mean([report.get(s, "pam").final_loss for s in seeds]))
-    base_mean_loss = float(np.mean([report.get(s, "baseline").final_loss for s in seeds]))
+    pam_mean_loss = float(np.mean([report.get(s, "pam").loss[-1] for s in seeds]))
+    base_mean_loss = float(np.mean([report.get(s, "baseline").loss[-1] for s in seeds]))
     elapsed = time.time() - t0
     passed = wins >= 18 and pam_mean_loss <= base_mean_loss and elapsed < 60.0
     _verdict(

@@ -313,14 +313,17 @@ class TestSubcommands:
         )
         assert not (out / "summary.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_simulate_overflowing_task_is_numeric_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scale, loss", [(1e154, "inf"), (1e160, "nan"), (1e200, "nan")])
+    def test_simulate_overflowing_task_is_numeric_error(self, tmp_path, capsys, scale, loss):
         # Targets this large overflow the task's optimal loss, so every loss
-        # gap would be written as NaN and every loss as Infinity.
-        cfg = _tiny_config(rounds=2, task={"dim": 4, "samples_per_user": 6, "target_scale": 1e154})
+        # gap would be written as NaN and every loss as Infinity.  The
+        # overflow itself prints no warning lines.
+        cfg = _tiny_config(rounds=2, task={"dim": 4, "samples_per_user": 6, "target_scale": scale})
         out = tmp_path / "sim"
         assert main(["--config", self._write(tmp_path, cfg), "simulate", "--out", str(out)]) == EXIT_NUMERIC
-        assert "numeric failure: the task's optimal loss is inf" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"numeric failure: the task's optimal loss is {loss}" in err
+        assert "Warning" not in err
         assert not (out / "summary.json").exists()
 
     def test_mse_check_non_finite_is_numeric_error(self, tmp_path, capsys, monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from airfl.channel import substream
-from airfl.checks import dense_u_step
+from airfl.checks import dense_u_step, update_u
 from airfl.linalg import (
     IllConditionedError,
     SingularMatrixError,
@@ -15,7 +15,7 @@ from airfl.linalg import (
     phase_project,
     vec_of_matrix,
 )
-from airfl.pam import PamWorkspace, update_u
+from airfl.pam import PamWorkspace
 
 
 class TestVecMat:

@@ -272,13 +272,14 @@ def paired_block_rise(seeds):
     """
     radio = RadioConfig()
     weights = AggregationWeights(np.full(radio.n_users, 20.0))
+    pam_cfg = PamConfig(n_outer=8, m_inner=15)
     worst = -np.inf
     n_pairs = 0
     for seed in seeds:
         chan = sample_channels(radio, seed)
         for run in (
-            run_pam(chan, weights, radio, PamConfig(n_outer=8, m_inner=15, seed=seed)),
-            baseline_optimize(chan, weights, radio, PamConfig(n_outer=8, m_inner=15)),
+            run_pam(chan, weights, radio, pam_cfg, seed=seed),
+            baseline_optimize(chan, weights, radio, pam_cfg),
         ):
             worst = max(worst, block_rise(run))
             n_pairs += 2 * len(run.r_update_pairs)

@@ -26,9 +26,9 @@ import numpy as np
 
 from . import aircomp, checks
 from .channel import RadioConfig, sample_channels, substream
-from .flsim import LocalTrainConfig, make_logistic_task, make_quadratic_task, run_experiment
+from .flsim import LocalTrainConfig, make_logistic_task, make_quadratic_task, run_experiment, solve_round
 from .linalg import NumericError
-from .pam import PamConfig, baseline_optimize, run_pam
+from .pam import PamConfig
 
 __all__ = [
     "ConfigError",
@@ -294,10 +294,7 @@ def _cmd_optimize(cfg, args):
     chan = sample_channels(cfg.radio, seed, round_index=args.round_index)
     results = {}
     for mode in _modes(cfg, args.mode):
-        if mode == "pam":
-            sol = run_pam(chan, weights, cfg.radio, cfg.pam)
-        else:
-            sol = baseline_optimize(chan, weights, cfg.radio, cfg.pam)
+        sol = solve_round(mode, chan, weights, cfg.radio, cfg.pam, seed, args.round_index)
         results[mode] = {
             "objective": sol.objective,
             "objective_initial": float(sol.outer_objectives[0]),

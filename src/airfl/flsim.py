@@ -18,7 +18,7 @@ per-round worst-user MSE to the expected optimality gap.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,8 +114,8 @@ class QuadraticTask:
         self.dim = dim + (1 if self.padded else 0)
         self.dataset_sizes = np.array([blk.shape[0] for blk in self.features], dtype=float)
         # Per-user summed Hessian and linear term; averages divide by n_k.
-        # Data near the float range overflow here and in optimum(); the
-        # non-finite optimal loss or solve that follows raises NumericError.
+        # Data near the float range overflow here or in optimum(), which then
+        # reports a non-finite optimal loss.
         with np.errstate(over="ignore"):
             self._hess_sum = [np.einsum("npi,npj->ij", blk, blk) for blk in self.features]
             self._lin_sum = [
@@ -143,7 +143,9 @@ class QuadraticTask:
         return quad - x_batch @ self._global_lin + self._const
 
     def optimum(self):
-        """Exact global minimizer and loss (padded coordinate pinned to zero)."""
+        """Exact global minimizer and loss (padded coordinate pinned to zero); NaN on overflowed sums."""
+        if not (np.all(np.isfinite(self._global_hess)) and np.all(np.isfinite(self._global_lin))):
+            return np.full(self.dim, np.nan), np.nan
         if self.padded:
             core = self._global_hess[:-1, :-1]
             x_star = np.zeros(self.dim)
@@ -344,18 +346,18 @@ def local_gd(task, k, x_batch, step_size, n_steps):
 
 
 def theorem1_bound(max_mse_history, n_users, smoothness, strong_convexity, total_samples):
-    """Loss-gap bound at the latest round from the worst-user MSE history.
+    """Loss-gap bound after every round from the worst-user MSE history.
 
-    ``max_mse_history`` is (..., rounds) with the latest round i last; the
-    MSE of round i' enters the bound with the geometric weight
+    ``max_mse_history`` is (..., rounds).  The bound after round i weights
+    the MSE m_i' of every round i' <= i by
 
-        K L (3 + 2/K) / (2 D) * (1 - mu D / (K L)) ** (i - i')
+        c * base ** (i - i'),  c = K L (3 + 2/K) / (2 D),  base = 1 - mu D / (K L)
 
-    with K users, smoothness L, strong convexity mu and D total samples.
-    Returns a float for a 1-D history and one bound per leading index
-    otherwise.  A warning is recorded when the decay base falls outside
-    [0, 1) (the geometric interpretation then breaks down), but the value is
-    returned.
+    with K users, smoothness L, strong convexity mu and D total samples, so
+    it is the recursion B_i = base * B_{i-1} + c * m_i from B_{-1} = 0.
+    Returns the bounds B_i in an array shaped like the history.  A warning
+    is recorded when the decay base falls outside [0, 1) (the geometric
+    interpretation then breaks down), but the values are returned.
     """
     history = np.asarray(max_mse_history, dtype=float)
     if history.ndim == 0 or history.shape[-1] == 0:
@@ -371,12 +373,12 @@ def theorem1_bound(max_mse_history, n_users, smoothness, strong_convexity, total
             stacklevel=2,
         )
     prefactor = k * smoothness * (3.0 + 2.0 / k) / (2.0 * total_samples)
-    # Scalar powers and one dot product per history row keep every bound
-    # bit-identical to the per-row 1-D evaluation.
-    lags = range(history.shape[-1] - 1, -1, -1)
-    weights = np.array([prefactor * base**lag for lag in lags])
-    bound = np.matmul(history[..., None, :], weights[:, None])[..., 0, 0]
-    return float(bound) if history.ndim == 1 else bound
+    # An overflowing bound is returned as inf or NaN for the caller to report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = prefactor * history
+        for i in range(1, history.shape[-1]):
+            bound[..., i] += base * bound[..., i - 1]
+    return bound
 
 
 def transmit_batch(x_batch, f_matrix, r_all, t_all, chan, radio, eta_batch, seed, round_index):
@@ -411,10 +413,13 @@ def transmit_batch(x_batch, f_matrix, r_all, t_all, chan, radio, eta_batch, seed
 
 
 def solve_round(mode, chan, weights, radio, pam_cfg, seed, round_index):
-    """The round's optimized link for ``mode`` ('pam' or 'baseline')."""
+    """The optimized link of fading block (seed, round) for ``mode`` ('pam' or 'baseline').
+
+    Every command solves a block here; pam's initial phases are keyed by (seed, round).
+    """
     if mode == "pam":
-        cfg_round = replace(pam_cfg, seed=derive_seed(seed, "phase-init", int(round_index)))
-        return run_pam(chan, weights, radio, cfg_round)
+        init_seed = derive_seed(seed, "phase-init", int(round_index))
+        return run_pam(chan, weights, radio, pam_cfg, seed=init_seed)
     if mode == "baseline":
         return baseline_optimize(chan, weights, radio, pam_cfg)
     raise ValueError(f"unknown mode {mode!r} (expected 'pam' or 'baseline')")
@@ -463,8 +468,6 @@ def round_step(x_batch, task, weights, chan, radio, solution, step, local_update
 class ModeTrajectory:
     """Replay-averaged per-round series for one (seed, mode) run."""
 
-    seed: int
-    mode: str
     loss: np.ndarray
     loss_gap: np.ndarray
     max_mse: np.ndarray
@@ -540,35 +543,34 @@ def run_experiment(
             x_batch = np.zeros((replays, task.n_users, task.dim))
             loss = np.empty(rounds)
             max_mse = np.empty(rounds)
-            bound = np.full(rounds, np.nan)
             decoded_gap = np.empty((rounds, task.n_users))
-            mse_history = np.empty((replays, rounds))
             for i, sol in enumerate(solutions):
                 x_batch, target, mse_rk = round_step(
                     x_batch, task, weights, channels[i], radio, sol, step,
                     train_cfg.local_updates, seed, i,
                 )
-                mse_history[:, i] = np.max(mse_rk, axis=1)
                 loss[i] = task.global_loss_batch(target).mean()
-                max_mse[i] = mse_history[:, i].mean()
-                if consts is not None:
-                    bound[i] = theorem1_bound(
-                        mse_history[:, : i + 1], task.n_users, consts.smoothness,
-                        consts.strong_convexity, total,
-                    ).mean()
-                gap = loss[i] - lambda_star
-                if not np.isfinite(gap) or (consts is not None and not np.isfinite(bound[i])):
-                    raise NumericError(
-                        f"seed {seed} {mode} round {i}: the loss gap ({gap:g}) or its bound "
-                        f"({bound[i]:g}) is not finite"
-                    )
+                max_mse[i] = np.max(mse_rk, axis=1).mean()
                 decoded = task.global_loss_batch(x_batch.reshape(-1, task.dim)).reshape(replays, -1)
                 decoded_gap[i] = decoded.mean(axis=0) - lambda_star
+            loss_gap = loss - lambda_star
+            bad = ~np.isfinite(loss_gap)
+            bound = np.full(rounds, np.nan)
+            if consts is not None:
+                # The bound is linear in the MSEs: that of the replay mean is the mean bound.
+                bound = theorem1_bound(
+                    max_mse, task.n_users, consts.smoothness, consts.strong_convexity, total
+                )
+                bad |= ~np.isfinite(bound)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise NumericError(
+                    f"seed {seed} {mode} round {i}: the loss gap ({loss_gap[i]:g}) or its bound "
+                    f"({bound[i]:g}) is not finite"
+                )
             trajectories[(seed, mode)] = ModeTrajectory(
-                seed=seed,
-                mode=mode,
                 loss=loss,
-                loss_gap=loss - lambda_star,
+                loss_gap=loss_gap,
                 max_mse=max_mse,
                 bound=bound,
                 objective=np.array([sol.objective for sol in solutions]),

@@ -73,8 +73,8 @@ T_DAMP_TRIES = 12
 class PamConfig:
     """Hyperparameters of the alternating optimizer.
 
-    ``rho`` is the inner consensus penalty; ``seed`` keys the random-phase
-    initial relay matrix.
+    ``rho`` is the inner consensus penalty.  The random-phase initial relay
+    matrix is keyed by the seed :func:`run_pam` takes, not by the config.
 
     Inside the inner loop every user's copy takes the regularized
     least-squares step simultaneously (see :func:`_factor_u_step`): the
@@ -89,7 +89,6 @@ class PamConfig:
     rho: float = 1.0
     n_outer: int = 20
     m_inner: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if not self.rho > 0:
@@ -98,7 +97,6 @@ class PamConfig:
             raise ValueError("n_outer and m_inner must be at least 1")
         self.n_outer = int(self.n_outer)
         self.m_inner = int(self.m_inner)
-        self.seed = int(self.seed)
 
 
 @dataclass
@@ -570,12 +568,6 @@ class Solution:
     t_evals: list = field(default_factory=list)
 
 
-def _initial_matrix(n, pam_cfg):
-    rng = substream(pam_cfg.seed, "phase-init")
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, n))
-    return np.exp(1j * phases)
-
-
 def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
     """Shared outer loop: [relay block, in "pam" mode] -> r -> t, tracking the best triple.
 
@@ -622,10 +614,14 @@ def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
     )
 
 
-def run_pam(chan, weights, cfg, pam_cfg=None):
-    """Full alternating optimization with the penalized inner loop for F."""
+def run_pam(chan, weights, cfg, pam_cfg=None, seed=0):
+    """Full alternating optimization with the penalized inner loop for F.
+
+    The initial relay phases are uniform, from the "phase-init" substream of ``seed``.
+    """
     pam_cfg = pam_cfg if pam_cfg is not None else PamConfig()
-    f_init = _initial_matrix(chan.n_antennas, pam_cfg)
+    n = chan.n_antennas
+    f_init = np.exp(1j * substream(seed, "phase-init").uniform(0.0, 2.0 * np.pi, size=(n, n)))
     return _alternating_run("pam", f_init, chan, weights, cfg, pam_cfg)
 
 

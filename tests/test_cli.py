@@ -95,6 +95,7 @@ CONFIG_ERROR_CASES = [
         ["optimize"],
         "radio: downlink_pathloss_db 4000 dB has no finite linear gain",
     ),
+    ({"pam": {"seed": 3}}, ["optimize"], "pam.seed: unknown key"),
 ]
 POSITIONAL_ID_CASES = 22
 CONFIG_ERROR_IDS = [
@@ -313,10 +314,11 @@ class TestSubcommands:
         )
         assert not (out / "summary.json").exists()
 
-    @pytest.mark.parametrize("scale, loss", [(1e154, "inf"), (1e160, "nan"), (1e200, "nan")])
+    @pytest.mark.parametrize("scale, loss", [(1e154, "inf"), (1e160, "nan"), (1e200, "nan"), (1e307, "nan")])
     def test_simulate_overflowing_task_is_numeric_error(self, tmp_path, capsys, scale, loss):
         # Targets this large overflow the task's optimal loss, so every loss
-        # gap would be written as NaN and every loss as Infinity.  The
+        # gap would be written as NaN and every loss as Infinity.  At 1e307
+        # the task's summed linear term overflows before any solve.  The
         # overflow itself prints no warning lines.
         cfg = _tiny_config(rounds=2, task={"dim": 4, "samples_per_user": 6, "target_scale": scale})
         out = tmp_path / "sim"
@@ -378,16 +380,16 @@ class TestSubcommands:
         results = json.loads((out / "solution_seed0.json").read_text())["results"]
         expected = {
             "pam": (
-                4.0658799411973835e-06,
-                4.068356550823936e-06,
+                2.651076045843791e-05,
+                2.651076045843791e-05,
                 [
-                    0.20188344396299707, 0.09103987385587714, 0.0065231350841706915,
-                    0.0015895848074134965, 0.0005812257664038695, 0.0002273370477507407,
-                    9.56228945006699e-05, 4.2274678333818216e-05, 1.9584142027238204e-05,
-                    9.344148340625212e-06, 4.6264558879239675e-06, 2.4755975086793513e-06,
-                    1.5390682003149091e-06, 1.1002549596064407e-06, 7.48790995125613e-07,
-                    4.984132403497312e-07, 3.27248094622193e-07, 2.1359541183140194e-07,
-                    1.3960342404572666e-07, 9.206616746639774e-08,
+                    0.28336959419041713, 0.13848006255416972, 0.12116059065242944,
+                    0.11418839426120814, 0.11160899719099167, 0.09457555394181728,
+                    0.030899695089290278, 0.012855812926041226, 0.007362861917011876,
+                    0.004141913107749915, 0.0024094214456958775, 0.0014303927864642485,
+                    0.0008665779008743959, 0.0005245226376131081, 0.0003182165639786487,
+                    0.0001940461046720665, 0.0001192050639441734, 7.389609743399634e-05,
+                    4.62777976458533e-05, 2.9297092159491024e-05,
                 ],
             ),
             "baseline": (0.16629679146179163, 0.16629679146179163, []),
@@ -399,6 +401,33 @@ class TestSubcommands:
             np.testing.assert_allclose(result["outer_objectives"][-1], last_outer, rtol=1e-12)
             assert len(result["inner_final_merit"]) == len(merits)
             np.testing.assert_allclose(result["inner_final_merit"], merits, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed, round_index", [(0, 0), (0, 2), (4, 0), (4, 2)])
+    def test_optimize_solves_simulates_block(self, tmp_path, seed, round_index):
+        # optimize --seed S --round-index I solves the fading block that
+        # simulate --seed S solves in round I, bit for bit in both modes,
+        # pam's random initial relay phases included.
+        out = tmp_path / "opt"
+        argv = ["optimize", "--seed", str(seed), "--round-index", str(round_index), "--mode", "both"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        results = json.loads((out / f"solution_seed{seed}.json").read_text())["results"]
+        cfg = parse_config(None)
+        report = flsim.run_experiment(
+            cfg.task.build(cfg.radio.n_users), cfg.radio, cfg.pam, cfg.train, rounds=round_index + 1,
+            seeds=(seed,),
+        )
+        for mode in ("pam", "baseline"):
+            sol = report.get(seed, mode).solutions[round_index]
+            result = results[mode]
+            assert result["objective"] == sol.objective
+            assert result["outer_objectives"] == sol.outer_objectives.tolist()
+            assert result["inner_final_merit"] == sol.inner_merits
+            for key, value in (
+                ("relay_matrix", sol.f_matrix),
+                ("receive_coefficients", sol.r_all),
+                ("transmit_coefficients", sol.t_all),
+            ):
+                assert result[key] == {"re": value.real.tolist(), "im": value.imag.tolist()}
 
     def test_simulate_golden_numbers(self, tmp_path):
         # Criterion 10's tiny config against recorded outputs: any drift in

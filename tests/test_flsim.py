@@ -147,7 +147,7 @@ def _bound_weight(round_index, source_index, n_users, smoothness, strong_convexi
     """The weight the bound at ``round_index`` gives round ``source_index``."""
     history = np.zeros(round_index + 1)
     history[source_index] = 1.0
-    return theorem1_bound(history, n_users, smoothness, strong_convexity, total)
+    return theorem1_bound(history, n_users, smoothness, strong_convexity, total)[-1]
 
 
 class TestBoundWeight:
@@ -181,16 +181,16 @@ class TestBoundWeight:
 
 class TestTheorem1Bound:
     def test_all_zero_history(self):
-        assert theorem1_bound(np.zeros(5), 2, 2.0, 0.5, 4.0) == 0.0
+        assert theorem1_bound(np.zeros(5), 2, 2.0, 0.5, 4.0)[-1] == 0.0
 
     def test_single_round(self):
-        assert theorem1_bound([1.0], 1, 1.0, 1.0, 1.0) == pytest.approx(2.5)
+        assert theorem1_bound([1.0], 1, 1.0, 1.0, 1.0)[-1] == pytest.approx(2.5)
 
     def test_independent_recompute(self):
         rng = substream(71, "bound-brute")
         history = rng.uniform(0.1, 2.0, 6)
         k, smooth, mu, total = 3, 2.0, 0.2, 5.0
-        got = theorem1_bound(history, k, smooth, mu, total)
+        got = theorem1_bound(history, k, smooth, mu, total)[-1]
         i = history.size - 1
         base = 1.0 - mu * total / (k * smooth)
         pre = k * smooth * (3.0 + 2.0 / k) / (2.0 * total)
@@ -199,16 +199,19 @@ class TestTheorem1Bound:
         )
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_batched_rows_equal_1d(self):
-        # One bound per leading index, each bit-identical to its row's 1-D
-        # bound, also for a strided slice of a longer history.
+    def test_every_round_of_every_row(self):
+        # The bound after each round i of each history row is the weighted
+        # sum over rounds 0..i, for leading axes and a strided slice too.
         rng = substream(77, "bound-batch")
         full = rng.uniform(0.1, 2.0, (2, 5, 9))
-        got = theorem1_bound(full[..., :7], 3, 2.0, 0.2, 5.0)
-        assert isinstance(got, np.ndarray) and got.shape == (2, 5)
-        for idx in np.ndindex(2, 5):
-            assert got[idx] == theorem1_bound(full[idx][:7], 3, 2.0, 0.2, 5.0)
-        assert isinstance(theorem1_bound(full[0, 0], 3, 2.0, 0.2, 5.0), float)
+        history = full[..., :7]
+        got = theorem1_bound(history, 3, 2.0, 0.2, 5.0)
+        assert got.shape == history.shape
+        base = 1.0 - 0.2 * 5.0 / (3 * 2.0)
+        pre = 3 * 2.0 * (3.0 + 2.0 / 3) / (2.0 * 5.0)
+        for i in range(7):
+            weights = pre * base ** np.arange(i, -1, -1)
+            np.testing.assert_allclose(got[..., i], history[..., : i + 1] @ weights, rtol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -384,7 +387,7 @@ class TestRunRound:
         )
         chan = sample_channels(radio, 2)
         weights = AggregationWeights(task.dataset_sizes)
-        pam_cfg = PamConfig(n_outer=6, m_inner=10, seed=1)
+        pam_cfg = PamConfig(n_outer=6, m_inner=10)
         objective = {
             mode: solve_round(mode, chan, weights, radio, pam_cfg, 0, 0).objective
             for mode in ("pam", "baseline")
@@ -513,7 +516,7 @@ class TestRunExperiment:
             monkeypatch.setattr(task, "optimum", lambda: (x_star, lambda_star))
             monkeypatch.setattr(task, "global_loss_batch", lambda x: np.full(len(x), np.inf))
         else:
-            monkeypatch.setattr(flsim, "theorem1_bound", lambda *args: np.float64(np.inf))
+            monkeypatch.setattr(flsim, "theorem1_bound", lambda history, *args: np.full(history.shape, np.inf))
         with pytest.raises(NumericError, match=message):
             run_experiment(task, radio, PamConfig(n_outer=1, m_inner=2), rounds=2, modes=("pam",))
 

@@ -65,7 +65,7 @@ class TestPamConfig:
         assert pc.rho == 1.0
         assert pc.n_outer == 20
         assert pc.m_inner == 50
-        assert [f.name for f in fields(PamConfig)] == ["rho", "n_outer", "m_inner", "seed"]
+        assert [f.name for f in fields(PamConfig)] == ["rho", "n_outer", "m_inner"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -1020,7 +1020,7 @@ class TestRunPam:
             uplink=np.array([[0.8 - 0.4j]]), downlink=np.array([[1.2 + 0.5j]])
         )
         w = AggregationWeights(np.array([1.0]))
-        sol = run_pam(chan, w, cfg, PamConfig(n_outer=5, m_inner=20, seed=3))
+        sol = run_pam(chan, w, cfg, PamConfig(n_outer=5, m_inner=20), seed=3)
         assert sol.objective <= 1e-10
 
     def test_output_invariants(self):
@@ -1034,7 +1034,7 @@ class TestRunPam:
         )
         chan = sample_channels(cfg, 11)
         w = AggregationWeights(rng.uniform(1, 4, 2))
-        sol = run_pam(chan, w, cfg, PamConfig(n_outer=4, m_inner=10, seed=1))
+        sol = run_pam(chan, w, cfg, PamConfig(n_outer=4, m_inner=10), seed=1)
         assert isinstance(sol, Solution)
         np.testing.assert_allclose(np.abs(sol.f_matrix), 1.0, atol=1e-12)
         assert np.all(np.abs(sol.t_all) ** 2 <= cfg.power_budget + 1e-9)
@@ -1072,7 +1072,7 @@ class TestRunPam:
         for seed in range(3):
             chan = sample_channels(cfg, 100 + seed)
             w = AggregationWeights(rng.uniform(1, 4, 3))
-            sol = run_pam(chan, w, cfg, PamConfig(n_outer=5, m_inner=15, seed=seed))
+            sol = run_pam(chan, w, cfg, PamConfig(n_outer=5, m_inner=15), seed=seed)
             for before, after in sol.r_update_pairs:
                 assert after <= before + 1e-9
             # Each t block runs from the r block's result to the next outer objective.
@@ -1089,9 +1089,9 @@ class TestRunPam:
         )
         chan = sample_channels(cfg, 4)
         w = AggregationWeights(np.array([1.0, 2.0]))
-        pc = PamConfig(n_outer=3, m_inner=8, seed=9)
-        a = run_pam(chan, w, cfg, pc)
-        b = run_pam(chan, w, cfg, pc)
+        pc = PamConfig(n_outer=3, m_inner=8)
+        a = run_pam(chan, w, cfg, pc, seed=9)
+        b = run_pam(chan, w, cfg, pc, seed=9)
         np.testing.assert_array_equal(a.f_matrix, b.f_matrix)
         np.testing.assert_array_equal(a.outer_objectives, b.outer_objectives)
 
@@ -1126,8 +1126,8 @@ class TestBaseline:
         wins = 0
         for seed in range(5):
             chan = sample_channels(cfg, seed)
-            pc = PamConfig(n_outer=6, m_inner=15, seed=seed)
-            pam = run_pam(chan, w, cfg, pc)
+            pc = PamConfig(n_outer=6, m_inner=15)
+            pam = run_pam(chan, w, cfg, pc, seed=seed)
             base = baseline_optimize(chan, w, cfg, pc)
             wins += pam.objective < base.objective
         assert wins >= 4

@@ -65,10 +65,10 @@ def test_closed_form_matches_chain(radio, seed, n_symbols):
 def test_optimizers_return_finite_links(radio, seed):
     chan = sample_channels(radio, seed)
     weights = AggregationWeights(substream(seed, "robustness-sizes").uniform(1.0, 5.0, radio.n_users))
-    pam_cfg = PamConfig(n_outer=3, m_inner=10, seed=seed)
-    for optimize in (run_pam, baseline_optimize):
+    pam_cfg = PamConfig(n_outer=3, m_inner=10)
+    for optimize, kwargs in ((run_pam, {"seed": seed}), (baseline_optimize, {})):
         try:
-            sol = optimize(chan, weights, radio, pam_cfg)
+            sol = optimize(chan, weights, radio, pam_cfg, **kwargs)
         except NumericError:
             continue
         for value in (sol.f_matrix, sol.r_all, sol.t_all, sol.objective, sol.outer_objectives):

@@ -127,10 +127,17 @@ def mse_bracket_terms(f_matrix, r_all, t_all, chan, weights, cfg):
     if r_all.size != chan.n_users or t_all.size != chan.n_users or alpha.size != chan.n_users:
         raise ValueError("r_all, t_all and weights must all cover every user")
     gains, row_norm_sq = _effective_gains(f_matrix, chan)
-    misalign = r_all[:, None] * gains * t_all[None, :] - alpha[None, :]
-    signal = np.sum(np.abs(misalign) ** 2, axis=1)
-    relay_noise, local_noise = _noise_terms(r_all, row_norm_sq, cfg)
-    return signal + relay_noise + local_noise
+    return _bracket_rows(r_all[:, None] * gains, alpha, t_all, _noise_terms(r_all, row_norm_sq, cfg))
+
+
+def _bracket_rows(coeff, alpha, t_all, noise):
+    """Per-user brackets sum_j |coeff[k, j] t_j - alpha_j|^2 + relay_k + local_k.
+
+    ``coeff[k, j]`` is r_k g_k^H F h_j and ``noise`` the pair (relay, local)
+    of per-user noise terms; ``pam.update_t`` evaluates it at many t.
+    """
+    resid = coeff * t_all[None, :] - alpha[None, :]
+    return np.sum(np.abs(resid) ** 2, axis=1) + noise[0] + noise[1]
 
 
 def _noise_terms(r_all, row_norm_sq, cfg):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import aircomp, checks
 from .channel import RadioConfig, sample_channels, substream
-from .flsim import LocalTrainConfig, make_logistic_task, make_quadratic_task, run_experiment, solve_round
+from .flsim import LocalTrainConfig, TaskSpec, run_experiment, solve_round
 from .linalg import NumericError
 from .pam import PamConfig
 
@@ -60,52 +60,6 @@ def _at_least(value, minimum, path):
     if value < minimum:
         raise ConfigError(f"{path}: must be at least {minimum}")
     return value
-
-
-@dataclass
-class TaskSpec:
-    """Declarative description of the synthetic training task."""
-
-    kind: str = "quadratic"
-    dim: int = 10
-    samples_per_user: int = 20
-    rows_per_sample: int = 2
-    heterogeneity: float = 0.5
-    target_scale: float = 1.0
-    whiten: bool = True
-    l2: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("quadratic", "logistic"):
-            raise ConfigError(f"task.kind: unknown task kind {self.kind!r}")
-        for key in ("dim", "samples_per_user", "rows_per_sample"):
-            _at_least(getattr(self, key), 1, f"task.{key}")
-        if self.kind == "logistic" and not self.l2 > 0:
-            raise ConfigError("task.l2: must be strictly positive for a logistic task")
-
-    def build(self, n_users):
-        try:
-            if self.kind == "quadratic":
-                return make_quadratic_task(
-                    n_users=n_users,
-                    dim=self.dim,
-                    samples_per_user=self.samples_per_user,
-                    rows_per_sample=self.rows_per_sample,
-                    heterogeneity=self.heterogeneity,
-                    target_scale=self.target_scale,
-                    whiten=self.whiten,
-                    seed=self.seed,
-                )
-            return make_logistic_task(
-                n_users=n_users,
-                dim=self.dim,
-                samples_per_user=self.samples_per_user,
-                l2=self.l2,
-                seed=self.seed,
-            )
-        except ValueError as exc:  # e.g. a sample draw too small to whiten
-            raise ConfigError(f"task: {exc}") from exc
 
 
 @dataclass
@@ -287,6 +241,7 @@ def _modes(cfg, override=None):
 
 
 def _cmd_optimize(cfg, args):
+    _at_least(args.round_index, 0, "--round-index")
     out_dir = args.out or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     seed = cfg.seeds[0] if args.seed is None else args.seed
@@ -316,14 +271,10 @@ def _cmd_optimize(cfg, args):
 def _cmd_simulate(cfg, args):
     rounds = _at_least(cfg.rounds if args.rounds is None else args.rounds, 1, "--rounds")
     replays = _at_least(cfg.replays if args.replays is None else args.replays, 1, "--replays")
-    task = cfg.task.build(cfg.radio.n_users)
     try:
-        cfg.train.resolve_step(task)
-    except ValueError as exc:
-        reason = f"task.dim {cfg.task.dim} is odd and its padded coordinate carries no data" if task.padded else exc
-        raise ConfigError(
-            f"train.step_size: null needs a strongly convex task, but {reason}; set train.step_size"
-        ) from exc
+        task = cfg.task.build(cfg.radio.n_users)
+    except ValueError as exc:  # a sample draw too small to whiten
+        raise ConfigError(f"task: {exc}") from exc
     out_dir = args.out or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     seeds = cfg.seeds if args.seed is None else (args.seed,)

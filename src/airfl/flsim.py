@@ -10,9 +10,9 @@ share one optimized solution.  :func:`run_experiment` is the round loop: it
 advances all replays of a (seed, mode) run together and records their
 averaged per-round series.
 
-Also provides synthetic strongly-convex tasks (least squares, L2-regularized
-logistic regression) and the geometric-decay loss-gap bound that links the
-per-round worst-user MSE to the expected optimality gap.
+Also provides the synthetic tasks (least squares, L2-regularized logistic
+regression), drawn by :class:`TaskSpec`, and the geometric-decay loss-gap
+bound that links the per-round worst-user MSE to the expected optimality gap.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aircomp import AggregationWeights, analytic_mse, global_target, over_the_air
-from .channel import derive_seed, sample_awgn, sample_channels
+from .channel import derive_seed, sample_awgn, sample_channels, substream
 from .linalg import NumericError, dense_solve
 from .pam import PamConfig, baseline_optimize, run_pam
 
@@ -35,9 +35,8 @@ __all__ = [
     "LogisticTask",
     "ModeTrajectory",
     "QuadraticTask",
+    "TaskSpec",
     "local_gd",
-    "make_logistic_task",
-    "make_quadratic_task",
     "round_step",
     "run_experiment",
     "solve_round",
@@ -52,7 +51,7 @@ class BoundAssumptionWarning(UserWarning):
 
 @dataclass
 class CurvatureConstants:
-    """Strong convexity of the global loss and the per-user smoothness constant.
+    """Strong convexity of the global loss (0 if none) and the per-user smoothness constant.
 
     ``smoothness`` is the largest eigenvalue of a single user's *summed*
     per-sample Hessian (not the average), matching the convention the bound
@@ -81,38 +80,60 @@ class LocalTrainConfig:
         """Explicit step if set, else total_samples / (K * smoothness)."""
         if self.step_size is not None:
             return float(self.step_size)
-        consts = task.curvature()
         sizes = task.dataset_sizes
-        return float(sizes.sum()) / (sizes.size * consts.smoothness)
+        return float(sizes.sum()) / (sizes.size * task.curvature().smoothness)
 
 
-class QuadraticTask:
-    """Per-sample losses 0.5 ||A_d x - b_d||^2 distributed over users.
+class _Task:
+    """Training data split over users, the layout both tasks share.
 
-    ``features[k]`` is (n_k, rows, dim) and ``targets[k]`` is (n_k, rows).
-    If ``dim`` is odd the task pads one all-zero coordinate so that the
-    pairwise symbol packing applies; the padded coordinate carries no data,
-    so such tasks are not strongly convex and ``curvature()`` refuses them.
+    ``features[k]`` is user k's (n_k, ..., dim) block and ``targets[k]`` its
+    (n_k, ...) block of responses.  If ``dim`` is odd the task pads one
+    all-zero coordinate so that the pairwise symbol packing applies; the
+    padded coordinate carries no data.
     """
+
+    _layout = None  # (feature ndim, description) of one user's blocks
 
     def __init__(self, features, targets):
         if len(features) != len(targets) or not features:
             raise ValueError("features and targets must be nonempty and aligned")
-        dim = np.asarray(features[0]).shape[2]
+        ndim, layout = self._layout
+        dim = np.asarray(features[0]).shape[-1]
         self.padded = bool(dim % 2)
         self.features = []
         self.targets = []
         for blk_a, blk_b in zip(features, targets):
             blk_a = np.asarray(blk_a, dtype=float)
             blk_b = np.asarray(blk_b, dtype=float)
-            if blk_a.ndim != 3 or blk_b.shape != blk_a.shape[:2] or blk_a.shape[2] != dim:
-                raise ValueError("every user needs (n, rows, dim) features and (n, rows) targets")
+            if blk_a.ndim != ndim or blk_b.shape != blk_a.shape[:-1] or blk_a.shape[-1] != dim:
+                raise ValueError(f"every user needs {layout}")
             if self.padded:
-                blk_a = np.concatenate([blk_a, np.zeros(blk_a.shape[:2] + (1,))], axis=2)
+                blk_a = np.concatenate([blk_a, np.zeros(blk_a.shape[:-1] + (1,))], axis=-1)
             self.features.append(blk_a)
             self.targets.append(blk_b)
         self.dim = dim + (1 if self.padded else 0)
         self.dataset_sizes = np.array([blk.shape[0] for blk in self.features], dtype=float)
+
+    @property
+    def n_users(self):
+        return len(self.features)
+
+    def global_loss(self, x):
+        return float(self.global_loss_batch(np.asarray(x, dtype=float)[None, :])[0])
+
+
+class QuadraticTask(_Task):
+    """Per-sample losses 0.5 ||A_d x - b_d||^2 distributed over users.
+
+    ``features[k]`` is (n_k, rows, dim) and ``targets[k]`` is (n_k, rows).
+    A padded task is not strongly convex: ``curvature()`` reports 0.
+    """
+
+    _layout = (3, "(n, rows, dim) features and (n, rows) targets")
+
+    def __init__(self, features, targets):
+        super().__init__(features, targets)
         # Per-user summed Hessian and linear term; averages divide by n_k.
         # Data near the float range overflow here or in optimum(), which then
         # reports a non-finite optimal loss.
@@ -126,16 +147,9 @@ class QuadraticTask:
             self._global_lin = sum(self._lin_sum) / total
             self._const = sum(float(np.sum(tgt * tgt)) for tgt in self.targets) / (2.0 * total)
 
-    @property
-    def n_users(self):
-        return len(self.features)
-
     def local_gradient_batch(self, k, x_batch):
         n_k = self.dataset_sizes[k]
         return (x_batch @ self._hess_sum[k] - self._lin_sum[k][None, :]) / n_k
-
-    def global_loss(self, x):
-        return float(self.global_loss_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def global_loss_batch(self, x_batch):
         x_batch = np.asarray(x_batch, dtype=float)
@@ -156,50 +170,29 @@ class QuadraticTask:
             return x_star, self.global_loss(x_star)
 
     def curvature(self):
+        """Smallest global Hessian eigenvalue (0 at or below 1e-12) and per-user smoothness."""
         mu = float(np.linalg.eigvalsh(self._global_hess)[0])
-        if mu <= 1e-12:
-            raise ValueError(
-                "task is not strongly convex (smallest global Hessian eigenvalue "
-                f"{mu:.3e}); the convergence-bound tooling requires strong convexity"
-            )
         smooth = max(float(np.linalg.eigvalsh(h)[-1]) for h in self._hess_sum)
-        return CurvatureConstants(strong_convexity=mu, smoothness=smooth)
+        return CurvatureConstants(strong_convexity=mu if mu > 1e-12 else 0.0, smoothness=smooth)
 
 
-class LogisticTask:
+class LogisticTask(_Task):
     """L2-regularized logistic regression with +/-1 labels, split over users.
 
-    The regularizer lambda/2 ||x||^2 is folded into every per-sample loss, so
-    the task is lambda-strongly convex even on a padded coordinate.
+    ``features[k]`` is (n_k, dim) and ``targets[k]`` the (n_k,) labels.  The
+    regularizer lambda/2 ||x||^2 is folded into every per-sample loss, so the
+    task is lambda-strongly convex even on a padded coordinate.
     """
 
+    _layout = (2, "(n, dim) features and (n,) labels")
+
     def __init__(self, features, labels, l2):
-        if len(features) != len(labels) or not features:
-            raise ValueError("features and labels must be nonempty and aligned")
         if not l2 > 0:
             raise ValueError("l2 must be strictly positive")
+        super().__init__(features, labels)
+        if not all(np.all(np.abs(blk) == 1) for blk in self.targets):
+            raise ValueError("labels must be +1 or -1")
         self.l2 = float(l2)
-        dim = np.asarray(features[0]).shape[1]
-        self.padded = bool(dim % 2)
-        self.features = []
-        self.labels = []
-        for blk_a, blk_y in zip(features, labels):
-            blk_a = np.asarray(blk_a, dtype=float)
-            blk_y = np.asarray(blk_y, dtype=float)
-            if blk_a.ndim != 2 or blk_y.shape != (blk_a.shape[0],) or blk_a.shape[1] != dim:
-                raise ValueError("every user needs (n, dim) features and (n,) labels")
-            if not np.all(np.abs(blk_y) == 1):
-                raise ValueError("labels must be +1 or -1")
-            if self.padded:
-                blk_a = np.concatenate([blk_a, np.zeros((blk_a.shape[0], 1))], axis=1)
-            self.features.append(blk_a)
-            self.labels.append(blk_y)
-        self.dim = dim + (1 if self.padded else 0)
-        self.dataset_sizes = np.array([blk.shape[0] for blk in self.features], dtype=float)
-
-    @property
-    def n_users(self):
-        return len(self.features)
 
     @staticmethod
     def _sigmoid(v):
@@ -212,20 +205,17 @@ class LogisticTask:
 
     def local_gradient_batch(self, k, x_batch):
         a = self.features[k]
-        y = self.labels[k]
+        y = self.targets[k]
         margins = y[None, :] * (x_batch @ a.T)
         weights_neg = self._sigmoid(-margins)
         grad = -np.einsum("rn,ni->ri", weights_neg * y[None, :], a) / a.shape[0]
         return grad + self.l2 * x_batch
 
-    def global_loss(self, x):
-        return float(self.global_loss_batch(np.asarray(x, dtype=float)[None, :])[0])
-
     def global_loss_batch(self, x_batch):
         x_batch = np.asarray(x_batch, dtype=float)
         total = self.dataset_sizes.sum()
         acc = np.zeros(x_batch.shape[0])
-        for a, y in zip(self.features, self.labels):
+        for a, y in zip(self.features, self.targets):
             margins = y[None, :] * (x_batch @ a.T)
             acc += np.sum(np.logaddexp(0.0, -margins), axis=1)
         return acc / total + 0.5 * self.l2 * np.sum(x_batch * x_batch, axis=1)
@@ -234,7 +224,7 @@ class LogisticTask:
         total = self.dataset_sizes.sum()
         grad = np.zeros(self.dim)
         hess = np.zeros((self.dim, self.dim))
-        for a, y in zip(self.features, self.labels):
+        for a, y in zip(self.features, self.targets):
             margins = y * (a @ x)
             s = self._sigmoid(-margins)
             grad -= (s * y) @ a
@@ -272,65 +262,72 @@ class LogisticTask:
         return CurvatureConstants(strong_convexity=self.l2, smoothness=smooth)
 
 
-def make_quadratic_task(
-    n_users=3,
-    dim=10,
-    samples_per_user=20,
-    rows_per_sample=2,
-    heterogeneity=0.5,
-    target_scale=1.0,
-    whiten=True,
-    seed=0,
-):
-    """Random least-squares task with controllable conditioning.
+@dataclass
+class TaskSpec:
+    """The synthetic training task, drawn for K users by :meth:`build`.
 
-    With ``whiten=True`` the feature blocks are linearly reparameterized so
-    the global Hessian is exactly the identity, which keeps the canonical
-    step size well inside the stable region.  ``heterogeneity`` shifts each
-    user's local optimum away from the shared target, so local and global
-    minimizers differ (the interesting federated regime).
+    A quadratic task gives every user ``samples_per_user`` samples of
+    ``rows_per_sample`` rows.  With ``whiten`` the features are linearly
+    reparameterized so the global Hessian is exactly the identity, which
+    keeps the canonical step size well inside the stable region.  The targets
+    fit a shared parameter of scale ``target_scale``, shifted per user by
+    ``heterogeneity`` so that local and global minimizers differ (the
+    interesting federated regime).  A logistic task labels
+    ``samples_per_user`` Gaussian samples per user by a random direction plus
+    noise and has the regularizer ``l2``.
     """
-    from .channel import substream
 
-    rng = substream(seed, "quadratic-task")
-    k = int(n_users)
-    raw_dim = int(dim)
-    rows = int(rows_per_sample)
-    n_k = int(samples_per_user)
-    if k < 1 or raw_dim < 1 or rows < 1 or n_k < 1:
-        raise ValueError("n_users, dim, rows_per_sample, samples_per_user must be positive")
-    feats = [rng.standard_normal((n_k, rows, raw_dim)) / np.sqrt(rows) for _ in range(k)]
-    if whiten:
-        total = float(k * n_k)
-        gram = sum(np.einsum("npi,npj->ij", a, a) for a in feats) / total
-        vals, vecs = np.linalg.eigh(gram)
-        if vals[0] <= 1e-10:
-            raise ValueError("degenerate sample draw; increase samples_per_user or rows_per_sample")
-        whitener = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
-        feats = [a @ whitener for a in feats]
-    shared = target_scale * rng.standard_normal(raw_dim) / np.sqrt(raw_dim)
-    targets = []
-    for a in feats:
-        shift = heterogeneity * rng.standard_normal(raw_dim) / np.sqrt(raw_dim)
-        targets.append(np.einsum("npi,i->np", a, shared + shift))
-    return QuadraticTask(feats, targets)
+    kind: str = "quadratic"
+    dim: int = 10
+    samples_per_user: int = 20
+    rows_per_sample: int = 2
+    heterogeneity: float = 0.5
+    target_scale: float = 1.0
+    whiten: bool = True
+    l2: float = 0.1
+    seed: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("quadratic", "logistic"):
+            raise ValueError(f"unknown task kind {self.kind!r}")
+        for key in ("dim", "samples_per_user", "rows_per_sample"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1")
+        if self.kind == "logistic" and not self.l2 > 0:
+            raise ValueError("l2 must be strictly positive for a logistic task")
 
-def make_logistic_task(n_users=3, dim=10, samples_per_user=40, l2=0.1, seed=0):
-    """Random separable-ish logistic task with an L2 regularizer."""
-    from .channel import substream
+    def build(self, n_users):
+        """Draw the task from the seed's "<kind>-task" substream.
 
-    rng = substream(seed, "logistic-task")
-    k = int(n_users)
-    direction = rng.standard_normal(int(dim))
-    direction /= np.linalg.norm(direction)
-    feats, labels = [], []
-    for _ in range(k):
-        a = rng.standard_normal((int(samples_per_user), int(dim)))
-        noise = 0.5 * rng.standard_normal(int(samples_per_user))
-        labels.append(np.where(a @ direction + noise >= 0, 1.0, -1.0))
-        feats.append(a)
-    return LogisticTask(feats, labels, l2=l2)
+        Raises ``ValueError`` when a quadratic draw is too degenerate to whiten.
+        """
+        rng = substream(self.seed, f"{self.kind}-task")
+        dim, n_k = self.dim, self.samples_per_user
+        if self.kind == "logistic":
+            direction = rng.standard_normal(dim)
+            direction /= np.linalg.norm(direction)
+            feats, labels = [], []
+            for _ in range(n_users):
+                a = rng.standard_normal((n_k, dim))
+                noise = 0.5 * rng.standard_normal(n_k)
+                labels.append(np.where(a @ direction + noise >= 0, 1.0, -1.0))
+                feats.append(a)
+            return LogisticTask(feats, labels, self.l2)
+        rows = self.rows_per_sample
+        feats = [rng.standard_normal((n_k, rows, dim)) / np.sqrt(rows) for _ in range(n_users)]
+        if self.whiten:
+            gram = sum(np.einsum("npi,npj->ij", a, a) for a in feats) / float(n_users * n_k)
+            vals, vecs = np.linalg.eigh(gram)
+            if vals[0] <= 1e-10:
+                raise ValueError("degenerate sample draw; increase samples_per_user or rows_per_sample")
+            whitener = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
+            feats = [a @ whitener for a in feats]
+        shared = self.target_scale * rng.standard_normal(dim) / np.sqrt(dim)
+        targets = []
+        for a in feats:
+            shift = self.heterogeneity * rng.standard_normal(dim) / np.sqrt(dim)
+            targets.append(np.einsum("npi,i->np", a, shared + shift))
+        return QuadraticTask(feats, targets)
 
 
 def local_gd(task, k, x_batch, step_size, n_steps):
@@ -489,16 +486,7 @@ class ExperimentReport:
         return self.trajectories[(int(seed), mode)]
 
 
-def run_experiment(
-    task,
-    radio,
-    pam_cfg=None,
-    train_cfg=None,
-    rounds=15,
-    seeds=(0,),
-    modes=("pam", "baseline"),
-    replays=1,
-):
+def run_experiment(task, radio, pam_cfg=None, train_cfg=None, *, rounds, seeds, modes, replays):
     """Paired federated runs across seeds and link-optimization modes.
 
     Channel fading and transmission noise are keyed by (seed, round) only, so
@@ -506,7 +494,7 @@ def run_experiment(
     replay shares the per-round optimized link (which is independent of the
     model parameters).  Per-round series are averaged over replays.  Raises
     ``NumericError`` when the task's optimal loss, a round's loss or loss gap,
-    or (for a task with curvature constants) a round's bound is not finite.
+    or (for a strongly convex task) a round's bound is not finite.
     """
     pam_cfg = pam_cfg if pam_cfg is not None else PamConfig()
     train_cfg = train_cfg if train_cfg is not None else LocalTrainConfig()
@@ -524,12 +512,9 @@ def run_experiment(
     if not np.isfinite(lambda_star):
         raise NumericError(
             f"the task's optimal loss is {lambda_star:g}: its data are too large for "
-            "float64 (try a smaller task.target_scale)"
+            "float64 (try a smaller task.target_scale or task.heterogeneity)"
         )
-    try:
-        consts = task.curvature()
-    except ValueError:
-        consts = None
+    consts = task.curvature()
     total = float(task.dataset_sizes.sum())
     trajectories = {}
     for seed in seeds:
@@ -556,7 +541,7 @@ def run_experiment(
             loss_gap = loss - lambda_star
             bad = ~np.isfinite(loss_gap)
             bound = np.full(rounds, np.nan)
-            if consts is not None:
+            if consts.strong_convexity > 0:
                 # The bound is linear in the MSEs: that of the replay mean is the mean bound.
                 bound = theorem1_bound(
                     max_mse, task.n_users, consts.smoothness, consts.strong_convexity, total
@@ -575,7 +560,7 @@ def run_experiment(
                 bound=bound,
                 objective=np.array([sol.objective for sol in solutions]),
                 decoded_gap=decoded_gap,
-                # NaN bounds (no curvature constants) compare False.
+                # NaN bounds (not strongly convex) compare False.
                 bound_ok=decoded_gap.max(axis=1) <= bound,
                 solutions=solutions,
             )

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aircomp import _effective_gains, _noise_terms, mse_bracket_terms
+from .aircomp import _bracket_rows, _effective_gains, _noise_terms, mse_bracket_terms
 from .channel import substream
 from .linalg import CONDITION_LIMIT, IllConditionedError, NumericError, phase_project
 
@@ -159,14 +159,6 @@ def update_r(f_matrix, t_all, chan, weights, cfg):
             "and no noise reaches it (zero noise powers), so the equalizer is undefined"
         )
     return numerator / denominator
-
-
-def _transmit_rows(coeff, alpha, t_all, noise):
-    """Per-user brackets sum_j |coeff[k, j] t_j - alpha_j|^2 + relay_k + local_k,
-    bit for bit as :func:`aircomp.mse_bracket_terms` adds them; ``noise``
-    stacks the rows (relay, local)."""
-    resid = coeff * t_all[None, :] - alpha[None, :]
-    return np.sum(np.abs(resid) ** 2, axis=1) + noise[0] + noise[1]
 
 
 class _DualPoint(NamedTuple):
@@ -349,7 +341,7 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
     t_init = np.asarray(t_init, dtype=complex).reshape(-1)
     noise = np.stack(_noise_terms(r_all, row_norm_sq, cfg))
     best_t = t_init
-    best_val = float(np.max(_transmit_rows(coeff, alpha, t_init, noise)))
+    best_val = float(np.max(_bracket_rows(coeff, alpha, t_init, noise)))
     if float(np.max(coeff_sq)) == 0.0:
         return t_init, 0.0, best_val, 0
 
@@ -372,7 +364,7 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
         nonlocal count
         count += 1
         t, clipped = _weighted_minimizer(lam, coeff, coeff_sq, alpha, cap, t_init)
-        rows = _transmit_rows(coeff, alpha, t, noise)
+        rows = _bracket_rows(coeff, alpha, t, noise)
         return _DualPoint(lam, t, clipped, rows, float(lam @ rows))
 
     point = evaluate(np.full(coeff.shape[0], 1.0 / coeff.shape[0]))

@@ -17,7 +17,7 @@ from airfl.channel import RadioConfig, sample_channels, substream
 from airfl.cli import main
 from airfl.flsim import (
     LocalTrainConfig,
-    make_quadratic_task,
+    TaskSpec,
     round_step,
     run_experiment,
     solve_round,
@@ -140,7 +140,7 @@ def test_criterion_06_transmit_solver_matches_grid_search():
 
 
 def test_criterion_07_perfect_link_reproduces_centralized_descent():
-    task = make_quadratic_task(n_users=1, dim=10, samples_per_user=20, seed=0)
+    task = TaskSpec(dim=10, samples_per_user=20, seed=0).build(1)
     radio = RadioConfig(
         n_antennas=2,
         n_users=1,
@@ -170,7 +170,7 @@ def test_criterion_07_perfect_link_reproduces_centralized_descent():
 
 
 def test_criterion_08_loss_gap_bound_holds_in_final_third():
-    task = make_quadratic_task(n_users=3, dim=10, samples_per_user=20, seed=0)
+    task = TaskSpec(dim=10, samples_per_user=20, seed=0).build(3)
     radio = RadioConfig(**REFERENCE_RADIO)
     report = run_experiment(
         task,
@@ -202,7 +202,7 @@ def test_criterion_08_loss_gap_bound_holds_in_final_third():
 
 def test_criterion_09_relay_optimization_beats_fixed_relay():
     t0 = time.time()
-    task = make_quadratic_task(n_users=3, dim=10, samples_per_user=20, seed=0)
+    task = TaskSpec(dim=10, samples_per_user=20, seed=0).build(3)
     radio = RadioConfig(**REFERENCE_RADIO)
     seeds = tuple(range(20))
     report = run_experiment(

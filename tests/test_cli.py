@@ -51,16 +51,12 @@ CONFIG_ERROR_CASES = [
     ({}, ["simulate", "--rounds", "-3"], "--rounds: must be at least 1"),
     ({}, ["simulate", "--rounds", "0"], "--rounds: must be at least 1"),
     ({}, ["simulate", "--replays", "0"], "--replays: must be at least 1"),
-    ({"task": {"dim": 0}}, ["optimize"], "task.dim: must be at least 1"),
-    ({"task": {"samples_per_user": 0}}, ["optimize"], "task.samples_per_user"),
-    ({"task": {"rows_per_sample": 0}}, ["simulate"], "task.rows_per_sample"),
+    ({"task": {"dim": 0}}, ["optimize"], "task: dim must be at least 1"),
+    ({"task": {"samples_per_user": 0}}, ["optimize"], "task: samples_per_user must be at least 1"),
+    ({"task": {"rows_per_sample": 0}}, ["simulate"], "task: rows_per_sample must be at least 1"),
     ({"pam": {"u_block": "exact"}}, ["optimize"], "pam.u_block: unknown key"),
     ({"pam": {"u_ridge": "full"}}, ["optimize"], "pam.u_ridge: unknown key"),
-    (
-        {"task": {"dim": 5, "samples_per_user": 6}},
-        ["simulate"],
-        "train.step_size: null needs a strongly convex task, but task.dim 5 is odd",
-    ),
+    ({}, ["optimize", "--round-index", "-1"], "--round-index: must be at least 0"),
     ({"radio": {"noise_power_server": float("nan")}}, ["optimize"], "radio.noise_power_server: must be finite"),
     ({"radio": {"power_budget": float("inf")}}, ["optimize"], "radio.power_budget: must be finite"),
     (
@@ -72,7 +68,7 @@ CONFIG_ERROR_CASES = [
     (
         {"task": {"kind": "logistic", "l2": 0}},
         ["simulate"],
-        "task.l2: must be strictly positive for a logistic task",
+        "task: l2 must be strictly positive for a logistic task",
     ),
     ({"pam": {"t_solver_iters": 2000}}, ["optimize"], "pam.t_solver_iters: unknown key"),
     ({"pam": {"t_solver_tol": 1e-12}}, ["optimize"], "pam.t_solver_tol: unknown key"),
@@ -98,8 +94,16 @@ CONFIG_ERROR_CASES = [
     ({"pam": {"seed": 3}}, ["optimize"], "pam.seed: unknown key"),
 ]
 POSITIONAL_ID_CASES = 22
+# The messages of positional cases whose ids were recorded before the
+# message changed; the ids keep the recorded text.
+RECORDED_ID_MESSAGES = {
+    5: "task.dim: must be at least 1",
+    6: "task.samples_per_user",
+    7: "task.rows_per_sample",
+    15: "task.l2: must be strictly positive for a logistic task",
+}
 CONFIG_ERROR_IDS = [
-    f"overrides{i}-argv{i}-{message}" if i < POSITIONAL_ID_CASES else message
+    f"overrides{i}-argv{i}-{RECORDED_ID_MESSAGES.get(i, message)}" if i < POSITIONAL_ID_CASES else message
     for i, (_, _, message) in enumerate(CONFIG_ERROR_CASES)
 ]
 
@@ -139,7 +143,7 @@ class TestParseConfig:
             ({"radio": {"n_antennas": "eight"}}, "radio.n_antennas: expected int, got 'eight'"),
             ({"radio": {"pathloss_db": []}}, "radio.pathloss_db: expected a number or nonempty list of numbers"),
             ({"rounds": 0}, "rounds: must be at least 1"),
-            ({"task": {"kind": "svm"}}, "task.kind: unknown task kind 'svm'"),
+            ({"task": {"kind": "svm"}}, "task: unknown task kind 'svm'"),
             ({"mode": "fastest"}, "mode: expected 'pam', 'baseline' or 'both', got 'fastest'"),
             ({"seeds": []}, "seeds: expected an integer or nonempty list of integers"),
             ({"seeds": [1, "a"]}, "seeds[1]: expected int, got 'a'"),
@@ -272,11 +276,26 @@ class TestSubcommands:
         cfg = _tiny_config(task={"dim": 5, "samples_per_user": 6}, train={"step_size": 0.05})
         out = tmp_path / "sim"
         assert main(["--config", self._write(tmp_path, cfg), "simulate", "--out", str(out)]) == EXIT_OK
-        # The padded task has no curvature constants, so no bound is computed.
+        # The padded task is not strongly convex, so no bound is computed.
         rows = (out / "trajectories_seed0.csv").read_text().splitlines()[2:]
         assert len(rows) == 3 * 2 and all(row.split(",")[5] == "nan" for row in rows)
         summary = json.loads((out / "summary.json").read_text())["summary"]["0"]
         assert all(summary[mode]["bound_ok_final_third"] is None for mode in ("pam", "baseline"))
+
+    @pytest.mark.parametrize(
+        "task",
+        [{"dim": 5}, {"whiten": False, "samples_per_user": 1, "rows_per_sample": 1}],
+        ids=["padded", "rank-deficient"],
+    )
+    def test_simulate_default_step_needs_only_smoothness(self, tmp_path, task):
+        # The default step total_samples / (K * smoothness) uses no strong
+        # convexity, so a task without it trains; only its bound is undefined.
+        out = tmp_path / "sim"
+        cfg_path = self._write(tmp_path, _tiny_config(task=task))
+        assert main(["--config", cfg_path, "simulate", "--out", str(out)]) == EXIT_OK
+        rows = [row.split(",") for row in (out / "trajectories_seed0.csv").read_text().splitlines()[2:]]
+        assert len(rows) == 3 * 2 and all(row[5] == "nan" for row in rows)
+        assert np.all(np.isfinite([float(v) for row in rows for v in row[2:5]]))
 
     def test_simulate_all_zero_parameters_is_numeric_error(self, tmp_path, capsys):
         # Zero targets keep every local update at zero, so no replay has a
@@ -327,6 +346,14 @@ class TestSubcommands:
         assert f"numeric failure: the task's optimal loss is {loss}" in err
         assert "Warning" not in err
         assert not (out / "summary.json").exists()
+
+    def test_simulate_overflowing_heterogeneity_names_both_keys(self, tmp_path, capsys):
+        # Per-user shifts this large overflow the optimal loss just as large
+        # targets do, and the hint names both keys that scale the targets.
+        cfg = _tiny_config(rounds=2, task={"dim": 4, "samples_per_user": 6, "heterogeneity": 1e200})
+        argv = ["--config", self._write(tmp_path, cfg), "simulate", "--out", str(tmp_path / "sim")]
+        assert main(argv) == EXIT_NUMERIC
+        assert "(try a smaller task.target_scale or task.heterogeneity)" in capsys.readouterr().err
 
     def test_mse_check_non_finite_is_numeric_error(self, tmp_path, capsys, monkeypatch):
         # An overflowing closed form makes every z infinite or NaN: that is
@@ -414,7 +441,7 @@ class TestSubcommands:
         cfg = parse_config(None)
         report = flsim.run_experiment(
             cfg.task.build(cfg.radio.n_users), cfg.radio, cfg.pam, cfg.train, rounds=round_index + 1,
-            seeds=(seed,),
+            seeds=(seed,), modes=("pam", "baseline"), replays=1,
         )
         for mode in ("pam", "baseline"):
             sol = report.get(seed, mode).solutions[round_index]

@@ -1,5 +1,7 @@
 """Tests for the federated training harness, tasks, and the loss-gap bound."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,8 @@ from airfl.flsim import (
     LocalTrainConfig,
     LogisticTask,
     QuadraticTask,
+    TaskSpec,
     local_gd,
-    make_logistic_task,
-    make_quadratic_task,
     round_step,
     run_experiment,
     solve_round,
@@ -48,7 +49,7 @@ class TestLocalTrainConfig:
 
     def test_canonical_step(self):
         # step = total_samples / (K * smoothness)
-        task = make_quadratic_task(n_users=2, dim=4, samples_per_user=10, seed=0)
+        task = TaskSpec(dim=4, samples_per_user=10, seed=0).build(2)
         consts = task.curvature()
         step = LocalTrainConfig().resolve_step(task)
         assert step == pytest.approx(20.0 / (2.0 * consts.smoothness), rel=1e-12)
@@ -66,7 +67,7 @@ class TestLocalGd:
             np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-14)
 
     def test_fixed_point_at_local_optimum(self):
-        task = make_quadratic_task(n_users=2, dim=4, samples_per_user=8, seed=1)
+        task = TaskSpec(dim=4, samples_per_user=8, seed=1).build(2)
         # local optimum of user 0: solve its own normal equations
         h = task._hess_sum[0]
         x_star = np.linalg.solve(h, task._lin_sum[0])
@@ -75,8 +76,8 @@ class TestLocalGd:
 
     def test_gradient_matches_finite_differences(self):
         rng = substream(70, "gd-fd")
-        quad = make_quadratic_task(n_users=2, dim=4, samples_per_user=6, seed=2)
-        logit = make_logistic_task(n_users=2, dim=4, samples_per_user=10, seed=2)
+        quad = TaskSpec(dim=4, samples_per_user=6, seed=2).build(2)
+        logit = TaskSpec(kind="logistic", dim=4, samples_per_user=10, seed=2).build(2)
         h = 1e-6
         for task in (quad, logit):
             x = rng.standard_normal(task.dim)
@@ -85,7 +86,7 @@ class TestLocalGd:
                 # A task holding only user k's data: its global loss is
                 # user k's average loss.
                 if isinstance(task, LogisticTask):
-                    own = LogisticTask([task.features[k]], [task.labels[k]], l2=task.l2)
+                    own = LogisticTask([task.features[k]], [task.targets[k]], l2=task.l2)
                 else:
                     own = QuadraticTask([task.features[k]], [task.targets[k]])
                 for idx in range(task.dim):
@@ -120,9 +121,7 @@ class TestCurvature:
         assert consts.smoothness == pytest.approx(4.0, rel=1e-12)
 
     def test_dense_eigensolver_oracle(self):
-        task = make_quadratic_task(
-            n_users=3, dim=6, samples_per_user=9, whiten=False, seed=5
-        )
+        task = TaskSpec(dim=6, samples_per_user=9, whiten=False, seed=5).build(3)
         consts = task.curvature()
         total = task.dataset_sizes.sum()
         global_hess = sum(
@@ -139,8 +138,7 @@ class TestCurvature:
 
     def test_degenerate_task_rejected(self):
         # padded coordinate has zero curvature
-        with pytest.raises(ValueError):
-            QuadraticTask([np.ones((2, 1, 3))], [np.ones((2, 1))]).curvature()
+        assert QuadraticTask([np.ones((2, 1, 3))], [np.ones((2, 1))]).curvature().strong_convexity == 0.0
 
 
 def _bound_weight(round_index, source_index, n_users, smoothness, strong_convexity, total):
@@ -223,14 +221,40 @@ class TestTheorem1Bound:
 
 
 class TestTasks:
+    @pytest.mark.parametrize(
+        "spec, n_users, digest",
+        [
+            (TaskSpec(), 3, "754e32d24cc7bccb0354d72a8d30532c79857415a7379660ab8cbf3bfc1b7ca7"),
+            (
+                TaskSpec(dim=5, samples_per_user=4, rows_per_sample=3, heterogeneity=0.8,
+                         target_scale=2.0, whiten=False, seed=6),
+                2,
+                "83691cdf211cf5e7a07233bbcc648cc261a5bfd1aa2f32ecfcbf776a316b2358",
+            ),
+            (TaskSpec(kind="logistic", dim=6, seed=5), 3,
+             "ea66e9f0e0a59006d47b7543d32e14f06160a25a6e10675c0c0dc2fd6e58856f"),
+        ],
+        ids=["quadratic", "unwhitened-odd", "logistic"],
+    )
+    def test_build_reproduces_recorded_draws(self, spec, n_users, digest):
+        # SHA-256 of every user's feature and target bytes, recorded from the
+        # task factories TaskSpec.build replaced: the draws are unchanged bit
+        # for bit (the whitened case also pins this platform's LAPACK eigh).
+        task = spec.build(n_users)
+        h = hashlib.sha256()
+        for a, b in zip(task.features, task.targets):
+            h.update(a.tobytes())
+            h.update(b.tobytes())
+        assert h.hexdigest() == digest
+
     def test_whitened_global_hessian_is_identity(self):
-        task = make_quadratic_task(n_users=3, dim=8, samples_per_user=20, seed=7)
+        task = TaskSpec(dim=8, samples_per_user=20, seed=7).build(3)
         consts = task.curvature()
         assert consts.strong_convexity == pytest.approx(1.0, rel=1e-8)
         np.testing.assert_allclose(task._global_hess, np.eye(8), atol=1e-10)
 
     def test_quadratic_optimum_is_stationary(self):
-        task = make_quadratic_task(n_users=2, dim=6, samples_per_user=10, seed=8)
+        task = TaskSpec(dim=6, samples_per_user=10, seed=8).build(2)
         x_star, value = task.optimum()
         total_grad = sum(
             task.dataset_sizes[k] * task.local_gradient_batch(k, x_star[None, :])[0]
@@ -242,28 +266,27 @@ class TestTasks:
             assert task.global_loss(x_star + 0.1 * rng.standard_normal(6)) >= value
 
     def test_odd_dimension_padded(self):
-        task = make_quadratic_task(n_users=2, dim=5, samples_per_user=8, whiten=False, seed=9)
+        task = TaskSpec(dim=5, samples_per_user=8, whiten=False, seed=9).build(2)
         assert task.dim == 6 and task.padded
         x_star, _ = task.optimum()
         assert x_star[-1] == 0.0
-        with pytest.raises(ValueError):
-            task.curvature()
+        assert task.curvature().strong_convexity == 0.0
 
     def test_heterogeneity_separates_local_optima(self):
-        task = make_quadratic_task(n_users=2, dim=4, samples_per_user=12, heterogeneity=1.0, seed=10)
+        task = TaskSpec(dim=4, samples_per_user=12, heterogeneity=1.0, seed=10).build(2)
         opt0 = np.linalg.solve(task._hess_sum[0], task._lin_sum[0])
         opt1 = np.linalg.solve(task._hess_sum[1], task._lin_sum[1])
         assert np.linalg.norm(opt0 - opt1) > 1e-3
 
     def test_logistic_newton_optimum(self):
-        task = make_logistic_task(n_users=2, dim=4, samples_per_user=15, l2=0.2, seed=11)
+        task = TaskSpec(kind="logistic", dim=4, samples_per_user=15, l2=0.2, seed=11).build(2)
         x_star, value = task.optimum()
         grad, _ = task._global_gradient_hessian(x_star)
         assert np.linalg.norm(grad) <= 1e-10
         assert value <= task.global_loss(np.zeros(task.dim))
 
     def test_logistic_curvature(self):
-        task = make_logistic_task(n_users=2, dim=4, samples_per_user=15, l2=0.3, seed=12)
+        task = TaskSpec(kind="logistic", dim=4, samples_per_user=15, l2=0.3, seed=12).build(2)
         assert task.curvature().strong_convexity == 0.3
 
     def test_logistic_validation(self):
@@ -275,8 +298,8 @@ class TestTasks:
     def test_batch_loss_consistency(self):
         rng = substream(73, "batch-loss")
         for task in (
-            make_quadratic_task(n_users=2, dim=4, samples_per_user=6, seed=13),
-            make_logistic_task(n_users=2, dim=4, samples_per_user=8, seed=13),
+            TaskSpec(dim=4, samples_per_user=6, seed=13).build(2),
+            TaskSpec(kind="logistic", dim=4, samples_per_user=8, seed=13).build(2),
         ):
             xb = rng.standard_normal((3, task.dim))
             batch = task.global_loss_batch(xb)
@@ -359,7 +382,7 @@ class TestTransmit:
 
 class TestRunRound:
     def test_perfect_link_equals_centralized_gd(self):
-        task = make_quadratic_task(n_users=1, dim=6, samples_per_user=12, seed=14)
+        task = TaskSpec(dim=6, samples_per_user=12, seed=14).build(1)
         radio = _perfect_radio()
         chan = sample_channels(radio, 0)
         weights = AggregationWeights(task.dataset_sizes)
@@ -380,7 +403,7 @@ class TestRunRound:
     def test_modes_agree_for_single_antenna(self):
         # a 1x1 unit-modulus relay is a pure phase, absorbed by the
         # equalizer: both modes must land on the same objective value.
-        task = make_quadratic_task(n_users=2, dim=4, samples_per_user=6, seed=15)
+        task = TaskSpec(dim=4, samples_per_user=6, seed=15).build(2)
         radio = RadioConfig(
             n_antennas=1, n_users=2, pathloss_db=0.0,
             noise_power_server=0.01, noise_power_user=0.02,
@@ -397,7 +420,7 @@ class TestRunRound:
     def test_round_step_outputs(self):
         # Shapes, the closed-form MSE at each replay's power normalization,
         # and replays that advance independently of each other.
-        task = make_quadratic_task(n_users=2, dim=4, samples_per_user=6, seed=16)
+        task = TaskSpec(dim=4, samples_per_user=6, seed=16).build(2)
         radio = RadioConfig(
             n_antennas=2, n_users=2, pathloss_db=0.0,
             noise_power_server=0.01, noise_power_user=0.02,
@@ -423,7 +446,7 @@ class TestRunRound:
 
 class TestRunExperiment:
     def test_deterministic(self):
-        task = make_quadratic_task(n_users=2, dim=4, samples_per_user=6, seed=17)
+        task = TaskSpec(dim=4, samples_per_user=6, seed=17).build(2)
         radio = RadioConfig(
             n_antennas=2, n_users=2, pathloss_db=0.0,
             noise_power_server=0.001, noise_power_user=0.001,
@@ -443,7 +466,7 @@ class TestRunExperiment:
             np.testing.assert_array_equal(a.trajectories[key].bound, b.trajectories[key].bound)
 
     def test_structure_and_pairing(self):
-        task = make_quadratic_task(n_users=2, dim=4, samples_per_user=6, seed=18)
+        task = TaskSpec(dim=4, samples_per_user=6, seed=18).build(2)
         radio = RadioConfig(
             n_antennas=2, n_users=2, pathloss_db=0.0,
             noise_power_server=0.001, noise_power_user=0.001,
@@ -464,7 +487,7 @@ class TestRunExperiment:
         )
 
     def test_noiseless_centralized_equivalence_and_monotone_gap(self):
-        task = make_quadratic_task(n_users=1, dim=6, samples_per_user=10, seed=19)
+        task = TaskSpec(dim=6, samples_per_user=10, seed=19).build(1)
         radio = _perfect_radio()
         rep = run_experiment(
             task, radio, PamConfig(n_outer=2, m_inner=5), LocalTrainConfig(),
@@ -482,7 +505,7 @@ class TestRunExperiment:
         assert np.all(tr.loss_gap >= -1e-12)
 
     def test_bound_holds_in_steady_state(self):
-        task = make_quadratic_task(n_users=2, dim=6, samples_per_user=10, seed=4)
+        task = TaskSpec(dim=6, samples_per_user=10, seed=4).build(2)
         radio = RadioConfig(
             n_antennas=3, n_users=2, pathloss_db=-20.0,
             noise_power_server=1e-7, noise_power_user=1e-7,
@@ -507,7 +530,7 @@ class TestRunExperiment:
         ids=["optimum", "loss", "bound"],
     )
     def test_non_finite_series_are_numeric_errors(self, monkeypatch, overflow, message):
-        task = make_quadratic_task(n_users=2, dim=4, samples_per_user=6, seed=21)
+        task = TaskSpec(dim=4, samples_per_user=6, seed=21).build(2)
         radio = RadioConfig(n_antennas=2, n_users=2, pathloss_db=0.0, noise_power_user=0.01)
         x_star, lambda_star = task.optimum()
         if overflow == "optimum":
@@ -518,17 +541,19 @@ class TestRunExperiment:
         else:
             monkeypatch.setattr(flsim, "theorem1_bound", lambda history, *args: np.full(history.shape, np.inf))
         with pytest.raises(NumericError, match=message):
-            run_experiment(task, radio, PamConfig(n_outer=1, m_inner=2), rounds=2, modes=("pam",))
+            run_experiment(
+                task, radio, PamConfig(n_outer=1, m_inner=2), rounds=2, seeds=(0,), modes=("pam",), replays=1
+            )
 
     def test_validation(self):
-        task = make_quadratic_task(n_users=2, dim=4, samples_per_user=6, seed=20)
+        task = TaskSpec(dim=4, samples_per_user=6, seed=20).build(2)
         radio = RadioConfig(
             n_antennas=2, n_users=3, pathloss_db=0.0, noise_power_user=0.01
         )
         with pytest.raises(ValueError):
-            run_experiment(task, radio, rounds=2, seeds=(0,))
+            run_experiment(task, radio, rounds=2, seeds=(0,), modes=("pam",), replays=1)
         radio2 = RadioConfig(
             n_antennas=2, n_users=2, pathloss_db=0.0, noise_power_user=0.01
         )
         with pytest.raises(ValueError):
-            run_experiment(task, radio2, rounds=0, seeds=(0,))
+            run_experiment(task, radio2, rounds=0, seeds=(0,), modes=("pam",), replays=1)

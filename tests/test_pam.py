@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from airfl import pam as pam_module
-from airfl.aircomp import AggregationWeights
+from airfl.aircomp import AggregationWeights, _bracket_rows
 from airfl.channel import ChannelRealization, RadioConfig, sample_channels, substream
 from airfl import checks
 from airfl.checks import dense_u_step, update_u
@@ -371,7 +371,7 @@ class TestUpdateT:
 
                 def dual_at(weights):
                     t, clipped = pam_module._weighted_minimizer(weights, coeff, coeff_sq, w.alpha, cap, t0)
-                    rows = pam_module._transmit_rows(coeff, w.alpha, t, noise)
+                    rows = _bracket_rows(coeff, w.alpha, t, noise)
                     return float(weights @ rows), rows, t, clipped
 
                 _, rows, t, clipped = dual_at(lam)

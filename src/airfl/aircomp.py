@@ -162,34 +162,26 @@ def analytic_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols):
     return 2.0 * eta[..., None] * int(n_symbols) * bracket
 
 
-def _noise_chunks(seed, label, scale, draws, shape):
-    """Complex Gaussian noise ``scale * (re + 1j im)``, (draws, *shape), in chunks.
+def _noise_chunks(seed, label, power, draws, shape):
+    """Complex Gaussian noise of entry power ``power``, (draws, *shape), in chunks.
 
-    Yields the same values as drawing all ``draws`` real parts and then all
-    imaginary parts from ``substream(seed, label)`` in one call each: a
-    second generator on the same stream is first moved past the real parts
-    by drawing and discarding them (the ziggurat sampler uses a variable
-    number of words per sample, so the stream cannot be advanced by count).
-
-    Every draw goes into one reused real buffer, and each chunk is
-    assembled in place into one of two complex buffers, taken in turn: a
-    yielded chunk stays valid until the one after it has been requested.
+    One generator, ``substream(seed, label)``, draws into each chunk's float
+    view, so an entry's real and imaginary parts are consecutive draws, in
+    C order over (draw, *shape), whatever the chunk size.  Each chunk is
+    drawn and scaled in place in one of two complex buffers, taken in turn:
+    a yielded chunk stays valid until the one after it has been requested.
     """
-    rng_re = substream(seed, label)
-    rng_im = substream(seed, label)
-    sizes = [min(_MC_CHUNK, draws - start) for start in range(0, draws, _MC_CHUNK)]
-    parts = np.empty((sizes[0], *shape))
-    slots = (np.empty(parts.shape, dtype=complex), np.empty(parts.shape, dtype=complex))
-    # Spread to a whole chunk: multiplying by a broadcast operand makes
-    # numpy allocate a 64 KiB ufunc buffer for the call, and on a helper
+    rng = substream(seed, label)
+    first = (min(_MC_CHUNK, draws), *shape)
+    slots = (np.empty(first, dtype=complex), np.empty(first, dtype=complex))
+    # Spread to a chunk's float view, once per part: a broadcast operand makes
+    # numpy allocate a 64 KiB ufunc buffer for the multiply, and on a helper
     # thread that would move the peak memory with the threads' timing.
-    scale = np.broadcast_to(scale, parts.shape).copy()
-    for size in sizes:
-        rng_im.standard_normal(out=parts[:size])
-    for index, size in enumerate(sizes):
-        chunk = slots[index % 2][:size]
-        np.multiply(rng_re.standard_normal(out=parts[:size]), scale[:size], out=chunk.real)
-        np.multiply(rng_im.standard_normal(out=parts[:size]), scale[:size], out=chunk.imag)
+    scale = np.repeat(np.broadcast_to(np.sqrt(power / 2.0), first), 2, axis=-1)
+    for index, start in enumerate(range(0, draws, _MC_CHUNK)):
+        chunk = slots[index % 2][: draws - start]
+        parts = rng.standard_normal(out=chunk.view(float))
+        np.multiply(parts, scale[: len(parts)], out=parts)
         yield chunk
 
 
@@ -211,8 +203,8 @@ def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, 
     standard error are reduced once.  The draws do not depend on the chunk
     size or on the threads: parameters come in order from the
     "mc-parameters" substream, and each noise substream ("mc-relay-noise",
-    "mc-user-noise") holds all real parts, then all imaginary parts, read
-    by two generators (see :func:`_noise_chunks`).
+    "mc-user-noise") is read by one generator, each entry's real and
+    imaginary parts back to back (see :func:`_noise_chunks`).
 
     Returns
     -------
@@ -232,15 +224,12 @@ def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, 
     model_dim = 2 * n_symbols
     k_users = chan.n_users
     rng_x = substream(seed, "mc-parameters")
-    relay_noise = _noise_chunks(
-        seed, "mc-relay-noise", np.sqrt(cfg.noise_power_server / 2.0), draws,
-        (chan.n_antennas, n_symbols),
-    )
-    user_scale = np.sqrt(np.asarray(cfg.noise_power_user, dtype=float) / 2.0)[None, :, None]
-    user_noise = _noise_chunks(seed, "mc-user-noise", user_scale, draws, (k_users, n_symbols))
     r_all = np.asarray(r_all, dtype=complex).reshape(-1)
     sq = np.empty((draws, k_users))
-    noise = zip(relay_noise, user_noise)
+    noise = zip(
+        _noise_chunks(seed, "mc-relay-noise", cfg.noise_power_server, draws, (chan.n_antennas, n_symbols)),
+        _noise_chunks(seed, "mc-user-noise", cfg.noise_power_user[:, None], draws, (k_users, n_symbols)),
+    )
     with ThreadPoolExecutor(1) as helper:
         pending = helper.submit(next, noise, None)
         for start in range(0, draws, _MC_CHUNK):

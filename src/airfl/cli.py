@@ -62,6 +62,13 @@ def _at_least(value, minimum, path):
     return value
 
 
+def _seed_value(value, path):
+    # substream reads integers modulo 2**64: outside [0, 2**63) one aliases another.
+    if _at_least(value, 0, path) >= 1 << 63:
+        raise ConfigError(f"{path}: must be below 2**63")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     """Fully-resolved run description (radio + optimizer + task + schedule)."""
@@ -79,6 +86,8 @@ class ExperimentConfig:
     def __post_init__(self):
         _at_least(self.rounds, 1, "rounds")
         _at_least(self.replays, 1, "replays")
+        for i, seed in enumerate(self.seeds):
+            _seed_value(seed, f"seeds[{i}]")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds: must not repeat")
         if self.mode not in RUN_MODES:
@@ -241,10 +250,10 @@ def _modes(cfg, override=None):
 
 
 def _cmd_optimize(cfg, args):
-    _at_least(args.round_index, 0, "--round-index")
+    _seed_value(args.round_index, "--round-index")
+    seed = cfg.seeds[0] if args.seed is None else _seed_value(args.seed, "--seed")
     out_dir = args.out or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    seed = cfg.seeds[0] if args.seed is None else args.seed
     weights = aircomp.AggregationWeights(np.full(cfg.radio.n_users, float(cfg.task.samples_per_user)))
     chan = sample_channels(cfg.radio, seed, round_index=args.round_index)
     results = {}
@@ -275,9 +284,9 @@ def _cmd_simulate(cfg, args):
         task = cfg.task.build(cfg.radio.n_users)
     except ValueError as exc:  # a sample draw too small to whiten
         raise ConfigError(f"task: {exc}") from exc
+    seeds = cfg.seeds if args.seed is None else (_seed_value(args.seed, "--seed"),)
     out_dir = args.out or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    seeds = cfg.seeds if args.seed is None else (args.seed,)
     modes = _modes(cfg, args.mode)
     report = run_experiment(
         task,
@@ -339,9 +348,9 @@ def _cmd_simulate(cfg, args):
 def _cmd_mse_check(cfg, args):
     draws = _at_least(args.draws, 2, "--draws")
     n_instances = _at_least(args.instances, 1, "--instances")
+    seed = cfg.seeds[0] if args.seed is None else _seed_value(args.seed, "--seed")
     out_dir = args.out or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    seed = cfg.seeds[0] if args.seed is None else args.seed
     radio = cfg.radio
     # An odd dimension is padded with one zero coordinate, as in simulate.
     n_symbols = (cfg.task.dim + 1) // 2
@@ -378,7 +387,7 @@ def _cmd_mse_check(cfg, args):
 
 
 def _cmd_validate(cfg, args):
-    seed = cfg.seeds[0] if args.seed is None else args.seed
+    seed = cfg.seeds[0] if args.seed is None else _seed_value(args.seed, "--seed")
     # (check, statistic, measurement, bound): the acceptance criteria's
     # checks at the user's seed with small instance counts.
     table = [

@@ -99,17 +99,11 @@ def _monte_carlo_one_shot(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_sym
     k_users = chan.n_users
     rng_x = substream(seed, "mc-parameters")
     x_draws = np.sqrt(eta) * rng_x.standard_normal((draws, k_users, 2 * n_symbols))
-    rng_relay = substream(seed, "mc-relay-noise")
-    relay_noise = np.sqrt(cfg.noise_power_server / 2.0) * (
-        rng_relay.standard_normal((draws, chan.n_antennas, n_symbols))
-        + 1j * rng_relay.standard_normal((draws, chan.n_antennas, n_symbols))
-    )
-    rng_user = substream(seed, "mc-user-noise")
+    relay_parts = substream(seed, "mc-relay-noise").standard_normal((draws, chan.n_antennas, n_symbols, 2))
+    relay_noise = np.sqrt(cfg.noise_power_server / 2.0) * (relay_parts[..., 0] + 1j * relay_parts[..., 1])
+    user_parts = substream(seed, "mc-user-noise").standard_normal((draws, k_users, n_symbols, 2))
     user_scale = np.sqrt(np.asarray(cfg.noise_power_user, dtype=float) / 2.0)[None, :, None]
-    user_noise = user_scale * (
-        rng_user.standard_normal((draws, k_users, n_symbols))
-        + 1j * rng_user.standard_normal((draws, k_users, n_symbols))
-    )
+    user_noise = user_scale * (user_parts[..., 0] + 1j * user_parts[..., 1])
     target = global_target(x_draws[..., 0::2] + 1j * x_draws[..., 1::2], weights)
     received = over_the_air(x_draws, f_matrix, t_all, chan, eta, relay_noise, user_noise)
     r_all = np.asarray(r_all, dtype=complex).reshape(-1)

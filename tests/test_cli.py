@@ -92,6 +92,12 @@ CONFIG_ERROR_CASES = [
         "radio: downlink_pathloss_db 4000 dB has no finite linear gain",
     ),
     ({"pam": {"seed": 3}}, ["optimize"], "pam.seed: unknown key"),
+    ({"seeds": [1, -1]}, ["simulate"], "seeds[1]: must be at least 0"),
+    ({"seeds": [1, 2**64 + 1]}, ["simulate"], "seeds[1]: must be below 2**63"),
+    ({"seeds": 2**63}, ["optimize"], "seeds[0]: must be below 2**63"),
+    ({}, ["simulate", "--seed", "-1"], "--seed: must be at least 0"),
+    ({}, ["simulate", "--seed", str(2**64 - 1)], "--seed: must be below 2**63"),
+    ({}, ["optimize", "--round-index", str(2**63)], "--round-index: must be below 2**63"),
 ]
 POSITIONAL_ID_CASES = 22
 # The messages of positional cases whose ids were recorded before the
@@ -239,6 +245,13 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "simulate", "mse-check", "validate"])
+    def test_every_command_bounds_its_seed(self, tmp_path, capsys, monkeypatch, command):
+        # Seeds are read modulo 2**64, so 2**64 + 1 would rerun seed 1.
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--seed", str(2**64 + 1)]) == EXIT_CONFIG
+        assert "--seed: must be below 2**63" in capsys.readouterr().err
 
 
 class TestSubcommands:
@@ -572,10 +585,10 @@ class TestSubcommands:
         rows = [line.split(",") for line in (out / "mse_check.csv").read_text().splitlines()[2:]]
         assert [row[:2] for row in rows] == [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]
         assert [[float(v) for v in row[3:]] for row in rows] == [
-            [4.805261526178486, 0.06257387776853499, -0.9257028247634941],
-            [4.795803502375033, 0.06249258398086629, -0.9390030921862865],
-            [0.8485282124623609, 0.011105495560676623, 0.2730477493945438],
-            [0.43463017566987217, 0.005633361699492578, 0.24605219463133324],
+            [4.805919841630838, 0.06258898945798856, -0.9359973913369041],
+            [4.795805434591229, 0.06251510903721452, -0.9386956644034239],
+            [0.8451110188914557, 0.010965619254514112, 0.5881586794110175],
+            [0.4339041714557353, 0.00561579392224035, 0.376100913369436],
         ]
 
     def test_mse_check_odd_dim_counts_the_padded_symbol(self, tmp_path):

@@ -90,6 +90,7 @@ class ExperimentConfig:
             _seed_value(seed, f"seeds[{i}]")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds: must not repeat")
+        _seed_value(self.task.seed, "task.seed")
         if self.mode not in RUN_MODES:
             choices = ", ".join(map(repr, RUN_MODES[:-1])) + f" or {RUN_MODES[-1]!r}"
             raise ConfigError(f"mode: expected {choices}, got {self.mode!r}")

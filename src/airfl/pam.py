@@ -449,9 +449,18 @@ def _factor_u_step(workspace, rho):
     inv_g_sq = np.divide(1.0, g_sq, out=np.zeros_like(g_sq), where=g_sq > 0)[:, None]
 
     def solve(g_f):
-        rhs = data + prox * g_f
-        g_u = rhs - ((rhs @ aq) * weight) @ aq_h
-        return g_u, (g_u - g_f) * inv_g_sq
+        # In place, in the operand order of g_u = rhs - ((rhs aq) weight) aq_h
+        # with rhs = data + prox g_f, and v = (g_u - g_f) inv_g_sq; both
+        # returned arrays are new.
+        g_u = np.multiply(prox, g_f)
+        np.add(data, g_u, out=g_u)
+        coeff = g_u @ aq
+        np.multiply(coeff, weight, out=coeff)
+        v = coeff @ aq_h
+        np.subtract(g_u, v, out=g_u)
+        np.subtract(g_u, g_f, out=v)
+        np.multiply(v, inv_g_sq, out=v)
+        return g_u, v
 
     return solve
 
@@ -479,8 +488,12 @@ def inner_cycles(workspace, f_matrix_init, rho):
     not depend on f, so they are decomposed once, before the first cycle.
     A cycle never forms the copies U_k = F + g_k v_k^T: it needs the rows
     g_k^H F, two K x N by N x K products for the copies, G^T V for their
-    mean, and the projection.  It keeps no history; :func:`cycle_merit`
-    evaluates a cycle's merit.
+    mean, and the projection.  The consensus
+    F = 0.5 * (F_prev + (G^T V) / K + Z) and the u-step's rows are built in
+    place, in that written-out order, so a cycle's bits equal the formula's;
+    every array a cycle yields is new and never written again, so callers
+    may keep cycles.  It keeps no history; :func:`cycle_merit` evaluates a
+    cycle's merit.
     """
     f_matrix = np.asarray(f_matrix_init, dtype=complex)
     n = workspace.downlink.shape[1]
@@ -493,7 +506,12 @@ def inner_cycles(workspace, f_matrix_init, rho):
     while True:
         g_u, v = solve(g_f)
         f_prev, g_f_prev = f_matrix, g_f
-        f_matrix = 0.5 * (f_prev + (workspace.downlink.T @ v) / workspace.n_users + z_matrix)
+        # F = 0.5 * (F_prev + (G^T V) / K + Z), built in place in that order.
+        f_matrix = workspace.downlink.T @ v
+        np.divide(f_matrix, workspace.n_users, out=f_matrix)
+        np.add(f_prev, f_matrix, out=f_matrix)
+        np.add(f_matrix, z_matrix, out=f_matrix)
+        np.multiply(0.5, f_matrix, out=f_matrix)
         z_matrix = phase_project(f_matrix)
         g_f = g_conj @ f_matrix
         yield InnerCycle(g_u, v, f_prev, g_f_prev, f_matrix, z_matrix, g_f)

@@ -97,6 +97,8 @@ CONFIG_ERROR_CASES = [
     ({"seeds": 2**63}, ["optimize"], "seeds[0]: must be below 2**63"),
     ({}, ["simulate", "--seed", "-1"], "--seed: must be at least 0"),
     ({}, ["simulate", "--seed", str(2**64 - 1)], "--seed: must be below 2**63"),
+    ({"task": {"seed": -1}}, ["simulate"], "task.seed: must be at least 0"),
+    ({"task": {"seed": 2**64 - 1}}, ["simulate"], "task.seed: must be below 2**63"),
     ({}, ["optimize", "--round-index", str(2**63)], "--round-index: must be below 2**63"),
 ]
 POSITIONAL_ID_CASES = 22
@@ -412,35 +414,61 @@ class TestSubcommands:
         assert not (tmp_path / "opt" / "solution_seed0.json").exists()
 
     def test_optimize_golden_numbers(self, tmp_path):
-        # The default radio and optimizer against recorded outputs: any drift
-        # in the alternating loop's arithmetic, its inner merit included,
-        # fails here.
-        out = tmp_path / "opt"
-        assert main(["optimize", "--seed", "0", "--mode", "both", "--out", str(out)]) == EXIT_OK
-        results = json.loads((out / "solution_seed0.json").read_text())["results"]
-        expected = {
-            "pam": (
-                2.651076045843791e-05,
-                2.651076045843791e-05,
-                [
-                    0.28336959419041713, 0.13848006255416972, 0.12116059065242944,
-                    0.11418839426120814, 0.11160899719099167, 0.09457555394181728,
-                    0.030899695089290278, 0.012855812926041226, 0.007362861917011876,
-                    0.004141913107749915, 0.0024094214456958775, 0.0014303927864642485,
-                    0.0008665779008743959, 0.0005245226376131081, 0.0003182165639786487,
-                    0.0001940461046720665, 0.0001192050639441734, 7.389609743399634e-05,
-                    4.62777976458533e-05, 2.9297092159491024e-05,
-                ],
+        # The default radio and optimizer, and pam alone at N=32, K=16 (the
+        # relay_large benchmark's reference job), against recorded outputs:
+        # any drift in the alternating loop's arithmetic, its inner merit
+        # included, fails here.
+        large = self._write(tmp_path, {"radio": {"n_antennas": 32, "n_users": 16}})
+        runs = [
+            (
+                ["optimize", "--seed", "0", "--mode", "both"],
+                {
+                    "pam": (
+                        2.651076045843791e-05,
+                        2.651076045843791e-05,
+                        [
+                            0.28336959419041713, 0.13848006255416972, 0.12116059065242944,
+                            0.11418839426120814, 0.11160899719099167, 0.09457555394181728,
+                            0.030899695089290278, 0.012855812926041226, 0.007362861917011876,
+                            0.004141913107749915, 0.0024094214456958775, 0.0014303927864642485,
+                            0.0008665779008743959, 0.0005245226376131081, 0.0003182165639786487,
+                            0.0001940461046720665, 0.0001192050639441734, 7.389609743399634e-05,
+                            4.62777976458533e-05, 2.9297092159491024e-05,
+                        ],
+                    ),
+                    "baseline": (0.16629679146179163, 0.16629679146179163, []),
+                },
             ),
-            "baseline": (0.16629679146179163, 0.16629679146179163, []),
-        }
-        assert sorted(results) == sorted(expected)
-        for mode, (objective, last_outer, merits) in expected.items():
-            result = results[mode]
-            np.testing.assert_allclose(result["objective"], objective, rtol=1e-12)
-            np.testing.assert_allclose(result["outer_objectives"][-1], last_outer, rtol=1e-12)
-            assert len(result["inner_final_merit"]) == len(merits)
-            np.testing.assert_allclose(result["inner_final_merit"], merits, rtol=1e-12)
+            (
+                ["--config", large, "optimize", "--seed", "0", "--mode", "pam"],
+                {
+                    "pam": (
+                        0.025549518676364784,
+                        0.025549518676364784,
+                        [
+                            0.06485808948551819, 0.06138357285685417, 0.060141374194985026,
+                            0.05967888209600426, 0.059222133696494955, 0.05868812436906038,
+                            0.05795475075896938, 0.05701098990415351, 0.05583512946879854,
+                            0.054495610302627645, 0.053193519438122, 0.05196170111562297,
+                            0.05053388461438725, 0.04919967516679997, 0.047143817281866104,
+                            0.04512000412764687, 0.04294792589415232, 0.04083750558262533,
+                            0.03877233910930662, 0.03673382019119153,
+                        ],
+                    ),
+                },
+            ),
+        ]
+        for i, (argv, expected) in enumerate(runs):
+            out = tmp_path / f"opt{i}"
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            results = json.loads((out / "solution_seed0.json").read_text())["results"]
+            assert sorted(results) == sorted(expected)
+            for mode, (objective, last_outer, merits) in expected.items():
+                result = results[mode]
+                np.testing.assert_allclose(result["objective"], objective, rtol=1e-12)
+                np.testing.assert_allclose(result["outer_objectives"][-1], last_outer, rtol=1e-12)
+                assert len(result["inner_final_merit"]) == len(merits)
+                np.testing.assert_allclose(result["inner_final_merit"], merits, rtol=1e-12)
 
     @pytest.mark.parametrize("seed, round_index", [(0, 0), (0, 2), (4, 0), (4, 2)])
     def test_optimize_solves_simulates_block(self, tmp_path, seed, round_index):

@@ -71,14 +71,54 @@ class TestDenseSolve:
             dense_solve(m, np.ones(2, dtype=complex))
 
 
+def _angle_formula(v):
+    """The projection as exp(1j * angle(v)) with zeros mapped to 1."""
+    out = np.exp(1j * np.angle(v))
+    out[v == 0] = 1.0
+    return out
+
+
+def _assert_same_bits(actual, desired):
+    np.testing.assert_array_equal(np.asarray(actual).view(np.uint64), np.asarray(desired).view(np.uint64))
+
+
 class TestPhaseProject:
     def test_three_four_five(self):
         out = phase_project(np.array([3.0 + 4.0j]))
         np.testing.assert_allclose(out, [0.6 + 0.8j], atol=1e-15)
+        scalar = phase_project(3.0 + 4.0j)
+        assert isinstance(scalar, np.complex128) and abs(scalar - (0.6 + 0.8j)) <= 1e-15
 
     def test_zero_convention(self):
         out = phase_project(np.array([0.0 + 0.0j, complex(-0.0, 0.0), complex(-0.0, -0.0)]))
         np.testing.assert_array_equal(out, [1.0 + 0.0j, 1.0 + 0.0j, 1.0 + 0.0j])
+        # A zero sends the whole array through the angle formula, whatever
+        # the signs of its zero parts and of its other entries' parts.
+        v = np.array([complex(0.0, -0.0), -3.0 + 4.0j, complex(-0.0, 2.0), complex(-1.0, -0.0), 0.5 - 0.5j])
+        _assert_same_bits(phase_project(v), _angle_formula(v))
+        assert phase_project(complex(-0.0, -0.0)) == 1.0
+
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            5e-324 + 5e-324j,
+            1e-310j,
+            complex(np.inf, 0.0),
+            complex(0.0, -np.inf),
+            complex(np.inf, np.inf),
+            complex(-np.inf, 1.0),
+            complex(np.nan, 0.0),
+            complex(1.0, np.nan),
+            complex(1.7e308, 1.7e308),
+        ],
+    )
+    def test_degenerate_modulus_takes_the_angle_formula(self, edge):
+        # One subnormal or non-finite |v| (|1.7e308 (1 + 1j)| overflows)
+        # sends the whole array, near-overflow and signed-zero entries
+        # included, through the angle formula, bit for bit.
+        v = np.array([edge, 3.0 + 4.0j, 1e308 + 1e308j, -1e308 + 1e308j, complex(-0.0, 1.0)])
+        _assert_same_bits(phase_project(v), _angle_formula(v))
+        _assert_same_bits(phase_project(v[:1]), _angle_formula(v[:1]))
 
     def test_unit_modulus_and_idempotent(self):
         rng = substream(15, "phase-idempotent")
@@ -88,6 +128,17 @@ class TestPhaseProject:
         np.testing.assert_allclose(phase_project(p), p, atol=1e-15)
         # angle preserved for nonzero entries
         np.testing.assert_allclose(np.angle(p), np.angle(v), atol=1e-12)
+        # Finite nonzero entries from 1e-300 to 1e300 in modulus, the largest
+        # near overflow, are divided by |v|: each part lands within two
+        # units in the last place of 1 of the angle formula's.
+        modulus = np.append(10.0 ** rng.uniform(-300.0, 300.0, 4000), 1e308 * np.sqrt(2.0))
+        v = np.concatenate([v, modulus * np.exp(1j * rng.uniform(-np.pi, np.pi, modulus.size))])
+        p = phase_project(v)
+        np.testing.assert_allclose(np.abs(p), 1.0, rtol=0, atol=1e-15)
+        exact = _angle_formula(v)
+        ulps = 2 * np.finfo(float).eps
+        np.testing.assert_allclose(p.real, exact.real, rtol=0, atol=ulps)
+        np.testing.assert_allclose(p.imag, exact.imag, rtol=0, atol=ulps)
 
     def test_grid_minimizer(self):
         rng = substream(16, "phase-grid")

@@ -101,13 +101,13 @@ def update_u(workspace, f, rho):
     the copies; this one-shot form does, for comparison with
     :func:`dense_u_step`.
     """
-    solve = _factor_u_step(workspace, rho)
+    step = _factor_u_step(workspace, rho)
     n = workspace.downlink.shape[1]
     f = np.asarray(f, dtype=complex).reshape(-1)
     if f.size != n * n:
         raise ValueError(f"f must have length {n * n}")
     f_matrix = mat_of_vector(f, n, n)
-    _, v = solve(workspace.downlink.conj() @ f_matrix)
+    v = step.diff(workspace.downlink.conj() @ f_matrix) * step.inv_g_sq
     return _copies(f_matrix, v, workspace.downlink)
 
 

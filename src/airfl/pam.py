@@ -9,7 +9,8 @@ receive equalizers r.  The objective is the worst user's MSE bracket (see
 * t: exact solve of the same worst-user bracket through its dual over the
   simplex of user weights, by active-set Newton ascent with a closed-form
   Hessian, damped where the Newton model fails, with a duality-gap
-  certificate,
+  certificate; each outer cycle's ascent starts at the previous one's
+  final weights,
 * F: an inner penalized alternating-minimization loop over per-user copies
   u_k, the consensus vector f = vec(F), and its unit-modulus projection z.
 
@@ -18,16 +19,19 @@ every rank-one term of user k carries its downlink g_k, which is also an
 eigenvector of the user's relay-noise block.  So each copy is
 U_k = F + g_k v_k^T, and the systems reduce to K x K Woodbury capacitances
 I + beta_k P that share one matrix P (see :func:`_factor_u_step`).
-The loop is one generator, :func:`inner_cycles`: it decomposes P once, and
-each cycle then costs O(K N^2 + K^2 N) in a fixed number of matrix
-products, never forms the copies or any K x K x N^2 array, and is yielded
-with no history kept.  :func:`inner_pam` takes m cycles from it and
-evaluates only the last one's merit (:func:`cycle_merit`); the self-checks
-read whole merit trajectories from the same generator.
+The loop is one generator, :func:`inner_cycles`: it decomposes P and folds
+every factor that does not depend on F once per relay block, and each
+cycle then costs O(K N^2 + K^2 N) in four matrix products, a few
+elementwise steps and the projection, never forms the copies or any
+K x K x N^2 array, and is yielded with no history kept.  :func:`inner_pam`
+takes m cycles from it and evaluates only the last one's merit
+(:func:`cycle_merit`); the self-checks read whole merit trajectories from
+the same generator.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -301,7 +305,7 @@ def _newton_step(point, coeff, coeff_sq, alpha, cap, evaluate, damping):
     return None
 
 
-def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
+def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None, lam_init=None):
     """Transmit coefficients minimizing the worst user's MSE bracket.
 
     Solves min_{|t_j|^2 <= power_budget} max_k sum_j |c_kj t_j - alpha_j|^2 + n_k
@@ -314,20 +318,26 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
     per-user brackets at its minimizer are the dual gradient (Danskin), and
     the dual Hessian is closed form (see :func:`_dual_hessian`).
 
-    The ascent starts at uniform weights and takes damped active-set Newton
-    steps on the support of lam (see :func:`_newton_step`, after Bertsekas,
-    "Projected Newton Methods for Optimization Problems with Simple
-    Constraints", 1982); each step starts from a relaxed form of the last
-    one's damping.  It runs until the relative duality gap is at most
+    The ascent starts at ``lam_init`` restricted to the users whose
+    coefficient row is not zero and renormalized there, or at uniform
+    weights over those users when ``lam_init`` is None, has a negative or
+    non-finite entry, or has no mass on them; a start at uniform weights is
+    the same solve bit for bit whichever way it is reached.  It takes damped
+    active-set Newton steps on the support of lam (see :func:`_newton_step`,
+    after Bertsekas, "Projected Newton Methods for Optimization Problems with
+    Simple Constraints", 1982); each step starts from a relaxed form of the
+    last one's damping.  It runs until the relative duality gap is at most
     ``T_GAP_TOL``, ``T_MAX_ITERS`` ascent steps have been taken, or no damped
     step raises the dual, which means the ascent has reached the rounding
     of the dual.
 
-    Returns ``(t, gap, value, evals)``: the best primal point seen, never
-    worse than the incoming t; (value - best dual value) / value, which
-    bounds the relative excess of t over the optimum; value, the worst-user
-    bracket at t, equal bit for bit to :func:`objective_minmax` there; and
-    the number of dual evaluations the solve took.
+    Returns ``(t, gap, value, evals, lam)``: the best primal point seen,
+    never worse than the incoming t; (value - best dual value) / value,
+    which bounds the relative excess of t over the optimum; value, the
+    worst-user bracket at t, equal bit for bit to :func:`objective_minmax`
+    there; the number of dual evaluations the solve took; and the ascent's
+    final weights, one per user, zero for every user whose coefficient row
+    is zero (all zero when every row is), to start the next solve from.
     """
     r_all = np.asarray(r_all, dtype=complex).reshape(-1)
     gains, row_norm_sq = _effective_gains(f_matrix, chan)
@@ -339,11 +349,16 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
     if t_init is None:
         t_init = np.full(k_users, cap, dtype=complex)
     t_init = np.asarray(t_init, dtype=complex).reshape(-1)
+    if lam_init is not None:
+        lam_init = np.asarray(lam_init, dtype=float).reshape(-1)
+        if lam_init.size != k_users:
+            raise ValueError("lam_init must have one entry per user")
     noise = np.stack(_noise_terms(r_all, row_norm_sq, cfg))
     best_t = t_init
     best_val = float(np.max(_bracket_rows(coeff, alpha, t_init, noise)))
+    lam_out = np.zeros(k_users)
     if float(np.max(coeff_sq)) == 0.0:
-        return t_init, 0.0, best_val, 0
+        return t_init, 0.0, best_val, 0, lam_out
 
     def gap(primal, dual):
         # Rounding can put a tight dual bound a few ulps above the primal.
@@ -367,7 +382,13 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
         rows = _bracket_rows(coeff, alpha, t, noise)
         return _DualPoint(lam, t, clipped, rows, float(lam @ rows))
 
-    point = evaluate(np.full(coeff.shape[0], 1.0 / coeff.shape[0]))
+    start = np.full(coeff.shape[0], 1.0 / coeff.shape[0])
+    if lam_init is not None:
+        warm = lam_init[heard]
+        mass = float(np.sum(warm))
+        if np.all(warm >= 0.0) and 0.0 < mass < np.inf:
+            start = warm / mass
+    point = evaluate(start)
     best_dual = max(point.value, float(np.max(vertices)))
     damping = 0.0
     for ascent in range(T_MAX_ITERS + 1):
@@ -381,7 +402,8 @@ def update_t(f_matrix, r_all, chan, weights, cfg, t_init=None):
             break
         point, damping = step
         best_dual = max(best_dual, point.value)
-    return best_t, gap(best_val, best_dual), best_val, count
+    lam_out[heard] = point.lam
+    return best_t, gap(best_val, best_dual), best_val, count, lam_out
 
 
 def build_workspace(r_all, t_all, chan, weights, cfg):
@@ -400,6 +422,22 @@ def build_workspace(r_all, t_all, chan, weights, cfg):
     )
 
 
+class _UStep(NamedTuple):
+    """The u-step of :func:`_factor_u_step`, folded for fixed (r, t, rho).
+
+    ``diff`` maps the rows g_k^H F (a K x N array) to d = Y - G^* F, the
+    rows y_k = g_k^H U_k of the copies less those of F; ``inv_g_sq`` holds
+    1 / ||g_k||^2 as a complex K x 1 column (0 where g_k = 0, where
+    U_k = F), so V = d inv_g_sq; and ``mean`` is the N x K matrix
+    G^T diag(inv_g_sq) / (2K), so ``mean @ d`` is half the copies' mean
+    offset G^T V / K.
+    """
+
+    diff: Callable[[np.ndarray], np.ndarray]
+    inv_g_sq: np.ndarray
+    mean: np.ndarray
+
+
 def _factor_u_step(workspace, rho):
     """Decompose every user's u-step system once for fixed (r, t, rho).
 
@@ -416,9 +454,15 @@ def _factor_u_step(workspace, rho):
     (1 + beta_k lam_max) / (1 + beta_k lam_min), checked against
     ``CONDITION_LIMIT``.
 
-    Returns ``solve``, which maps the rows g_k^H F (a K x N array) to the
-    rows y_k and v_k = (y_k - g_k^H F) / ||g_k||^2 (zero when g_k = 0, where
-    U_k = F).
+    With rows R = G^* F, the solve is Y = X - ((X AQ) * W) (AQ)^H with
+    X = D + p * R, where * multiplies entrywise (broadcasting a column),
+    D holds the data rows ||g_k||^2 e_k / s_k, p is the column (rho/K) / s_k
+    and W_ki = beta_k / (1 + beta_k lam_i).  Its parts that do not depend
+    on F are folded here, once per relay block: the step returns
+        d = Y - R = (p - 1) * R + D - ((R AQ) * (p * W) + (D AQ) * W) (AQ)^H,
+    one K x K and one K x N product, with every entrywise factor stored
+    complex (a real factor would be cast on every call to the same complex
+    multiply).  Returns a :class:`_UStep`.
     """
     if not rho > 0:
         raise ValueError("rho must be strictly positive")
@@ -446,37 +490,49 @@ def _factor_u_step(workspace, rho):
     target = (workspace.alpha * workspace.t) @ workspace.uplink
     data = (g_sq / s)[:, None] * np.conj(np.outer(workspace.r, target))
     prox = (ridge / s)[:, None]
-    inv_g_sq = np.divide(1.0, g_sq, out=np.zeros_like(g_sq), where=g_sq > 0)[:, None]
+    prox_weight = (prox * weight).astype(complex)
+    data_weight = (data @ aq) * weight
+    prox_less_one = (prox - 1.0).astype(complex)
+    inv_g_sq = np.divide(1.0, g_sq, out=np.zeros_like(g_sq), where=g_sq > 0)
 
-    def solve(g_f):
-        # In place, in the operand order of g_u = rhs - ((rhs aq) weight) aq_h
-        # with rhs = data + prox g_f, and v = (g_u - g_f) inv_g_sq; both
-        # returned arrays are new.
-        g_u = np.multiply(prox, g_f)
-        np.add(data, g_u, out=g_u)
-        coeff = g_u @ aq
-        np.multiply(coeff, weight, out=coeff)
-        v = coeff @ aq_h
-        np.subtract(g_u, v, out=g_u)
-        np.subtract(g_u, g_f, out=v)
-        np.multiply(v, inv_g_sq, out=v)
-        return g_u, v
+    def diff(g_f):
+        # In place, in the operand order of
+        # d = (p - 1) * R + D - ((R AQ) * (p * W) + (D AQ) * W) (AQ)^H; d is new.
+        coeff = g_f @ aq
+        np.multiply(coeff, prox_weight, out=coeff)
+        np.add(coeff, data_weight, out=coeff)
+        d = np.multiply(prox_less_one, g_f)
+        np.add(d, data, out=d)
+        np.subtract(d, coeff @ aq_h, out=d)
+        return d
 
-    return solve
+    mean = workspace.downlink.T * (inv_g_sq / (2.0 * workspace.n_users))
+    return _UStep(diff, inv_g_sq.astype(complex)[:, None], mean)
 
 
 class InnerCycle(NamedTuple):
-    """One inner cycle's fresh arrays: the copies U_k = F_prev + g_k v_k^T
-    (rows ``g_u`` = g_k^H U_k and ``v``), the new consensus F and its
-    projection Z, and the rows g_k^H F of F_prev and F."""
+    """One inner cycle's arrays: the copies U_k = F_prev + g_k v_k^T, held
+    as their rows' offsets ``d`` = g_k^H U_k - g_k^H F_prev and the shared
+    1 / ||g_k||^2 column ``inv_g_sq`` (see :class:`_UStep`), the new
+    consensus F and its projection Z, and the rows g_k^H F of F_prev and F.
+    The copies' rows ``g_u`` = d + g_f_prev and ``v`` = d inv_g_sq are
+    derived, as new arrays, each time they are read."""
 
-    g_u: np.ndarray
-    v: np.ndarray
+    d: np.ndarray
+    inv_g_sq: np.ndarray
     f_prev: np.ndarray
     g_f_prev: np.ndarray
     f: np.ndarray
     z: np.ndarray
     g_f: np.ndarray
+
+    @property
+    def g_u(self):
+        return self.d + self.g_f_prev
+
+    @property
+    def v(self):
+        return self.d * self.inv_g_sq
 
 
 def inner_cycles(workspace, f_matrix_init, rho):
@@ -485,36 +541,34 @@ def inner_cycles(workspace, f_matrix_init, rho):
     Starts every block variable at F_init and cycles copies (the
     :func:`_factor_u_step` solve) -> consensus -> projection without end,
     yielding each cycle as an :class:`InnerCycle`.  The copies' systems do
-    not depend on f, so they are decomposed once, before the first cycle.
-    A cycle never forms the copies U_k = F + g_k v_k^T: it needs the rows
-    g_k^H F, two K x N by N x K products for the copies, G^T V for their
-    mean, and the projection.  The consensus
-    F = 0.5 * (F_prev + (G^T V) / K + Z) and the u-step's rows are built in
-    place, in that written-out order, so a cycle's bits equal the formula's;
-    every array a cycle yields is new and never written again, so callers
-    may keep cycles.  It keeps no history; :func:`cycle_merit` evaluates a
-    cycle's merit.
+    not depend on f, so they are decomposed and folded once, before the
+    first cycle.  A cycle never forms the copies U_k = F + g_k v_k^T: from
+    the rows R = G^* F it takes the copies' row offsets d (two products),
+    then the consensus F' = 0.5 (F + G^T V / K + Z) as
+    F' = (G^T diag(1/||g_k||^2) / (2K)) d + 0.5 (F + Z), built in place in
+    that written-out order, the projection Z' = ``phase_project(F')`` and
+    the rows G^* F'.  Every array a cycle yields is new or never written
+    again, so callers may keep cycles.  It keeps no history;
+    :func:`cycle_merit` evaluates a cycle's merit.
     """
     f_matrix = np.asarray(f_matrix_init, dtype=complex)
     n = workspace.downlink.shape[1]
     if f_matrix.shape != (n, n):
         raise ValueError("initial matrix shape does not match the workspace")
     g_conj = workspace.downlink.conj()
-    solve = _factor_u_step(workspace, rho)
+    diff, inv_g_sq, mean = _factor_u_step(workspace, rho)
     z_matrix = f_matrix.copy()
     g_f = g_conj @ f_matrix
     while True:
-        g_u, v = solve(g_f)
+        d = diff(g_f)
         f_prev, g_f_prev = f_matrix, g_f
-        # F = 0.5 * (F_prev + (G^T V) / K + Z), built in place in that order.
-        f_matrix = workspace.downlink.T @ v
-        np.divide(f_matrix, workspace.n_users, out=f_matrix)
-        np.add(f_prev, f_matrix, out=f_matrix)
-        np.add(f_matrix, z_matrix, out=f_matrix)
-        np.multiply(0.5, f_matrix, out=f_matrix)
+        # F = mean d + 0.5 (F_prev + Z), built in place in that order.
+        f_matrix = np.add(f_prev, z_matrix)
+        np.multiply(f_matrix, 0.5, out=f_matrix)
+        np.add(mean @ d, f_matrix, out=f_matrix)
         z_matrix = phase_project(f_matrix)
         g_f = g_conj @ f_matrix
-        yield InnerCycle(g_u, v, f_prev, g_f_prev, f_matrix, z_matrix, g_f)
+        yield InnerCycle(d, inv_g_sq, f_prev, g_f_prev, f_matrix, z_matrix, g_f)
 
 
 def cycle_merit(workspace, cycle, rho):
@@ -526,15 +580,16 @@ def cycle_merit(workspace, cycle, rho):
     = ||D||^2 + 2 Re<g_k^H D, v_k> + ||g_k||^2 ||v_k||^2 with D = F_prev - F,
     and the tether ||Z - F||^2.
     """
+    g_u, v = cycle.g_u, cycle.v
     g_sq = np.sum(np.abs(workspace.downlink) ** 2, axis=1)
     spread = np.mean(
         np.sum(np.abs(cycle.f_prev - cycle.f) ** 2)
-        + 2.0 * np.real(np.sum((cycle.g_f_prev - cycle.g_f).conj() * cycle.v, axis=1))
-        + g_sq * np.sum(np.abs(cycle.v) ** 2, axis=1)
+        + 2.0 * np.real(np.sum((cycle.g_f_prev - cycle.g_f).conj() * v, axis=1))
+        + g_sq * np.sum(np.abs(v) ** 2, axis=1)
     )
     tether = np.sum(np.abs(cycle.z - cycle.f) ** 2)
-    fit = workspace.r[:, None] * (cycle.g_u @ workspace.uplink.T) * workspace.t[None, :] - workspace.alpha
-    data = np.sum(np.abs(fit) ** 2, axis=1) + workspace.kron_scale * np.sum(np.abs(cycle.g_u) ** 2, axis=1)
+    fit = workspace.r[:, None] * (g_u @ workspace.uplink.T) * workspace.t[None, :] - workspace.alpha
+    data = np.sum(np.abs(fit) ** 2, axis=1) + workspace.kron_scale * np.sum(np.abs(g_u) ** 2, axis=1)
     return float(np.max(data) + rho * (spread + tether))
 
 
@@ -583,7 +638,10 @@ def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
 
     ``obj`` is always the objective at the current (F, r, t).  The t block
     returns it for its own result, so only a relay block, which changes F,
-    and the r block need :func:`objective_minmax` evaluated.
+    and the r block need :func:`objective_minmax` evaluated.  Each t block
+    starts its dual ascent at the previous t block's final weights (the
+    first one at uniform weights): F and r change little between outer
+    cycles, so the previous weights are a close start.
     """
     k_users = chan.n_users
     f_matrix = f_init
@@ -596,6 +654,7 @@ def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
     r_pairs = []
     t_gaps = []
     t_evals = []
+    lam = None
     for _ in range(pam_cfg.n_outer):
         if mode == "pam":
             workspace = build_workspace(r_all, t_all, chan, weights, cfg)
@@ -605,7 +664,9 @@ def _alternating_run(mode, f_init, chan, weights, cfg, pam_cfg):
         r_all = update_r(f_matrix, t_all, chan, weights, cfg)
         after_r = objective_minmax(f_matrix, r_all, t_all, chan, weights, cfg)
         r_pairs.append((obj, after_r))
-        t_all, t_gap, obj, evals = update_t(f_matrix, r_all, chan, weights, cfg, t_init=t_all)
+        t_all, t_gap, obj, evals, lam = update_t(
+            f_matrix, r_all, chan, weights, cfg, t_init=t_all, lam_init=lam
+        )
         t_gaps.append(t_gap)
         t_evals.append(evals)
         outer.append(obj)

@@ -424,35 +424,35 @@ class TestSubcommands:
                 ["optimize", "--seed", "0", "--mode", "both"],
                 {
                     "pam": (
-                        2.651076045843791e-05,
-                        2.651076045843791e-05,
+                        2.6510822967824786e-05,
+                        2.6510822967824786e-05,
                         [
-                            0.28336959419041713, 0.13848006255416972, 0.12116059065242944,
-                            0.11418839426120814, 0.11160899719099167, 0.09457555394181728,
-                            0.030899695089290278, 0.012855812926041226, 0.007362861917011876,
-                            0.004141913107749915, 0.0024094214456958775, 0.0014303927864642485,
-                            0.0008665779008743959, 0.0005245226376131081, 0.0003182165639786487,
-                            0.0001940461046720665, 0.0001192050639441734, 7.389609743399634e-05,
-                            4.62777976458533e-05, 2.9297092159491024e-05,
+                            0.2833695941904172, 0.1384800625541697, 0.12116059065783814,
+                            0.11418839973705387, 0.11160900785956915, 0.09457564772488905,
+                            0.030899751521767778, 0.012855837558808748, 0.007362873828459319,
+                            0.0041419194714484, 0.0024094250363912444, 0.001430394629363156,
+                            0.0008665790607448387, 0.0005245233795459787, 0.0003182170436160946,
+                            0.00019404637126458252, 0.00011920525484296232, 7.389622931191948e-05,
+                            4.627788816553651e-05, 2.9297154517751527e-05,
                         ],
                     ),
-                    "baseline": (0.16629679146179163, 0.16629679146179163, []),
+                    "baseline": (0.1662967693463748, 0.1662967693463748, []),
                 },
             ),
             (
                 ["--config", large, "optimize", "--seed", "0", "--mode", "pam"],
                 {
                     "pam": (
-                        0.025549518676364784,
-                        0.025549518676364784,
+                        0.025549526989446653,
+                        0.025549526989446653,
                         [
-                            0.06485808948551819, 0.06138357285685417, 0.060141374194985026,
-                            0.05967888209600426, 0.059222133696494955, 0.05868812436906038,
-                            0.05795475075896938, 0.05701098990415351, 0.05583512946879854,
-                            0.054495610302627645, 0.053193519438122, 0.05196170111562297,
-                            0.05053388461438725, 0.04919967516679997, 0.047143817281866104,
-                            0.04512000412764687, 0.04294792589415232, 0.04083750558262533,
-                            0.03877233910930662, 0.03673382019119153,
+                            0.06485808948551819, 0.06138357285685419, 0.0601413689473134,
+                            0.05967885341151036, 0.05922213530554403, 0.05868812264912436,
+                            0.05795474560798695, 0.057010974410905954, 0.05583512811417356,
+                            0.05449561161361451, 0.053193520242626684, 0.05196169378007461,
+                            0.05053388575292153, 0.04919967770574113, 0.0471438255388547,
+                            0.045120015381499644, 0.04294793272755897, 0.040837514708524626,
+                            0.038772349143962374, 0.03673383053071133,
                         ],
                     ),
                 },
@@ -519,7 +519,7 @@ class TestSubcommands:
                 [0.04763416240048607, 0.003631277308634606, 0.07505222900117602, 0.2548460086576477],
                 [0.10149718108077355, 0.057494295988922084, 0.016085078342196905, 0.049738899689162189],
                 [0.053144796969145203, 0.0091419118772937402, 0.043617126112623764, 0.15244330278568291],
-                [0.049614624877726388, 0.0056117397858749252, 0.10450287568079679, 0.37699375106197253],
+                [0.049614624877726388, 0.0056117397858749252, 0.10450287632492614, 0.3769937530540365],
             ],
             rtol=1e-9,
         )
@@ -530,7 +530,7 @@ class TestSubcommands:
         np.testing.assert_allclose(summary["lambda_star"], 0.04400288509185146, rtol=1e-9)
         expected = {
             "pam": [0.04763416240048607, 0.003631277308634606, 0.07505222900117602, 0.09449751745004316],
-            "baseline": [0.04961462487772639, 0.005611739785874925, 0.10450287568079679, 0.13755406735471667],
+            "baseline": [0.04961462487772639, 0.005611739785874925, 0.10450287632492614, 0.1375540682025522],
         }
         keys = ["final_loss", "final_loss_gap", "final_max_mse", "final_objective"]
         assert list(summary["summary"]) == ["7"]

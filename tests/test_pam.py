@@ -1,8 +1,10 @@
 """Tests for the alternating min-max optimizer and its inner penalty loop."""
 
+import hashlib
 import tracemalloc
 from dataclasses import fields
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -232,6 +234,28 @@ def _subgradient_reference(f, r, chan, w, cfg, t_init, iters=2000):
     return best_t
 
 
+def _sweep_links():
+    """The 150 random links of the transmit-solve sweep, as
+    ``(cfg, chan, f, r, t0, w)``: N 1-11, K 1-16, pathloss 0/-40/-100 dB,
+    power 1e-3/1/100, closed-form equalizers with one set to zero in 20% of
+    them, and a random full-power t0."""
+    rng = substream(55, "t-sweep")
+    links = []
+    for _ in range(150):
+        n, k = int(rng.integers(1, 12)), int(rng.integers(1, 17))
+        pathloss, budget = float(rng.choice([0.0, -40.0, -100.0])), float(rng.choice([1e-3, 1.0, 100.0]))
+        cfg = RadioConfig(n_antennas=n, n_users=k, pathloss_db=pathloss, power_budget=budget)
+        chan = sample_channels(cfg, int(rng.integers(1 << 30)))
+        f = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, n)))
+        w = AggregationWeights(rng.uniform(1.0, 5.0, k))
+        t0 = np.sqrt(budget) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
+        r = update_r(f, t0, chan, w, cfg)
+        if rng.uniform() < 0.2:
+            r[int(rng.integers(k))] = 0.0
+        links.append((cfg, chan, f, r, t0, w))
+    return links
+
+
 class TestUpdateT:
     def _single_user(self, coeff_value):
         cfg = RadioConfig(
@@ -247,13 +271,13 @@ class TestUpdateT:
 
     def test_unconstrained_least_squares(self):
         cfg, chan, f, r = self._single_user(2.0)
-        t, gap, _, _ = update_t(f, r, chan, AggregationWeights(np.array([1.0])), cfg)
+        t, gap, _, _, _ = update_t(f, r, chan, AggregationWeights(np.array([1.0])), cfg)
         np.testing.assert_allclose(t, [0.5 + 0j], atol=1e-9)
         assert gap == 0.0
 
     def test_radial_clip(self):
         cfg, chan, f, r = self._single_user(0.5)
-        t, gap, _, _ = update_t(f, r, chan, AggregationWeights(np.array([1.0])), cfg)
+        t, gap, _, _, _ = update_t(f, r, chan, AggregationWeights(np.array([1.0])), cfg)
         np.testing.assert_allclose(t, [1.0 + 0j], atol=1e-9)
         assert gap == 0.0
 
@@ -265,7 +289,7 @@ class TestUpdateT:
             cfg, chan, f, r, t0, w = _random_instance(rng, 3, 1)
             coeff = _transmit_coeff(f, r, chan)[0]
             cap = np.sqrt(cfg.power_budget)
-            t, gap, _, _ = update_t(f, r, chan, w, cfg, t_init=_project_disc(t0, cap))
+            t, gap, _, _, _ = update_t(f, r, chan, w, cfg, t_init=_project_disc(t0, cap))
             expected = _project_disc(w.alpha * coeff.conj() / np.abs(coeff) ** 2, cap)
             np.testing.assert_allclose(t, expected, rtol=1e-14, atol=0)
             assert gap == 0.0
@@ -299,7 +323,7 @@ class TestUpdateT:
         for _ in range(5):
             cfg, chan, f, r, t0, w = _random_instance(rng, n, k)
             cap = np.sqrt(cfg.power_budget)
-            t, gap, _, _ = update_t(f, r, chan, w, cfg)
+            t, gap, _, _, _ = update_t(f, r, chan, w, cfg)
             assert 0.0 <= gap <= T_GAP_TOL
             assert np.all(np.abs(t) <= cap * (1 + 1e-12))
             floor = (1.0 - gap) * objective_minmax(f, r, t, chan, w, cfg)
@@ -317,7 +341,7 @@ class TestUpdateT:
         for _ in range(5):
             cfg, chan, f, r, _, w = _random_instance(rng, 6, 8)
             r[3] = 0.0
-            t, gap, _, _ = update_t(f, r, chan, w, cfg)
+            t, gap, _, _, _ = update_t(f, r, chan, w, cfg)
             assert gap <= T_GAP_TOL
             assert objective_minmax(f, r, t, chan, w, cfg) >= np.sum(w.alpha**2)
 
@@ -346,7 +370,7 @@ class TestUpdateT:
         chan = ChannelRealization(uplink=coeff.T.copy(), downlink=np.eye(3, dtype=complex))
         f, r, w = np.eye(3, dtype=complex), np.ones(3, dtype=complex), AggregationWeights(np.full(3, 1.0 / 3.0))
         np.testing.assert_array_equal(_transmit_coeff(f, r, chan), coeff)
-        t, gap, _, evals = update_t(f, r, chan, w, cfg, t_init=t_init)
+        t, gap, _, evals, _ = update_t(f, r, chan, w, cfg, t_init=t_init)
         assert gap <= T_GAP_TOL and evals <= 10
         floor = (1.0 - gap) * objective_minmax(f, r, t, chan, w, cfg)
         assert objective_minmax(f, r, t_init, chan, w, cfg) >= floor
@@ -412,7 +436,7 @@ class TestUpdateT:
             r = update_r(f, t0, chan, w, cfg)
             if trial == len(links) - 1:
                 r[int(rng.integers(k))] = 0.0
-            t, gap, _, evals = update_t(f, r, chan, w, cfg, t_init=t0)
+            t, gap, _, evals, _ = update_t(f, r, chan, w, cfg, t_init=t0)
             assert gap <= T_GAP_TOL, f"trial {trial}: gap {gap:.3e}"
             assert evals <= 60, f"trial {trial}: {evals} dual evaluations"
             assert objective_minmax(f, r, t, chan, w, cfg) <= objective_minmax(f, r, t0, chan, w, cfg)
@@ -428,26 +452,81 @@ class TestUpdateT:
         # curvature changes over a tiny region, so the undamped Newton model
         # often fails, and damping by a fixed schedule alone took 158
         # evaluations on one of these links.
-        rng = substream(55, "t-sweep")
         corner = 0
-        for trial in range(150):
-            n, k = int(rng.integers(1, 12)), int(rng.integers(1, 17))
-            pathloss, budget = float(rng.choice([0.0, -40.0, -100.0])), float(rng.choice([1e-3, 1.0, 100.0]))
-            cfg = RadioConfig(n_antennas=n, n_users=k, pathloss_db=pathloss, power_budget=budget)
-            chan = sample_channels(cfg, int(rng.integers(1 << 30)))
-            f = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, n)))
-            w = AggregationWeights(rng.uniform(1.0, 5.0, k))
-            t0 = np.sqrt(budget) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
-            r = update_r(f, t0, chan, w, cfg)
-            if rng.uniform() < 0.2:
-                r[int(rng.integers(k))] = 0.0
-            t, gap, value, evals = update_t(f, r, chan, w, cfg, t_init=t0)
+        for trial, (cfg, chan, f, r, t0, w) in enumerate(_sweep_links()):
+            t, gap, value, evals, _ = update_t(f, r, chan, w, cfg, t_init=t0)
             assert gap <= T_GAP_TOL, f"trial {trial}: gap {gap:.3e}"
             assert evals <= 60, f"trial {trial}: {evals} dual evaluations"
             assert value == objective_minmax(f, r, t, chan, w, cfg), f"trial {trial}: value {value!r}"
-            clipped = np.all(np.abs(_transmit_coeff(f, r, chan)) * np.sqrt(budget) <= 3e-4 * w.alpha)
+            clipped = np.all(np.abs(_transmit_coeff(f, r, chan)) * np.sqrt(cfg.power_budget) <= 3e-4 * w.alpha)
             corner += bool(clipped) and evals > 1
         assert corner >= 5
+
+    def test_cold_solve_is_unchanged_by_the_warm_start(self):
+        # Without lam_init the solve starts at uniform weights as it did
+        # before it took one: on the sweep's 150 links its t, gap, value and
+        # evaluation count hash to the digest recorded before lam_init
+        # existed (916 evaluations in all).
+        digest = hashlib.sha256()
+        total = 0
+        for cfg, chan, f, r, t0, w in _sweep_links():
+            t, gap, value, evals, _ = update_t(f, r, chan, w, cfg, t_init=t0)
+            digest.update(t.tobytes())
+            digest.update(np.array([gap, value]).tobytes())
+            digest.update(np.int64(evals).tobytes())
+            total += evals
+        assert total == 916
+        assert digest.hexdigest() == "2fcb3618f89b4739785338f3effaba5acae6939a192b06f7160eba7cd1bdabf2"
+
+    def test_restart_from_returned_weights_certifies_at_once(self):
+        # The returned weights lie on the simplex over the users whose
+        # coefficient row is not zero and are 0 for the others (all 0 when
+        # every row is); a solve restarted from them and the returned t on
+        # the same link, as the outer loop restarts it, certifies within 2
+        # dual evaluations.
+        zero_rows = 0
+        for trial, (cfg, chan, f, r, t0, w) in enumerate(_sweep_links()):
+            t, _, _, _, lam = update_t(f, r, chan, w, cfg, t_init=t0)
+            heard = np.any(_transmit_coeff(f, r, chan) != 0, axis=1)
+            zero_rows += int(np.sum(~heard))
+            assert lam.shape == (cfg.n_users,) and np.all(lam >= 0.0)
+            assert np.all(lam[~heard] == 0.0)
+            assert abs(np.sum(lam) - np.any(heard)) <= 1e-12, f"trial {trial}: sum {np.sum(lam)!r}"
+            again = update_t(f, r, chan, w, cfg, t_init=t, lam_init=lam)
+            _, gap, _, evals, lam_again = again
+            assert gap <= T_GAP_TOL and evals <= 2, f"trial {trial}: gap {gap:.3e}, {evals} evaluations"
+            assert np.all(lam_again[~heard] == 0.0)
+            # lam_init is restricted to the heard users and renormalized:
+            # doubling it and adding mass on the others starts the same solve.
+            scaled = update_t(f, r, chan, w, cfg, t_init=t, lam_init=2.0 * lam + 5.0 * ~heard)
+            np.testing.assert_array_equal(scaled[0], again[0])
+            assert scaled[1:4] == again[1:4]
+            np.testing.assert_array_equal(scaled[4], again[4])
+        assert zero_rows >= 20
+
+    def test_weights_without_mass_on_heard_users_start_cold(self):
+        # A lam_init that puts no mass on any user with a nonzero coefficient
+        # row (all zero, or all on zero-equalizer users), or that has a
+        # negative or non-finite entry, is ignored: the solve equals the
+        # cold one bit for bit.  On links with a zero equalizer, mass on that
+        # user alone is such a start.
+        muted = 0
+        for cfg, chan, f, r, t0, w in _sweep_links():
+            k = cfg.n_users
+            cold = update_t(f, r, chan, w, cfg, t_init=t0)
+            starts = [np.zeros(k), np.full(k, -1.0), np.full(k, np.nan), np.full(k, np.inf)]
+            silent = np.flatnonzero(~np.any(_transmit_coeff(f, r, chan) != 0, axis=1))
+            if silent.size:
+                muted += 1
+                starts.append(np.eye(k)[silent[0]] * 3.0)
+            for lam_init in starts:
+                warm = update_t(f, r, chan, w, cfg, t_init=t0, lam_init=lam_init)
+                np.testing.assert_array_equal(warm[0], cold[0])
+                assert warm[1:4] == cold[1:4]
+                np.testing.assert_array_equal(warm[4], cold[4])
+        assert muted >= 20
+        with pytest.raises(ValueError, match="one entry per user"):
+            update_t(f, r, chan, w, cfg, t_init=t0, lam_init=np.ones(cfg.n_users + 1))
 
     def test_not_worse_than_subgradient(self):
         rng = substream(50, "t-vs-subgradient")
@@ -493,7 +572,7 @@ class TestUpdateT:
             for step in range(3):
                 r = update_r(f, t, chan, w, cfg)
                 before = objective_minmax(f, r, t, chan, w, cfg)
-                t, gap, _, _ = update_t(f, r, chan, w, cfg, t_init=t)
+                t, gap, _, _, _ = update_t(f, r, chan, w, cfg, t_init=t)
                 assert gap <= T_GAP_TOL, f"trial {trial} step {step}: gap {gap:.3e}"
                 assert objective_minmax(f, r, t, chan, w, cfg) <= before, f"trial {trial} step {step}"
 
@@ -511,8 +590,9 @@ class TestUpdateT:
         for uplink, r in links:
             chan = ChannelRealization(uplink=uplink, downlink=np.array([[1.0, 0.5j], [0.3, 1.0]], dtype=complex))
             f = np.array([[1.0, 1j], [-1j, 1.0]])
-            t, gap, value, evals = update_t(f, r, chan, w, cfg, t_init=t_init)
+            t, gap, value, evals, lam = update_t(f, r, chan, w, cfg, t_init=t_init, lam_init=[0.2, 0.8])
             np.testing.assert_array_equal(t, t_init)
+            np.testing.assert_array_equal(lam, np.zeros(2))
             assert gap == 0.0 and evals == 0
             assert value == objective_minmax(f, r, t_init, chan, w, cfg)
         assert value > np.sum(w.alpha**2)
@@ -845,22 +925,24 @@ def _reference_inner_pam(ws, f_matrix_init, rho, m_inner):
 
 
 def _per_cycle_inner_pam(ws, f_matrix_init, rho, m_inner):
-    """The factored inner loop with its merit written out inside every
-    cycle: the spread from the next cycle's rows, the tether, then the
-    worst-user data cost plus rho times both."""
+    """The factored inner loop written out, with its merit inside every
+    cycle: the copies' row offsets d from the folded u-step, the consensus
+    mean d + 0.5 (F_prev + Z), then the spread from the next cycle's rows,
+    the tether, and the worst-user data cost plus rho times both."""
     downlink = ws.downlink
     g_conj = downlink.conj()
     g_sq = np.sum(np.abs(downlink) ** 2, axis=1)
-    solve = pam_module._factor_u_step(ws, rho)
+    step = pam_module._factor_u_step(ws, rho)
     f_matrix, z_matrix = f_matrix_init, f_matrix_init.copy()
     g_f = g_conj @ f_matrix
     trajectory = np.empty(m_inner)
     for cycle in range(m_inner):
-        g_u, v = solve(g_f)
+        d = step.diff(g_f)
         f_prev, g_f_prev = f_matrix, g_f
-        f_matrix = 0.5 * (f_prev + (downlink.T @ v) / ws.n_users + z_matrix)
+        f_matrix = step.mean @ d + 0.5 * (f_prev + z_matrix)
         z_matrix = phase_project(f_matrix)
         g_f = g_conj @ f_matrix
+        g_u, v = d + g_f_prev, d * step.inv_g_sq
         spread = np.mean(
             np.sum(np.abs(f_prev - f_matrix) ** 2)
             + 2.0 * np.real(np.sum((g_f_prev - g_f).conj() * v, axis=1))
@@ -870,7 +952,41 @@ def _per_cycle_inner_pam(ws, f_matrix_init, rho, m_inner):
         fit = ws.r[:, None] * (g_u @ ws.uplink.T) * ws.t[None, :] - ws.alpha
         data = np.sum(np.abs(fit) ** 2, axis=1) + ws.kron_scale * np.sum(np.abs(g_u) ** 2, axis=1)
         trajectory[cycle] = float(np.max(data) + rho * (spread + tether))
-    return z_matrix, trajectory
+    return f_matrix, z_matrix, trajectory
+
+
+def _unfolded_inner_pam(ws, f_matrix_init, rho, m_inner):
+    """The factored inner loop before its constants were folded, verbatim:
+    per cycle the copies' rows g_u = D + p R - ((D + p R) AQ W) (AQ)^H with
+    R = G^* F, their offsets v = (g_u - R) / ||g_k||^2, and the consensus
+    0.5 (F_prev + G^T V / K + Z).  Returns the last F, Z and merit."""
+    downlink = ws.downlink
+    g_conj = downlink.conj()
+    ridge = rho / ws.n_users
+    g_sq = np.sum(np.abs(downlink) ** 2, axis=1)
+    s = ridge + ws.kron_scale * g_sq
+    beta = np.abs(ws.r) ** 2 * g_sq / s
+    a = ws.uplink.T * ws.t[None, :]
+    lam, q = np.linalg.eigh(a.conj().T @ a)
+    aq = a @ q
+    aq_h = aq.conj().T
+    weight = beta[:, None] / (1.0 + beta[:, None] * lam[None, :])
+    target = (ws.alpha * ws.t) @ ws.uplink
+    data = (g_sq / s)[:, None] * np.conj(np.outer(ws.r, target))
+    prox = (ridge / s)[:, None]
+    inv_g_sq = np.divide(1.0, g_sq, out=np.zeros_like(g_sq), where=g_sq > 0)[:, None]
+    f_matrix, z_matrix = f_matrix_init, f_matrix_init.copy()
+    g_f = g_conj @ f_matrix
+    for _ in range(m_inner):
+        rhs = data + prox * g_f
+        g_u = rhs - ((rhs @ aq) * weight) @ aq_h
+        v = (g_u - g_f) * inv_g_sq
+        f_prev, g_f_prev = f_matrix, g_f
+        f_matrix = 0.5 * (f_prev + (downlink.T @ v) / ws.n_users + z_matrix)
+        z_matrix = phase_project(f_matrix)
+        g_f = g_conj @ f_matrix
+    cycle = SimpleNamespace(g_u=g_u, v=v, f_prev=f_prev, g_f_prev=g_f_prev, f=f_matrix, z=z_matrix, g_f=g_f)
+    return f_matrix, z_matrix, cycle_merit(ws, cycle, rho)
 
 
 def _ill_conditioned_workspace():
@@ -943,10 +1059,25 @@ class TestFactoredUStep:
         ws = build_workspace(r, t, chan, w, cfg)
         rho = float(rng.uniform(0.2, 3.0))
         f_new, merit = inner_pam(ws, f0, rho, m_inner)
-        f_want, trajectory_want = _per_cycle_inner_pam(ws, f0, rho, m_inner)
+        _, f_want, trajectory_want = _per_cycle_inner_pam(ws, f0, rho, m_inner)
         np.testing.assert_array_equal(_trajectory(ws, _cycles(ws, f0, rho, m_inner), rho), trajectory_want)
         np.testing.assert_array_equal(merit, trajectory_want[-1])
         np.testing.assert_array_equal(f_new, f_want)
+
+    @pytest.mark.parametrize("n, k", [(8, 3), (8, 13), (32, 16)])
+    def test_folded_cycle_tracks_the_unfolded_formula(self, n, k):
+        # Folding the u-step's constants reorders its roundings only: over
+        # 50 cycles F, Z and the merit stay within 1e-12 relative of the
+        # unfolded formula (F and Z against their largest entry).
+        rng = substream(70, f"folded-{n}-{k}")
+        cfg, chan, f0, r, t, w = _random_instance(rng, n, k)
+        ws = build_workspace(r, t, chan, w, cfg)
+        rho = float(rng.uniform(0.2, 3.0))
+        f_want, z_want, merit_want = _unfolded_inner_pam(ws, f0, rho, 50)
+        f_got, z_got, trajectory = _per_cycle_inner_pam(ws, f0, rho, 50)
+        np.testing.assert_allclose(f_got, f_want, rtol=0, atol=1e-12 * np.max(np.abs(f_want)))
+        np.testing.assert_allclose(z_got, z_want, rtol=0, atol=1e-12 * np.max(np.abs(z_want)))
+        np.testing.assert_allclose(trajectory[-1], merit_want, rtol=1e-12, atol=0)
 
     def test_factor_built_once_per_call(self, monkeypatch):
         # Structural guard, no timing: the u-step's one eigendecomposition
@@ -1059,6 +1190,30 @@ class TestRunPam:
         assert len(sol.t_gaps) == len(sol.t_evals) == pc.n_outer
         assert max(sol.t_gaps) <= T_GAP_TOL
         assert max(sol.t_evals) <= 20
+
+    def test_each_transmit_solve_starts_at_the_last_ones_weights(self, monkeypatch):
+        # Structural guard: in both modes the outer loop's first t-solve
+        # starts cold, and solve c + 1 receives solve c's returned weights.
+        cfg = RadioConfig(n_antennas=3, n_users=3, pathloss_db=0.0, noise_power_server=0.01, noise_power_user=0.01)
+        chan = sample_channels(cfg, 12)
+        w = AggregationWeights(np.array([1.0, 2.0, 3.0]))
+        calls = []
+        original = pam_module.update_t
+
+        def recording(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls.append((kwargs.get("lam_init"), out[4]))
+            return out
+
+        monkeypatch.setattr(pam_module, "update_t", recording)
+        pc = PamConfig(n_outer=4, m_inner=5)
+        for solve in (lambda: run_pam(chan, w, cfg, pc, seed=1), lambda: baseline_optimize(chan, w, cfg, pc)):
+            solution = solve()
+            assert len(calls) == pc.n_outer == len(solution.t_evals)
+            assert calls[0][0] is None
+            for (_, returned), (received, _) in zip(calls, calls[1:]):
+                assert received is returned
+            calls.clear()
 
     def test_block_updates_never_increase(self):
         rng = substream(66, "pam-blocks")

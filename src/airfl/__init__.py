@@ -14,11 +14,11 @@ linalg
     Unit-modulus projection, column-major vectorization helpers, the dense
     solve of the self-checks, and the numeric error types.
 channel
-    Seeded channel/noise sampling and radio configuration.
+    Seeded channel sampling, RNG substreams and radio configuration.
 aircomp
     The analog aggregation chain (one batched function, from parameters to
-    received symbols) and the closed-form per-user MSE with its Monte Carlo
-    twin.
+    each user's estimate, and one noise sampler) and the closed-form
+    per-user MSE with its Monte Carlo twin.
 pam
     Penalized alternating optimization of the relay matrix plus the
     closed-form receive update and the min-max transmit update; identity

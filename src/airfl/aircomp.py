@@ -9,12 +9,12 @@ rebroadcasts; each user equalizes with a scalar receive coefficient and
 unpacks.  Any relay amplification is part of the downlink gains.
 
 ``over_the_air`` is the one implementation of that chain, from parameters
-to received symbols; the training loop and the Monte Carlo check both run
-it.  ``analytic_mse`` is the closed-form per-user MSE of the chain against
-the weighted aggregate of the transmitted parameters; ``monte_carlo_mse``
-is the simulation twin used to validate it.  It streams the chain in
-chunks, and one helper thread draws the next chunk's noise while the
-caller runs the current one; the draws are the same as drawn all at once.
+to each user's estimate, and ``_chain_noise`` its one noise sampler; the
+training loop and the Monte Carlo check both run them, chunk by chunk.
+``analytic_mse`` is the closed-form per-user MSE of the chain against the
+weighted aggregate of the transmitted parameters; ``monte_carlo_mse`` is
+the simulation twin used to validate it, one helper thread drawing the next
+chunk's noise while the caller runs the current one.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 
 from .channel import substream
 
-# Draws per pass of the Monte Carlo chain: bounds its memory, not its draws.
-# Two chunks of noise are held at once, the one in use and the one read ahead.
+# Draws or training replays per pass of the chain: bounds its memory, not its
+# draws.  Monte Carlo holds two chunks of noise, in use and read ahead.
 _MC_CHUNK = 1024
 
 __all__ = [
@@ -67,16 +67,16 @@ def global_target(x_all, weights):
     return np.einsum("k,...km->...m", weights.alpha, x)
 
 
-def over_the_air(x_batch, f_matrix, t_all, chan, eta, relay_noise, user_noise):
-    """Symbols every user receives from one pass of the analog chain, batched.
+def over_the_air(x_batch, f_matrix, r_all, t_all, chan, eta, relay_noise, user_noise):
+    """Every user's estimate of the aggregate from one pass of the analog chain, batched.
 
     ``x_batch`` is (R, K, M) real.  Each user packs its parameters pairwise
     into S = M/2 complex symbols and scales them by t_k / sqrt(2 eta); the
     uplinks superimpose at the relay, which adds ``relay_noise`` (R, N, S)
     and forwards F times its observation; user k observes g_k^H of the
-    broadcast plus ``user_noise`` (R, K, S).  ``eta`` is a scalar or one
-    value per batch entry.  Returns the (R, K, S) received symbols;
-    equalization and unpacking are left to the caller.
+    broadcast plus ``user_noise`` (R, K, S), and equalizes it by
+    sqrt(2 eta) r_k.  ``eta`` is a scalar or one value per batch entry.
+    Returns the (R, K, S) estimated symbols; unpacking is left to the caller.
     """
     x_batch = np.asarray(x_batch, dtype=float)
     if x_batch.ndim != 3 or x_batch.shape[1] != chan.n_users or x_batch.shape[2] % 2:
@@ -90,18 +90,19 @@ def over_the_air(x_batch, f_matrix, t_all, chan, eta, relay_noise, user_noise):
     if user_noise.shape != (replays, k_users, n_symbols):
         raise ValueError(f"user_noise must be {(replays, k_users, n_symbols)}")
     root = np.sqrt(2.0 * np.asarray(eta, dtype=float)).reshape(-1, 1, 1)
+    r_all = np.asarray(r_all, dtype=complex).reshape(-1)
     t_all = np.asarray(t_all, dtype=complex).reshape(-1)
     # One matrix product per stage over all R*S symbols: each stage is an
     # (N or K, R*S) array whose column r*S + s is symbol s of replay r.  The
     # relay noise is added in place through an (N, R, S) view, and each
     # stage rebinds ``signal`` so the previous stage's array is freed; the
-    # Monte Carlo check passes at most ``_MC_CHUNK`` draws as R.
+    # callers pass at most ``_MC_CHUNK`` draws or replays as R.
     signal = (t_all[None, :, None] / root) * (x_batch[..., 0::2] + 1j * x_batch[..., 1::2])
     signal = chan.uplink.T @ signal.transpose(1, 0, 2).reshape(k_users, replays * n_symbols)
     signal.reshape(chan.n_antennas, replays, n_symbols)[...] += relay_noise.transpose(1, 0, 2)
     signal = np.asarray(f_matrix, dtype=complex) @ signal
     signal = (chan.downlink.conj() @ signal).reshape(k_users, replays, n_symbols)
-    return signal.transpose(1, 0, 2) + user_noise
+    return root * r_all[None, :, None] * (signal.transpose(1, 0, 2) + user_noise)
 
 
 def _effective_gains(f_matrix, chan):
@@ -185,14 +186,22 @@ def _noise_chunks(seed, label, power, draws, shape):
         yield chunk
 
 
+def _chain_noise(seed, relay_label, user_label, cfg, chan, draws, n_symbols):
+    """Pairs of relay (draws, N, S) and user (draws, K, S) noise chunks (see _noise_chunks)."""
+    return zip(
+        _noise_chunks(seed, relay_label, cfg.noise_power_server, draws, (chan.n_antennas, n_symbols)),
+        _noise_chunks(seed, user_label, cfg.noise_power_user[:, None], draws, (chan.n_users, n_symbols)),
+    )
+
+
 def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, draws, seed):
     """Simulation estimate of the per-user MSE and its standard error.
 
     Draws synthetic parameter vectors with i.i.d. zero-mean Gaussian entries
     of variance ``eta`` (matching the second-moment model the closed form
     assumes), runs them through :func:`over_the_air` with its own noise
-    draws, equalizes, and averages ||decoded_k - target||^2 (pairwise
-    packing is an isometry, so the error is taken on the symbols).
+    draws, and averages ||estimate_k - target||^2 (pairwise packing is an
+    isometry, so the error is taken on the symbols).
 
     The chain runs on ``_MC_CHUNK`` draws at a time.  One helper thread
     draws the next chunk's noise while the calling thread draws the
@@ -204,7 +213,7 @@ def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, 
     size or on the threads: parameters come in order from the
     "mc-parameters" substream, and each noise substream ("mc-relay-noise",
     "mc-user-noise") is read by one generator, each entry's real and
-    imaginary parts back to back (see :func:`_noise_chunks`).
+    imaginary parts back to back (see :func:`_chain_noise`).
 
     Returns
     -------
@@ -224,12 +233,8 @@ def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, 
     model_dim = 2 * n_symbols
     k_users = chan.n_users
     rng_x = substream(seed, "mc-parameters")
-    r_all = np.asarray(r_all, dtype=complex).reshape(-1)
     sq = np.empty((draws, k_users))
-    noise = zip(
-        _noise_chunks(seed, "mc-relay-noise", cfg.noise_power_server, draws, (chan.n_antennas, n_symbols)),
-        _noise_chunks(seed, "mc-user-noise", cfg.noise_power_user[:, None], draws, (k_users, n_symbols)),
-    )
+    noise = _chain_noise(seed, "mc-relay-noise", "mc-user-noise", cfg, chan, draws, n_symbols)
     with ThreadPoolExecutor(1) as helper:
         pending = helper.submit(next, noise, None)
         for start in range(0, draws, _MC_CHUNK):
@@ -240,9 +245,8 @@ def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, 
             stop = min(start + _MC_CHUNK, draws)
             x_draws = np.sqrt(eta) * rng_x.standard_normal((stop - start, k_users, model_dim))
             target = global_target(x_draws[..., 0::2] + 1j * x_draws[..., 1::2], weights)
-            received = over_the_air(x_draws, f_matrix, t_all, chan, eta, relay, user)
-            err = np.sqrt(2.0 * eta) * r_all[None, :, None] * received - target[:, None, :]
-            sq[start:stop] = np.sum(np.abs(err) ** 2, axis=2)
+            estimate = over_the_air(x_draws, f_matrix, r_all, t_all, chan, eta, relay, user)
+            sq[start:stop] = np.sum(np.abs(estimate - target[:, None, :]) ** 2, axis=2)
     mean = sq.mean(axis=0)
     stderr = sq.std(axis=0, ddof=1) / np.sqrt(draws)
     return mean, stderr

@@ -20,7 +20,6 @@ __all__ = [
     "RadioConfig",
     "db_to_linear",
     "derive_seed",
-    "sample_awgn",
     "sample_channels",
     "substream",
 ]
@@ -161,6 +160,8 @@ class ChannelRealization:
 
 
 def _circular_gaussian(rng, shape, variance):
+    # All real parts, then all imaginary parts: the channel draws' recorded
+    # layout.  The chain's noise interleaves them (aircomp._noise_chunks).
     scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
@@ -179,14 +180,3 @@ def sample_channels(cfg, seed, round_index=0):
     up = _circular_gaussian(rng_up, shape, cfg.pathloss_linear[:, None])
     down = _circular_gaussian(rng_down, shape, cfg.downlink_pathloss_linear[:, None])
     return ChannelRealization(uplink=up, downlink=down)
-
-
-def sample_awgn(shape, variance, seed, stream_label):
-    """Circularly-symmetric complex Gaussian noise with the given per-entry variance."""
-    variance = float(variance)
-    if variance < 0:
-        raise ValueError("noise variance must be nonnegative")
-    if variance == 0:
-        return np.zeros(shape, dtype=complex)
-    rng = substream(seed, "awgn", stream_label)
-    return _circular_gaussian(rng, shape, variance)

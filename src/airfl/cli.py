@@ -250,11 +250,19 @@ def _modes(cfg, override=None):
     return RUN_MODES[:2] if mode == "both" else (mode,)
 
 
+def _seeds_and_out(cfg, args):
+    """Seeds (``--seed``, range-checked, replaces the config's) and the output
+    directory, created; None for validate, which has no ``--out``."""
+    seeds = cfg.seeds if args.seed is None else (_seed_value(args.seed, "--seed"),)
+    out_dir = (args.out or cfg.out_dir) if "out" in args else None
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    return seeds, out_dir
+
+
 def _cmd_optimize(cfg, args):
     _seed_value(args.round_index, "--round-index")
-    seed = cfg.seeds[0] if args.seed is None else _seed_value(args.seed, "--seed")
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    (seed, *_), out_dir = _seeds_and_out(cfg, args)
     weights = aircomp.AggregationWeights(np.full(cfg.radio.n_users, float(cfg.task.samples_per_user)))
     chan = sample_channels(cfg.radio, seed, round_index=args.round_index)
     results = {}
@@ -285,9 +293,7 @@ def _cmd_simulate(cfg, args):
         task = cfg.task.build(cfg.radio.n_users)
     except ValueError as exc:  # a sample draw too small to whiten
         raise ConfigError(f"task: {exc}") from exc
-    seeds = cfg.seeds if args.seed is None else (_seed_value(args.seed, "--seed"),)
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    seeds, out_dir = _seeds_and_out(cfg, args)
     modes = _modes(cfg, args.mode)
     report = run_experiment(
         task,
@@ -349,9 +355,7 @@ def _cmd_simulate(cfg, args):
 def _cmd_mse_check(cfg, args):
     draws = _at_least(args.draws, 2, "--draws")
     n_instances = _at_least(args.instances, 1, "--instances")
-    seed = cfg.seeds[0] if args.seed is None else _seed_value(args.seed, "--seed")
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    (seed, *_), out_dir = _seeds_and_out(cfg, args)
     radio = cfg.radio
     # An odd dimension is padded with one zero coordinate, as in simulate.
     n_symbols = (cfg.task.dim + 1) // 2
@@ -388,7 +392,7 @@ def _cmd_mse_check(cfg, args):
 
 
 def _cmd_validate(cfg, args):
-    seed = cfg.seeds[0] if args.seed is None else _seed_value(args.seed, "--seed")
+    (seed, *_), _ = _seeds_and_out(cfg, args)
     # (check, statistic, measurement, bound): the acceptance criteria's
     # checks at the user's seed with small instance counts.
     table = [

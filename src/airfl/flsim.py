@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aircomp import AggregationWeights, analytic_mse, global_target, over_the_air
-from .channel import derive_seed, sample_awgn, sample_channels, substream
+from .aircomp import AggregationWeights, _chain_noise, analytic_mse, global_target, over_the_air
+from .channel import derive_seed, sample_channels, substream
 from .linalg import NumericError, dense_solve
 from .pam import PamConfig, baseline_optimize, run_pam
 
@@ -381,31 +381,25 @@ def theorem1_bound(max_mse_history, n_users, smoothness, strong_convexity, total
 def transmit_batch(x_batch, f_matrix, r_all, t_all, chan, radio, eta_batch, seed, round_index):
     """One over-the-air aggregation pass per noise replay: (R, K, M) -> decoded (R, K, M).
 
-    Relay noise is drawn under the substream label ("round", i, "relay") and
-    user k's under ("round", i, "user", k): noise is keyed by seed and round,
-    never by mode, so paired pam/baseline runs see the same draws.
+    Runs :func:`over_the_air` on the replays chunk by chunk, with the noise
+    of :func:`aircomp._chain_noise` drawn under the substream labels
+    ("round", i, "relay") and ("round", i, "user"): the draws do not depend
+    on the chunking, and noise is keyed by seed and round, never by mode, so
+    paired pam/baseline runs see the same draws.
     """
     x_batch = np.asarray(x_batch, dtype=float)
-    replays, k_users, model_dim = x_batch.shape
-    n_symbols = model_dim // 2
+    replays, _, model_dim = x_batch.shape
     eta_batch = np.asarray(eta_batch, dtype=float).reshape(replays)
-    label = ("round", int(round_index))
-    relay_noise = sample_awgn(
-        (replays, chan.n_antennas, n_symbols), radio.noise_power_server, seed, label + ("relay",)
-    )
-    user_noise = np.stack(
-        [
-            sample_awgn((replays, n_symbols), radio.noise_power_user[k], seed, label + ("user", k))
-            for k in range(k_users)
-        ],
-        axis=1,
-    )
-    received = over_the_air(x_batch, f_matrix, t_all, chan, eta_batch, relay_noise, user_noise)
-    r_all = np.asarray(r_all, dtype=complex).reshape(-1)
-    equalized = np.sqrt(2.0 * eta_batch)[:, None, None] * (r_all[None, :, None] * received)
-    decoded = np.empty_like(x_batch)
-    decoded[..., 0::2] = equalized.real
-    decoded[..., 1::2] = equalized.imag
+    labels = ("round", int(round_index), "relay"), ("round", int(round_index), "user")
+    decoded = np.empty(x_batch.shape)
+    start = 0
+    for relay, user in _chain_noise(seed, *labels, radio, chan, replays, model_dim // 2):
+        rows = slice(start, start + len(relay))
+        # A complex view of the (R, K, M) output pairs entries 2s and 2s+1 as symbol s.
+        decoded.view(complex)[rows] = over_the_air(
+            x_batch[rows], f_matrix, r_all, t_all, chan, eta_batch[rows], relay, user
+        )
+        start = rows.stop
     return decoded
 
 

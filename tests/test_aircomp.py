@@ -39,24 +39,28 @@ def _complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _receive(x_batch, chan, f_matrix=None, t_all=None, eta=0.5, relay_noise=None,
+def _receive(x_batch, chan, f_matrix=None, r_all=None, t_all=None, eta=0.5, relay_noise=None,
              user_noise=None):
-    """Run the chain; F, t and the noises default to identity, ones and zeros.
+    """Run the chain; F, r, t and the noises default to identity, ones, ones and zeros.
 
-    The default eta = 0.5 makes the encoding scale t / sqrt(2 eta) exactly t.
+    The default eta = 0.5 makes the encoding scale t / sqrt(2 eta) exactly t
+    and the receiver's sqrt(2 eta) r exactly 1, so the chain returns the raw
+    received symbols.
     """
     x_batch = np.asarray(x_batch, dtype=float)
     replays, k_users, model_dim = x_batch.shape
     n_symbols = model_dim // 2
     if f_matrix is None:
         f_matrix = np.eye(chan.n_antennas, dtype=complex)
+    if r_all is None:
+        r_all = np.ones(k_users, dtype=complex)
     if t_all is None:
         t_all = np.ones(k_users, dtype=complex)
     if relay_noise is None:
         relay_noise = np.zeros((replays, chan.n_antennas, n_symbols), dtype=complex)
     if user_noise is None:
         user_noise = np.zeros((replays, k_users, n_symbols), dtype=complex)
-    return over_the_air(x_batch, f_matrix, t_all, chan, eta, relay_noise, user_noise)
+    return over_the_air(x_batch, f_matrix, r_all, t_all, chan, eta, relay_noise, user_noise)
 
 
 def _relay_view(rng, n):
@@ -80,17 +84,33 @@ def _random_state(rng, n, k, pathloss_db=0.0, noise_server=0.01, noise_user=0.02
     return cfg, chan, f_matrix, r_all, t_all, weights
 
 
-def _over_the_air_einsum(x_batch, f_matrix, t_all, chan, eta, relay_noise, user_noise):
-    """The analog chain written as three einsum contractions, one per stage:
-    the reference the matrix-product chain of ``over_the_air`` must match up
-    to summation order."""
+def _over_the_air_einsum(x_batch, f_matrix, r_all, t_all, chan, eta, relay_noise, user_noise):
+    """The analog chain written as three einsum contractions, one per stage,
+    and the receiver: the reference the matrix-product chain of
+    ``over_the_air`` must match up to summation order."""
     x_batch = np.asarray(x_batch, dtype=float)
     root = np.sqrt(2.0 * np.asarray(eta, dtype=float)).reshape(-1, 1, 1)
     t_all = np.asarray(t_all, dtype=complex).reshape(-1)
     signal = (t_all[None, :, None] / root) * (x_batch[..., 0::2] + 1j * x_batch[..., 1::2])
     signal = np.einsum("rks,kn->rns", signal, chan.uplink) + relay_noise
     signal = np.einsum("nm,rms->rns", np.asarray(f_matrix, dtype=complex), signal)
-    return np.einsum("kn,rns->rks", chan.downlink.conj(), signal) + user_noise
+    received = np.einsum("kn,rns->rks", chan.downlink.conj(), signal) + user_noise
+    return root * np.asarray(r_all, dtype=complex)[None, :, None] * received
+
+
+def _noise_one_shot(seed, label, power, shape):
+    """Complex noise of entry power ``power`` drawn all at once, each entry's
+    real and imaginary parts back to back: the layout ``_noise_chunks`` keeps."""
+    parts = substream(seed, label).standard_normal((*shape, 2))
+    return np.sqrt(np.asarray(power, dtype=float) / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
+
+
+def _unpack(symbols):
+    """(..., S) complex symbols -> (..., 2S) real parameters, pairwise."""
+    out = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],))
+    out[..., 0::2] = symbols.real
+    out[..., 1::2] = symbols.imag
+    return out
 
 
 def _monte_carlo_one_shot(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, draws, seed):
@@ -99,15 +119,15 @@ def _monte_carlo_one_shot(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_sym
     k_users = chan.n_users
     rng_x = substream(seed, "mc-parameters")
     x_draws = np.sqrt(eta) * rng_x.standard_normal((draws, k_users, 2 * n_symbols))
-    relay_parts = substream(seed, "mc-relay-noise").standard_normal((draws, chan.n_antennas, n_symbols, 2))
-    relay_noise = np.sqrt(cfg.noise_power_server / 2.0) * (relay_parts[..., 0] + 1j * relay_parts[..., 1])
-    user_parts = substream(seed, "mc-user-noise").standard_normal((draws, k_users, n_symbols, 2))
-    user_scale = np.sqrt(np.asarray(cfg.noise_power_user, dtype=float) / 2.0)[None, :, None]
-    user_noise = user_scale * (user_parts[..., 0] + 1j * user_parts[..., 1])
+    relay_noise = _noise_one_shot(
+        seed, "mc-relay-noise", cfg.noise_power_server, (draws, chan.n_antennas, n_symbols)
+    )
+    user_noise = _noise_one_shot(
+        seed, "mc-user-noise", cfg.noise_power_user[:, None], (draws, k_users, n_symbols)
+    )
     target = global_target(x_draws[..., 0::2] + 1j * x_draws[..., 1::2], weights)
-    received = over_the_air(x_draws, f_matrix, t_all, chan, eta, relay_noise, user_noise)
-    r_all = np.asarray(r_all, dtype=complex).reshape(-1)
-    err = np.sqrt(2.0 * eta) * r_all[None, :, None] * received - target[:, None, :]
+    estimate = over_the_air(x_draws, f_matrix, r_all, t_all, chan, eta, relay_noise, user_noise)
+    err = estimate - target[:, None, :]
     sq = np.sum(np.abs(err) ** 2, axis=2)
     return sq.mean(axis=0), sq.std(axis=0, ddof=1) / np.sqrt(draws)
 
@@ -147,22 +167,25 @@ class TestEncodeDecode:
         np.testing.assert_array_equal(s, np.zeros((1, 1, 2), dtype=complex))
 
     def test_norm_identity(self):
+        # The encoder's 1 / sqrt(2 eta) and the receiver's sqrt(2 eta)
+        # cancel: a perfect link's estimate has energy |r t|^2 ||x||^2.
         _, chan = _perfect_link()
         rng = substream(23, "encode-norm")
         for _ in range(10):
             x = rng.standard_normal(8)
+            r = complex(rng.standard_normal(), rng.standard_normal())
             t = complex(rng.standard_normal(), rng.standard_normal())
             eta = float(rng.uniform(0.2, 3.0))
-            s = _receive(x[None, None], chan, t_all=np.array([t]), eta=eta)
+            s = _receive(x[None, None], chan, r_all=np.array([r]), t_all=np.array([t]), eta=eta)
             lhs = np.sum(np.abs(s) ** 2)
-            rhs = (abs(t) ** 2 / (2 * eta)) * np.sum(x**2)
+            rhs = abs(r * t) ** 2 * np.sum(x**2)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_odd_length_rejected(self):
         _, chan = _perfect_link()
         with pytest.raises(ValueError):
             over_the_air(
-                np.ones((1, 1, 5)), np.eye(1), np.ones(1), chan, 1.0,
+                np.ones((1, 1, 5)), np.eye(1), np.ones(1), np.ones(1), chan, 1.0,
                 np.zeros((1, 1, 2)), np.zeros((1, 1, 2)),
             )
 
@@ -187,8 +210,9 @@ class TestEncodeDecode:
             x, np.eye(1, dtype=complex), np.array([r]), np.array([t]), chan, cfg,
             np.array([eta]), seed=0, round_index=0,
         )
-        scaled = r * _receive(x, chan, t_all=np.array([t]), eta=eta)[0, 0]
-        expected = np.sqrt(2 * eta) * np.column_stack([scaled.real, scaled.imag]).ravel()
+        sent = t / np.sqrt(2 * eta) * (x[0, 0, 0::2] + 1j * x[0, 0, 1::2])
+        symbols = np.sqrt(2 * eta) * r * sent
+        expected = np.column_stack([symbols.real, symbols.imag]).ravel()
         np.testing.assert_allclose(out[0, 0], expected, rtol=1e-12)
 
     def test_perfect_round_trip(self):
@@ -280,12 +304,13 @@ class TestChainOperations:
         chan = sample_channels(RadioConfig(n_antennas=n, n_users=k), int(rng.integers(1 << 31)))
         x = rng.standard_normal((replays, k, 10))
         f = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, n)))
+        r = _complex(rng, k)
         t = _complex(rng, k)
         for eta in (0.7, rng.uniform(0.5, 2.0, replays)):
             for noise in (0.0, 0.1):
                 relay = noise * _complex(rng, (replays, n, 5))
                 user = noise * _complex(rng, (replays, k, 5))
-                args = (x, f, t, chan, eta, relay, user)
+                args = (x, f, r, t, chan, eta, relay, user)
                 ref = _over_the_air_einsum(*args)
                 out = over_the_air(*args)
                 assert out.shape == ref.shape
@@ -303,6 +328,86 @@ class TestChainOperations:
         np.testing.assert_allclose(global_target(x, w), 0.25 * x[0] + 0.75 * x[1])
         batch = np.stack([x, 2.0 * x, -x])
         np.testing.assert_allclose(global_target(batch, w), [global_target(b, w) for b in batch])
+
+
+class TestChainNoise:
+    @staticmethod
+    def _draw(seed, radio, chan, draws, n_symbols):
+        # Copy each chunk out: the sampler reuses its two buffers.
+        pairs = [
+            (relay.copy(), user.copy())
+            for relay, user in aircomp._chain_noise(seed, "relay", "user", radio, chan, draws, n_symbols)
+        ]
+        return np.concatenate([p[0] for p in pairs]), np.concatenate([p[1] for p in pairs])
+
+    def test_empirical_variance(self):
+        # Every entry has its kind's noise power, user by user, across chunks.
+        radio = RadioConfig(
+            n_antennas=8, n_users=3, noise_power_server=2.5, noise_power_user=[0.5, 1.0, 4.0]
+        )
+        chan = sample_channels(radio, 31)
+        draws = 2 * aircomp._MC_CHUNK + 3
+        relay, user = self._draw(31, radio, chan, draws, 5)
+        assert relay.shape == (draws, 8, 5) and user.shape == (draws, 3, 5)
+        powers = [(relay, radio.noise_power_server)]
+        powers += [(user[:, k], radio.noise_power_user[k]) for k in range(3)]
+        for noise, power in powers:
+            # |z|^2 of a complex Gaussian of power p has mean p and deviation p.
+            assert abs(np.mean(np.abs(noise) ** 2) - power) <= 4 * power / np.sqrt(noise.size)
+
+    def test_stream_independence(self):
+        # The relay and user streams are independent: with N = K their
+        # entries are uncorrelated.
+        radio = RadioConfig(n_antennas=3, n_users=3, noise_power_server=1.0, noise_power_user=1.0)
+        chan = sample_channels(radio, 31)
+        relay, user = self._draw(31, radio, chan, 2051, 16)
+        corr = np.abs(np.vdot(relay, user)) / (np.linalg.norm(relay) * np.linalg.norm(user))
+        assert corr <= 0.02, f"cross-stream correlation {corr:.4f}"
+
+
+class TestTransmitBatch:
+    """``transmit_batch`` runs the one chain on its replays in chunks."""
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (8, 3)])
+    @pytest.mark.parametrize("replays", [1, 7, 1024, 1025, 2051])
+    def test_chunked_replays_match_one_shot(self, n, k, replays):
+        # The replays run through the chain in chunks; the result equals the
+        # chain run once on every replay, with each noise kind drawn one-shot
+        # under its round's label, bit for bit.  Another round draws anew.
+        radio = RadioConfig(
+            n_antennas=n, n_users=k, pathloss_db=0.0,
+            noise_power_server=0.01, noise_power_user=np.linspace(0.01, 0.03, k),
+        )
+        chan = sample_channels(radio, 8)
+        rng = substream(78, "tx-chunks", n, k)
+        x = rng.standard_normal((replays, k, 6))
+        eta = rng.uniform(0.5, 2.0, replays)
+        f = np.exp(1j * rng.uniform(0, 2 * np.pi, (n, n)))
+        r = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        t = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        out = transmit_batch(x, f, r, t, chan, radio, eta, seed=42, round_index=3)
+        relay = _noise_one_shot(42, ("round", 3, "relay"), 0.01, (replays, n, 3))
+        user_power = radio.noise_power_user[:, None]
+        user = _noise_one_shot(42, ("round", 3, "user"), user_power, (replays, k, 3))
+        np.testing.assert_array_equal(out, _unpack(over_the_air(x, f, r, t, chan, eta, relay, user)))
+        other = transmit_batch(x, f, r, t, chan, radio, eta, seed=42, round_index=4)
+        assert not np.any(other == out)
+
+    def test_zero_noise_radio_gives_noiseless_chain(self):
+        # Zero noise powers draw zero noise: the pass equals the chain fed
+        # all-zero noise, bit for bit, across chunk boundaries.
+        radio = RadioConfig(n_antennas=4, n_users=3, noise_power_server=0.0, noise_power_user=0.0)
+        chan = sample_channels(radio, 9)
+        rng = substream(79, "tx-zero-noise")
+        replays = 1025
+        x = rng.standard_normal((replays, 3, 8))
+        eta = rng.uniform(0.5, 2.0, replays)
+        f = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 4)))
+        r = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        t = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        out = transmit_batch(x, f, r, t, chan, radio, eta, seed=5, round_index=0)
+        zeros = np.zeros((replays, 4, 4), dtype=complex), np.zeros((replays, 3, 4), dtype=complex)
+        np.testing.assert_array_equal(out, _unpack(over_the_air(x, f, r, t, chan, eta, *zeros)))
 
 
 class TestAnalyticMse:

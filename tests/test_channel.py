@@ -7,7 +7,6 @@ from airfl.channel import (
     RadioConfig,
     db_to_linear,
     derive_seed,
-    sample_awgn,
     sample_channels,
     substream,
 )
@@ -140,34 +139,3 @@ class TestSampleChannels:
         chan = sample_channels(cfg, 5)
         n = chan.uplink.size
         assert abs(np.mean(chan.uplink)) <= 4.0 / np.sqrt(n)
-
-
-class TestSampleAwgn:
-    def test_zero_variance(self):
-        out = sample_awgn((4, 5), 0.0, 9, "relay")
-        np.testing.assert_array_equal(out, np.zeros((4, 5), dtype=complex))
-
-    def test_negative_variance_raises(self):
-        with pytest.raises(ValueError):
-            sample_awgn((2,), -1e-12, 9, "relay")
-
-    def test_deterministic_per_label(self):
-        a = sample_awgn((8,), 1.0, 9, ("round", 0, "relay"))
-        b = sample_awgn((8,), 1.0, 9, ("round", 0, "relay"))
-        c = sample_awgn((8,), 1.0, 9, ("round", 1, "relay"))
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_empirical_variance(self):
-        n = 100000
-        out = sample_awgn((n,), 2.5, 31, "variance-check")
-        var = np.mean(np.abs(out) ** 2)
-        se = 2.5 * np.sqrt(2.0 / n)
-        assert abs(var - 2.5) <= 3 * se
-
-    def test_stream_independence(self):
-        n = 100000
-        a = sample_awgn((n,), 1.0, 31, "stream-a")
-        b = sample_awgn((n,), 1.0, 31, "stream-b")
-        corr = np.abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
-        assert corr <= 0.02, f"cross-stream correlation {corr:.4f}"

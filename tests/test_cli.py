@@ -515,11 +515,11 @@ class TestSubcommands:
             [[float(v) for v in row[2:]] for row in rows],
             [
                 [0.10149718108077355, 0.057494295988922084, 0.006899135292291648, 0.021333772266749474],
-                [0.05471977455080079, 0.01071688945894933, 0.0184070829592973, 0.06445459361352257],
-                [0.04763416240048607, 0.003631277308634606, 0.07505222900117602, 0.2548460086576477],
+                [0.05419563138916597, 0.010192746297314509, 0.018543423206169106, 0.06487619018386456],
+                [0.04831745906277812, 0.004314573970926661, 0.07374421309216539, 0.25095022748714385],
                 [0.10149718108077355, 0.057494295988922084, 0.016085078342196905, 0.049738899689162189],
-                [0.053144796969145203, 0.0091419118772937402, 0.043617126112623764, 0.15244330278568291],
-                [0.049614624877726388, 0.0056117397858749252, 0.10450287632492614, 0.3769937530540365],
+                [0.05170128272004226, 0.007698397628190801, 0.04439366069677294, 0.15484453297982334],
+                [0.0502887589929491, 0.006285873901097638, 0.102933407242292, 0.3729887412439993],
             ],
             rtol=1e-9,
         )
@@ -529,8 +529,8 @@ class TestSubcommands:
         assert (summary["rounds"], summary["replays"], summary["seeds"]) == (3, 2, [7])
         np.testing.assert_allclose(summary["lambda_star"], 0.04400288509185146, rtol=1e-9)
         expected = {
-            "pam": [0.04763416240048607, 0.003631277308634606, 0.07505222900117602, 0.09449751745004316],
-            "baseline": [0.04961462487772639, 0.005611739785874925, 0.10450287632492614, 0.1375540682025522],
+            "pam": [0.04831745906277812, 0.004314573970926661, 0.07374421309216539, 0.09449751745004316],
+            "baseline": [0.0502887589929491, 0.006285873901097638, 0.102933407242292, 0.1375540682025522],
         }
         keys = ["final_loss", "final_loss_gap", "final_max_mse", "final_objective"]
         assert list(summary["summary"]) == ["7"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from airfl.aircomp import AggregationWeights, analytic_mse
-from airfl.channel import ChannelRealization, RadioConfig, sample_awgn, sample_channels, substream
+from airfl.channel import ChannelRealization, RadioConfig, sample_channels, substream
 from airfl import flsim
 from airfl.flsim import (
     BoundAssumptionWarning,
@@ -324,7 +324,7 @@ class TestTransmit:
 
     def test_batch_of_one_matches_single(self):
         # A batch of one equals a per-stage, per-user loop that draws its
-        # noise under the documented substream labels.
+        # noise one-shot under the documented substream labels.
         radio = RadioConfig(
             n_antennas=3, n_users=2, pathloss_db=0.0,
             noise_power_server=0.01, noise_power_user=0.02,
@@ -336,15 +336,17 @@ class TestTransmit:
         f = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 3)))
         r = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         t = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        at_relay = sample_awgn((1, 3, 4), 0.01, 42, ("round", 3, "relay"))[0]
+        relay_parts = substream(42, ("round", 3, "relay")).standard_normal((1, 3, 4, 2))[0]
+        at_relay = np.sqrt(0.01 / 2) * (relay_parts[..., 0] + 1j * relay_parts[..., 1])
+        user_parts = substream(42, ("round", 3, "user")).standard_normal((1, 2, 4, 2))[0]
+        user_noise = np.sqrt(0.02 / 2) * (user_parts[..., 0] + 1j * user_parts[..., 1])
         for k in range(2):
             symbols = t[k] / np.sqrt(2 * eta) * (x[k, 0::2] + 1j * x[k, 1::2])
             at_relay = at_relay + np.outer(chan.uplink[k], symbols)
         forwarded = f @ at_relay
         single = np.empty_like(x)
         for k in range(2):
-            noise = sample_awgn((1, 4), 0.02, 42, ("round", 3, "user", k))[0]
-            equalized = np.sqrt(2 * eta) * r[k] * (chan.downlink[k].conj() @ forwarded + noise)
+            equalized = np.sqrt(2 * eta) * r[k] * (chan.downlink[k].conj() @ forwarded + user_noise[k])
             single[k, 0::2] = equalized.real
             single[k, 1::2] = equalized.imag
         batch = transmit_batch(

@@ -9,12 +9,15 @@ rebroadcasts; each user equalizes with a scalar receive coefficient and
 unpacks.  Any relay amplification is part of the downlink gains.
 
 ``over_the_air`` is the one implementation of that chain, from parameters
-to each user's estimate, and ``_chain_noise`` its one noise sampler; the
-training loop and the Monte Carlo check both run them, chunk by chunk.
-``analytic_mse`` is the closed-form per-user MSE of the chain against the
-weighted aggregate of the transmitted parameters; ``monte_carlo_mse`` is
+to each user's estimate, ``chain_buffers`` its work space and
+``_chain_noise`` its one noise sampler; the training loop and the Monte
+Carlo check both run them, chunk by chunk, on buffers allocated once per
+call.  ``analytic_mse`` is the closed-form per-user MSE of the chain against
+the weighted aggregate of the transmitted parameters; ``monte_carlo_mse`` is
 the simulation twin used to validate it, one helper thread drawing the next
-chunk's noise while the caller runs the current one.
+chunk's noise while the caller runs the current one, with the moments of
+the errors summed as they stream, so its memory does not grow with the
+draws.
 """
 
 from __future__ import annotations
@@ -25,13 +28,15 @@ import numpy as np
 
 from .channel import substream
 
-# Draws or training replays per pass of the chain: bounds its memory, not its
-# draws.  Monte Carlo holds two chunks of noise, in use and read ahead.
+# Draws or training replays per pass of the chain: sizes every buffer of a
+# chunked pass, not its draws.  Monte Carlo holds two chunks of noise, in use
+# and read ahead.
 _MC_CHUNK = 1024
 
 __all__ = [
     "AggregationWeights",
     "analytic_mse",
+    "chain_buffers",
     "global_target",
     "monte_carlo_mse",
     "mse_bracket_terms",
@@ -67,7 +72,22 @@ def global_target(x_all, weights):
     return np.einsum("k,...km->...m", weights.alpha, x)
 
 
-def over_the_air(x_batch, f_matrix, r_all, t_all, chan, eta, relay_noise, user_noise):
+def chain_buffers(replays, chan, n_symbols):
+    """Work space for :func:`over_the_air` on up to ``replays`` replays of S symbols.
+
+    Three flat complex buffers: K * replays * S entries for the sent and
+    then the received symbols, and N * replays * S each for the relay's
+    observation and its forward.
+    """
+    size = int(replays) * int(n_symbols)
+    return (
+        np.empty(chan.n_users * size, dtype=complex),
+        np.empty(chan.n_antennas * size, dtype=complex),
+        np.empty(chan.n_antennas * size, dtype=complex),
+    )
+
+
+def over_the_air(x_batch, f_matrix, r_all, t_all, chan, eta, relay_noise, user_noise, buffers):
     """Every user's estimate of the aggregate from one pass of the analog chain, batched.
 
     ``x_batch`` is (R, K, M) real.  Each user packs its parameters pairwise
@@ -76,33 +96,49 @@ def over_the_air(x_batch, f_matrix, r_all, t_all, chan, eta, relay_noise, user_n
     and forwards F times its observation; user k observes g_k^H of the
     broadcast plus ``user_noise`` (R, K, S), and equalizes it by
     sqrt(2 eta) r_k.  ``eta`` is a scalar or one value per batch entry.
-    Returns the (R, K, S) estimated symbols; unpacking is left to the caller.
+    Every stage runs in ``buffers`` (see :func:`chain_buffers`, sized for at
+    least R replays).  Returns the (R, K, S) estimated symbols, a view into
+    ``buffers`` that the next pass overwrites; unpacking is left to the caller.
     """
-    x_batch = np.asarray(x_batch, dtype=float)
+    x_batch = np.ascontiguousarray(x_batch, dtype=float)
     if x_batch.ndim != 3 or x_batch.shape[1] != chan.n_users or x_batch.shape[2] % 2:
         raise ValueError(
             f"x_batch must be (replays, {chan.n_users}, even model_dim), got {x_batch.shape}"
         )
     replays, k_users, model_dim = x_batch.shape
+    n_antennas = chan.n_antennas
     n_symbols = model_dim // 2
-    if relay_noise.shape != (replays, chan.n_antennas, n_symbols):
-        raise ValueError(f"relay_noise must be {(replays, chan.n_antennas, n_symbols)}")
+    if relay_noise.shape != (replays, n_antennas, n_symbols):
+        raise ValueError(f"relay_noise must be {(replays, n_antennas, n_symbols)}")
     if user_noise.shape != (replays, k_users, n_symbols):
         raise ValueError(f"user_noise must be {(replays, k_users, n_symbols)}")
+    # Buffers sized for fewer than R replays fail to reshape (ValueError).
+    size = replays * n_symbols
+    sent, observed, forwarded = (
+        buf[: rows * size].reshape(rows, size)
+        for buf, rows in zip(buffers, (k_users, n_antennas, n_antennas))
+    )
     root = np.sqrt(2.0 * np.asarray(eta, dtype=float)).reshape(-1, 1, 1)
     r_all = np.asarray(r_all, dtype=complex).reshape(-1)
     t_all = np.asarray(t_all, dtype=complex).reshape(-1)
     # One matrix product per stage over all R*S symbols: each stage is an
-    # (N or K, R*S) array whose column r*S + s is symbol s of replay r.  The
-    # relay noise is added in place through an (N, R, S) view, and each
-    # stage rebinds ``signal`` so the previous stage's array is freed; the
-    # callers pass at most ``_MC_CHUNK`` draws or replays as R.
-    signal = (t_all[None, :, None] / root) * (x_batch[..., 0::2] + 1j * x_batch[..., 1::2])
-    signal = chan.uplink.T @ signal.transpose(1, 0, 2).reshape(k_users, replays * n_symbols)
-    signal.reshape(chan.n_antennas, replays, n_symbols)[...] += relay_noise.transpose(1, 0, 2)
-    signal = np.asarray(f_matrix, dtype=complex) @ signal
-    signal = (chan.downlink.conj() @ signal).reshape(k_users, replays, n_symbols)
-    return root * r_all[None, :, None] * (signal.transpose(1, 0, 2) + user_noise)
+    # (N or K, R*S) array whose column r*S + s is symbol s of replay r.  A
+    # complex view of the real parameters pairs entries 2s and 2s+1 as
+    # symbol s; the sent symbols are written through an (R, K, S) view, the
+    # relay noise is added through an (N, R, S) one, and the received
+    # symbols overwrite the sent ones.
+    np.multiply(
+        t_all[None, :, None] / root,
+        x_batch.view(complex),
+        out=sent.reshape(k_users, replays, n_symbols).transpose(1, 0, 2),
+    )
+    np.matmul(chan.uplink.T, sent, out=observed)
+    observed.reshape(n_antennas, replays, n_symbols)[...] += relay_noise.transpose(1, 0, 2)
+    np.matmul(np.asarray(f_matrix, dtype=complex), observed, out=forwarded)
+    np.matmul(chan.downlink.conj(), forwarded, out=sent)
+    received = sent.reshape(k_users, replays, n_symbols).transpose(1, 0, 2)
+    received += user_noise
+    return np.multiply(root * r_all[None, :, None], received, out=received)
 
 
 def _effective_gains(f_matrix, chan):
@@ -175,14 +211,17 @@ def _noise_chunks(seed, label, power, draws, shape):
     rng = substream(seed, label)
     first = (min(_MC_CHUNK, draws), *shape)
     slots = (np.empty(first, dtype=complex), np.empty(first, dtype=complex))
-    # Spread to a chunk's float view, once per part: a broadcast operand makes
-    # numpy allocate a 64 KiB ufunc buffer for the multiply, and on a helper
-    # thread that would move the peak memory with the threads' timing.
-    scale = np.repeat(np.broadcast_to(np.sqrt(power / 2.0), first), 2, axis=-1)
+    scale = np.sqrt(np.asarray(power, dtype=float) / 2.0)
+    if scale.ndim:
+        # Spread to a chunk's float view, once per part: a broadcast operand
+        # makes numpy allocate a 64 KiB ufunc buffer for the multiply, and on
+        # a helper thread that would move the peak memory with the threads'
+        # timing.  A scalar power needs no buffer.
+        scale = np.repeat(np.broadcast_to(scale, first), 2, axis=-1)
     for index, start in enumerate(range(0, draws, _MC_CHUNK)):
         chunk = slots[index % 2][: draws - start]
         parts = rng.standard_normal(out=chunk.view(float))
-        np.multiply(parts, scale[: len(parts)], out=parts)
+        np.multiply(parts, scale[: len(parts)] if scale.ndim else scale, out=parts)
         yield chunk
 
 
@@ -206,11 +245,16 @@ def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, 
     The chain runs on ``_MC_CHUNK`` draws at a time.  One helper thread
     draws the next chunk's noise while the calling thread draws the
     parameters, runs the chain and reduces the errors of the current one;
-    each generator stays on one thread and keeps its order.  Memory is
-    O(2 * _MC_CHUNK * N * S + draws * K): the chunk in use and the one read
-    ahead, and the (draws, K) squared errors, from which the mean and
-    standard error are reduced once.  The draws do not depend on the chunk
-    size or on the threads: parameters come in order from the
+    each generator stays on one thread and keeps its order.  No draw's error
+    is kept: each chunk's squared errors e, their offsets d = e - e_1 from
+    the first draw's and d^2 are summed in draw order onto running sums, and
+    the variance is the shifted one-pass (S_dd - S_d^2 / n) / (n - 1)
+    (Chan, Golub & LeVeque, 1983), clamped at 0.  So the mean is the plain
+    sequential sum of e over n, whatever the chunk size, and memory is
+    O(_MC_CHUNK * (N + K) * S), independent of the draws: two chunks of
+    noise, in use and read ahead, and one of parameters and of each chain
+    stage, all allocated once per call.  The draws do not depend on the
+    chunk size or on the threads: parameters come in order from the
     "mc-parameters" substream, and each noise substream ("mc-relay-noise",
     "mc-user-noise") is read by one generator, each entry's real and
     imaginary parts back to back (see :func:`_chain_noise`).
@@ -230,10 +274,16 @@ def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, 
     n_symbols = int(n_symbols)
     if n_symbols < 1:
         raise ValueError("n_symbols must be at least 1")
-    model_dim = 2 * n_symbols
     k_users = chan.n_users
+    chunk = min(_MC_CHUNK, draws)
     rng_x = substream(seed, "mc-parameters")
-    sq = np.empty((draws, k_users))
+    x_chunk = np.empty((chunk, k_users, 2 * n_symbols))
+    buffers = chain_buffers(chunk, chan, n_symbols)
+    # Row 0 carries the running sums of (e, d, d^2) per user, and rows
+    # 1..n hold a chunk's n draws: one sum over the rows adds the chunk's
+    # draws, in order, onto the draws before it.
+    moments = np.zeros((chunk + 1, 3, k_users))
+    sums = np.empty((3, k_users))
     noise = _chain_noise(seed, "mc-relay-noise", "mc-user-noise", cfg, chan, draws, n_symbols)
     with ThreadPoolExecutor(1) as helper:
         pending = helper.submit(next, noise, None)
@@ -242,11 +292,23 @@ def monte_carlo_mse(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, 
             # The helper refills the buffers of the chunk before this one,
             # which is done with; past the last chunk it returns None.
             pending = helper.submit(next, noise, None)
-            stop = min(start + _MC_CHUNK, draws)
-            x_draws = np.sqrt(eta) * rng_x.standard_normal((stop - start, k_users, model_dim))
-            target = global_target(x_draws[..., 0::2] + 1j * x_draws[..., 1::2], weights)
-            estimate = over_the_air(x_draws, f_matrix, r_all, t_all, chan, eta, relay, user)
-            sq[start:stop] = np.sum(np.abs(estimate - target[:, None, :]) ** 2, axis=2)
-    mean = sq.mean(axis=0)
-    stderr = sq.std(axis=0, ddof=1) / np.sqrt(draws)
-    return mean, stderr
+            rows = len(relay)
+            x_draws = rng_x.standard_normal(out=x_chunk[:rows])
+            np.multiply(np.sqrt(eta), x_draws, out=x_draws)
+            target = global_target(x_draws.view(complex), weights)
+            err = over_the_air(x_draws, f_matrix, r_all, t_all, chan, eta, relay, user, buffers)
+            err -= target[:, None, :]
+            # |err|^2 in the parameters' buffer, laid out as err is.
+            sq = x_chunk.reshape(-1)[: err.size].reshape(k_users, rows, n_symbols).transpose(1, 0, 2)
+            np.square(np.abs(err, out=sq), out=sq)
+            errors = moments[1 : rows + 1]
+            np.add.reduce(sq, axis=2, out=errors[:, 0])
+            if start == 0:
+                shift = errors[0, 0].copy()
+            np.subtract(errors[:, 0], shift, out=errors[:, 1])
+            np.multiply(errors[:, 1], errors[:, 1], out=errors[:, 2])
+            np.add.reduce(moments[: rows + 1], axis=0, out=sums)
+            moments[0] = sums
+    shifted_sq = sums[2] - sums[1] * sums[1] / draws
+    stderr = np.sqrt(np.maximum(shifted_sq, 0.0) / (draws - 1)) / np.sqrt(draws)
+    return sums[0] / draws, stderr

@@ -61,25 +61,24 @@ def _random_radio(rng, max_antennas, noise_low, noise_high):
     )
 
 
-def dense_u_step(workspace, user, rho, dtype=complex):
+def dense_u_step(workspace, user, rho):
     """One user's u-step system, assembled densely as an oracle.
 
     Returns ``(matrix, data_rhs, rank_one)``: the N^2 x N^2 matrix
     sum_j a_j a_j^H + kron_scale * I kron (g g^H) + (rho/K) I, the data part
     sum_j alpha_j a_j of the right-hand side (the caller adds (rho/K) f),
     and the rank-one vectors a_j = conj(r t_j) vec(g h_j^H) as rows, with
-    g the user's downlink and h_j the uplinks.  Everything is computed in
-    ``dtype``, so ``np.clongdouble`` gives an extended-precision system.
+    g the user's downlink and h_j the uplinks.
     """
-    g = workspace.downlink[user].astype(dtype)
+    g = workspace.downlink[user]
     n = g.size
-    rank_one = np.conj(workspace.r[user] * workspace.t.astype(dtype))[:, None] * np.stack(
-        [np.kron(h.conj(), g) for h in workspace.uplink.astype(dtype)]
+    rank_one = np.conj(workspace.r[user] * workspace.t)[:, None] * np.stack(
+        [np.kron(h.conj(), g) for h in workspace.uplink]
     )
     matrix = rank_one.T @ rank_one.conj()
-    matrix += workspace.kron_scale[user] * np.kron(np.eye(n, dtype=dtype), np.outer(g, g.conj()))
-    matrix += (rho / workspace.n_users) * np.eye(n * n, dtype=dtype)
-    return matrix, workspace.alpha.astype(dtype) @ rank_one, rank_one
+    matrix += workspace.kron_scale[user] * np.kron(np.eye(n, dtype=g.dtype), np.outer(g, g.conj()))
+    matrix += (rho / workspace.n_users) * np.eye(n * n, dtype=g.dtype)
+    return matrix, workspace.alpha.astype(g.dtype) @ rank_one, rank_one
 
 
 def _copies(f_matrix, v, downlink):

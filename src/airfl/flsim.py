@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aircomp import AggregationWeights, _chain_noise, analytic_mse, global_target, over_the_air
+from .aircomp import (
+    _MC_CHUNK, AggregationWeights, _chain_noise, analytic_mse, chain_buffers, global_target, over_the_air,
+)
 from .channel import derive_seed, sample_channels, substream
 from .linalg import NumericError, dense_solve
 from .pam import PamConfig, baseline_optimize, run_pam
@@ -381,8 +383,9 @@ def theorem1_bound(max_mse_history, n_users, smoothness, strong_convexity, total
 def transmit_batch(x_batch, f_matrix, r_all, t_all, chan, radio, eta_batch, seed, round_index):
     """One over-the-air aggregation pass per noise replay: (R, K, M) -> decoded (R, K, M).
 
-    Runs :func:`over_the_air` on the replays chunk by chunk, with the noise
-    of :func:`aircomp._chain_noise` drawn under the substream labels
+    Runs :func:`over_the_air` on the replays chunk by chunk, in one set of
+    :func:`aircomp.chain_buffers` sized for a chunk, with the noise of
+    :func:`aircomp._chain_noise` drawn under the substream labels
     ("round", i, "relay") and ("round", i, "user"): the draws do not depend
     on the chunking, and noise is keyed by seed and round, never by mode, so
     paired pam/baseline runs see the same draws.
@@ -391,13 +394,14 @@ def transmit_batch(x_batch, f_matrix, r_all, t_all, chan, radio, eta_batch, seed
     replays, _, model_dim = x_batch.shape
     eta_batch = np.asarray(eta_batch, dtype=float).reshape(replays)
     labels = ("round", int(round_index), "relay"), ("round", int(round_index), "user")
+    buffers = chain_buffers(min(_MC_CHUNK, replays), chan, model_dim // 2)
     decoded = np.empty(x_batch.shape)
     start = 0
     for relay, user in _chain_noise(seed, *labels, radio, chan, replays, model_dim // 2):
         rows = slice(start, start + len(relay))
         # A complex view of the (R, K, M) output pairs entries 2s and 2s+1 as symbol s.
         decoded.view(complex)[rows] = over_the_air(
-            x_batch[rows], f_matrix, r_all, t_all, chan, eta_batch[rows], relay, user
+            x_batch[rows], f_matrix, r_all, t_all, chan, eta_batch[rows], relay, user, buffers
         )
         start = rows.stop
     return decoded

@@ -10,6 +10,7 @@ from airfl import aircomp
 from airfl.aircomp import (
     AggregationWeights,
     analytic_mse,
+    chain_buffers,
     global_target,
     monte_carlo_mse,
     mse_bracket_terms,
@@ -60,7 +61,14 @@ def _receive(x_batch, chan, f_matrix=None, r_all=None, t_all=None, eta=0.5, rela
         relay_noise = np.zeros((replays, chan.n_antennas, n_symbols), dtype=complex)
     if user_noise is None:
         user_noise = np.zeros((replays, k_users, n_symbols), dtype=complex)
-    return over_the_air(x_batch, f_matrix, r_all, t_all, chan, eta, relay_noise, user_noise)
+    return _over_the_air(x_batch, f_matrix, r_all, t_all, chan, eta, relay_noise, user_noise)
+
+
+def _over_the_air(x_batch, f_matrix, r_all, t_all, chan, eta, relay_noise, user_noise):
+    """``over_the_air`` on buffers sized for the whole batch."""
+    _, _, model_dim = np.shape(x_batch)
+    buffers = chain_buffers(len(x_batch), chan, model_dim // 2)
+    return over_the_air(x_batch, f_matrix, r_all, t_all, chan, eta, relay_noise, user_noise, buffers)
 
 
 def _relay_view(rng, n):
@@ -113,9 +121,10 @@ def _unpack(symbols):
     return out
 
 
-def _monte_carlo_one_shot(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, draws, seed):
-    """``monte_carlo_mse`` with every draw in memory at once: the reference
-    the chunked loop must match bit for bit."""
+def _squared_errors_one_shot(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_symbols, draws,
+                             seed):
+    """The (draws, K) squared errors of ``monte_carlo_mse``'s draws, every
+    draw in memory at once."""
     k_users = chan.n_users
     rng_x = substream(seed, "mc-parameters")
     x_draws = np.sqrt(eta) * rng_x.standard_normal((draws, k_users, 2 * n_symbols))
@@ -126,10 +135,37 @@ def _monte_carlo_one_shot(f_matrix, r_all, t_all, chan, weights, cfg, eta, n_sym
         seed, "mc-user-noise", cfg.noise_power_user[:, None], (draws, k_users, n_symbols)
     )
     target = global_target(x_draws[..., 0::2] + 1j * x_draws[..., 1::2], weights)
-    estimate = over_the_air(x_draws, f_matrix, r_all, t_all, chan, eta, relay_noise, user_noise)
+    estimate = _over_the_air(x_draws, f_matrix, r_all, t_all, chan, eta, relay_noise, user_noise)
     err = estimate - target[:, None, :]
-    sq = np.sum(np.abs(err) ** 2, axis=2)
-    return sq.mean(axis=0), sq.std(axis=0, ddof=1) / np.sqrt(draws)
+    return np.sum(np.abs(err) ** 2, axis=2)
+
+
+def _monte_carlo_one_shot(*args):
+    """``monte_carlo_mse`` with every draw in memory at once: the reference
+    the chunked loop must match bit for bit.  One row per draw of the
+    squared error e, its offset d from the first draw's and d^2, reduced
+    over all draws: numpy sums axis 0 of these rows in draw order."""
+    sq = _squared_errors_one_shot(*args)
+    draws = len(sq)
+    shifted = sq - sq[0]
+    moments = np.stack([sq, shifted, shifted * shifted], axis=1)
+    mean = moments.mean(axis=0)[0]
+    _, shifted_sum, shifted_sq = moments.sum(axis=0)
+    variance = np.maximum(shifted_sq - shifted_sum * shifted_sum / draws, 0.0) / (draws - 1)
+    return mean, np.sqrt(variance) / np.sqrt(draws)
+
+
+# The four radios of the chunking and standard-error tests.
+_MC_RADIOS = pytest.mark.parametrize(
+    "n, k, noise_server, noise_user, pathloss_db, n_symbols",
+    [
+        (3, 2, 0.0, 0.02, 0.0, 3),
+        (4, 3, 0.01, [0.0, 0.02, 0.5], 0.0, 3),
+        (2, 1, 0.01, 0.02, 0.0, 3),
+        (8, 3, 1e-11, 1e-11, -40.0, 5),
+    ],
+    ids=["zero-server-noise", "per-user-noise", "one-user", "reference-radio"],
+)
 
 
 class TestAggregationWeights:
@@ -184,10 +220,18 @@ class TestEncodeDecode:
     def test_odd_length_rejected(self):
         _, chan = _perfect_link()
         with pytest.raises(ValueError):
-            over_the_air(
+            _over_the_air(
                 np.ones((1, 1, 5)), np.eye(1), np.ones(1), np.ones(1), chan, 1.0,
                 np.zeros((1, 1, 2)), np.zeros((1, 1, 2)),
             )
+
+    def test_undersized_buffers_rejected(self):
+        _, chan = _perfect_link()
+        args = (np.ones((3, 1, 4)), np.eye(1), np.ones(1), np.ones(1), chan, 1.0,
+                np.zeros((3, 1, 2)), np.zeros((3, 1, 2)))
+        with pytest.raises(ValueError):
+            over_the_air(*args, chain_buffers(2, chan, 2))
+        assert over_the_air(*args, chain_buffers(4, chan, 2)).shape == (3, 1, 2)
 
     def test_decode_zero_coefficient(self):
         cfg, chan = _perfect_link()
@@ -312,7 +356,7 @@ class TestChainOperations:
                 user = noise * _complex(rng, (replays, k, 5))
                 args = (x, f, r, t, chan, eta, relay, user)
                 ref = _over_the_air_einsum(*args)
-                out = over_the_air(*args)
+                out = _over_the_air(*args)
                 assert out.shape == ref.shape
                 np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
@@ -389,7 +433,7 @@ class TestTransmitBatch:
         relay = _noise_one_shot(42, ("round", 3, "relay"), 0.01, (replays, n, 3))
         user_power = radio.noise_power_user[:, None]
         user = _noise_one_shot(42, ("round", 3, "user"), user_power, (replays, k, 3))
-        np.testing.assert_array_equal(out, _unpack(over_the_air(x, f, r, t, chan, eta, relay, user)))
+        np.testing.assert_array_equal(out, _unpack(_over_the_air(x, f, r, t, chan, eta, relay, user)))
         other = transmit_batch(x, f, r, t, chan, radio, eta, seed=42, round_index=4)
         assert not np.any(other == out)
 
@@ -407,7 +451,7 @@ class TestTransmitBatch:
         t = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         out = transmit_batch(x, f, r, t, chan, radio, eta, seed=5, round_index=0)
         zeros = np.zeros((replays, 4, 4), dtype=complex), np.zeros((replays, 3, 4), dtype=complex)
-        np.testing.assert_array_equal(out, _unpack(over_the_air(x, f, r, t, chan, eta, *zeros)))
+        np.testing.assert_array_equal(out, _unpack(_over_the_air(x, f, r, t, chan, eta, *zeros)))
 
 
 class TestAnalyticMse:
@@ -588,16 +632,7 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(out1[0], out2[0])
         np.testing.assert_array_equal(out1[1], out2[1])
 
-    @pytest.mark.parametrize(
-        "n, k, noise_server, noise_user, pathloss_db, n_symbols",
-        [
-            (3, 2, 0.0, 0.02, 0.0, 3),
-            (4, 3, 0.01, [0.0, 0.02, 0.5], 0.0, 3),
-            (2, 1, 0.01, 0.02, 0.0, 3),
-            (8, 3, 1e-11, 1e-11, -40.0, 5),
-        ],
-        ids=["zero-server-noise", "per-user-noise", "one-user", "reference-radio"],
-    )
+    @_MC_RADIOS
     def test_chunked_draws_match_one_shot(self, n, k, noise_server, noise_user, pathloss_db,
                                           n_symbols):
         # Chunk boundaries must not move a single draw or a rounding: every
@@ -616,16 +651,47 @@ class TestMonteCarlo:
             np.testing.assert_array_equal(mean, ref_mean)
             np.testing.assert_array_equal(se, ref_se)
 
-    def test_memory_grows_only_with_the_error_array(self):
+    @_MC_RADIOS
+    def test_streamed_stderr_matches_two_pass(self, n, k, noise_server, noise_user, pathloss_db,
+                                              n_symbols):
+        # The shifted one-pass variance agrees with numpy's two-pass
+        # std(ddof=1) over the same draws to 1e-12 relative, on the radios
+        # of the chunking test.
+        rng = substream(38, "mc-chunks", n, k)
+        cfg, chan, f, r, t, w = _random_state(
+            rng, n, k, pathloss_db, noise_server=noise_server, noise_user=noise_user
+        )
+        draws = 2 * aircomp._MC_CHUNK + 3
+        args = (f, r, t, chan, w, cfg, 0.7, n_symbols, draws, 11)
+        _, se = monte_carlo_mse(*args)
+        sq = _squared_errors_one_shot(*args)
+        two_pass = sq.std(axis=0, ddof=1) / np.sqrt(draws)
+        np.testing.assert_allclose(se, two_pass, rtol=1e-12, atol=0)
+
+    def test_stderr_of_a_noiseless_single_user_link(self):
+        # One user, no noise: every error is rounding-sized, and the
+        # standard error of those errors is still finite and non-negative
+        # (the shifted variance is clamped at 0 against cancellation).
+        rng = substream(41, "mc-exact-link")
+        cfg, chan, f, _, t, w = _random_state(rng, 2, 1, noise_server=0.0, noise_user=0.0)
+        r = update_r(f, t, chan, w, cfg)
+        for eta in (0.5, 0.7):
+            mean, se = monte_carlo_mse(f, r, t, chan, w, cfg, eta, 3, aircomp._MC_CHUNK + 5, 12)
+            assert np.all(np.isfinite(se)) and np.all(se >= 0.0)
+            assert np.all(mean <= 1e-20)
+
+    def test_memory_does_not_grow_with_draws(self):
         # numpy reports its buffers to tracemalloc.  Going from 4 to 32
-        # chunks of draws may only grow the (draws, K) float64 errors; a
-        # chain held whole would grow by draws * N * S complex entries.
+        # chunks of draws may not grow the peak beyond 64 KiB: no array
+        # grows with the draws, not even one error per draw and user.
         chunk = aircomp._MC_CHUNK
         cfg = RadioConfig(n_antennas=8, n_users=3)
         chan = sample_channels(cfg, 1)
         f = np.exp(1j * substream(39, "mc-memory").uniform(0.0, 2.0 * np.pi, (8, 8)))
         r = t = np.ones(3, dtype=complex)
         w = AggregationWeights(np.ones(3))
+        # One untraced call first, so that one-time imports count in neither peak.
+        monte_carlo_mse(f, r, t, chan, w, cfg, 1.0, 5, 2, 3)
         peaks = []
         for n_chunks in (4, 32):
             tracemalloc.start()
@@ -634,8 +700,7 @@ class TestMonteCarlo:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        error_growth = (32 - 4) * chunk * 3 * 8
-        assert peaks[1] - peaks[0] <= error_growth + 64 * 1024
+        assert peaks[1] - peaks[0] <= 64 * 1024
 
     def test_no_helper_thread_outlives_the_call(self, monkeypatch):
         # The noise is drawn on a helper thread.  It is joined on every way

@@ -613,10 +613,10 @@ class TestSubcommands:
         rows = [line.split(",") for line in (out / "mse_check.csv").read_text().splitlines()[2:]]
         assert [row[:2] for row in rows] == [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]
         assert [[float(v) for v in row[3:]] for row in rows] == [
-            [4.805919841630838, 0.06258898945798856, -0.9359973913369041],
-            [4.795805434591229, 0.06251510903721452, -0.9386956644034239],
-            [0.8451110188914557, 0.010965619254514112, 0.5881586794110175],
-            [0.4339041714557353, 0.00561579392224035, 0.376100913369436],
+            [4.805919841630838, 0.06258898945798853, -0.9359973913369045],
+            [4.795805434591229, 0.06251510903721437, -0.9386956644034261],
+            [0.8451110188914557, 0.010965619254514098, 0.5881586794110182],
+            [0.4339041714557353, 0.005615793922240348, 0.37610091336943613],
         ]
 
     def test_mse_check_odd_dim_counts_the_padded_symbol(self, tmp_path):

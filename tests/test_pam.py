@@ -2,7 +2,7 @@
 
 import hashlib
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import islice
 from types import SimpleNamespace
 
@@ -906,13 +906,16 @@ def _refined_solve(matrix, rhs):
 
 def _reference_inner_pam(ws, f_matrix_init, rho, m_inner):
     """The inner loop written out densely: every user's N^2 x N^2 u-step
-    system assembled in extended precision and solved on its own each cycle,
-    then the consensus and merit over the explicit copies.  A plain double
-    solve of these systems errs by their condition number (up to ~1e5 here)
-    times eps, far more than the rank-one step does."""
+    system assembled in extended precision, from a copy of the workspace
+    widened to np.clongdouble, and solved on its own each cycle, then the
+    consensus and merit over the explicit copies.  A plain double solve of
+    these systems errs by their condition number (up to ~1e5 here) times
+    eps, far more than the rank-one step does."""
     n = f_matrix_init.shape[0]
     ridge = rho / ws.n_users
-    systems = [dense_u_step(ws, k, rho, np.clongdouble) for k in range(ws.n_users)]
+    wide = replace(ws, **{name: getattr(ws, name).astype(np.clongdouble)
+                          for name in ("r", "t", "uplink", "downlink")})
+    systems = [dense_u_step(wide, k, rho) for k in range(ws.n_users)]
     f = vec_of_matrix(f_matrix_init).astype(complex)
     z = f.copy()
     trajectory = np.empty(m_inner)
